@@ -20,6 +20,9 @@ CONFIG = {
     "fixed": {"alpha": 1.0, "r": 1.0},
     "T": 30.0,
     "reps": 200,
+    # phase-scan spends max_events over the whole scan: 8 columns of 200
+    # replicas of (4*2*120 + 121 + 4*120) * 30 = 46,830 events is 74,928,000
+    "max_events": 75_000_000,
     "out_dir": "out/phase_scan",
 }
 

@@ -343,7 +343,7 @@ def estimate_critical_lambda(r: float, spec: BackgroundSpec | None, *,
                              tol: float, reps_per_probe: int, seed: int,
                              d: int = 1, lam_init: float = 1.0,
                              lam_cap: float = 64.0, max_probes: int = 40,
-                             b0=None) -> Bracket:
+                             b0=None, max_events: int | None = None) -> Bracket:
     """Bisection bracket for the survival phase transition in the infection rate.
 
     Each probe classifies one rate by how its survival decays, the
@@ -363,6 +363,8 @@ def estimate_critical_lambda(r: float, spec: BackgroundSpec | None, *,
     evolving environment the rule rests on the Janssen-Grassberger
     conjecture that the transition is in that class too; the paper proves
     extinction at criticality but gives no exponents.
+
+    max_events, if given, is the event budget of each replica's timeline.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -375,7 +377,8 @@ def estimate_critical_lambda(r: float, spec: BackgroundSpec | None, *,
     def probe(lam):
         params = RunParams(g, lam, r, spec, T, seed)
         est, ext_times = _survival_runs(params, (origin,), start_mode=start_mode,
-                                        b0=b0, reps=reps_per_probe, seed=seed)
+                                        b0=b0, reps=reps_per_probe, seed=seed,
+                                        max_events=max_events)
         window = decay_window(ext_times, T)
         k, n = window[2:]
         verdict = decay_verdict(k, n, d)

@@ -212,49 +212,19 @@ def sample_stationary(spec: BackgroundSpec, g: GraphView, seed: int) -> np.ndarr
     return sample_stationary_dp(g, spec.alpha, spec.beta, seed)
 
 
-def _flip_decision(spec, q_rate, is_open, cnt, u):
-    # mirrored thresholds: up-flips use the bottom of the mark interval,
-    # down-flips the top, so nested states never cross
-    if is_open:
-        return 0 if (1.0 - u) * q_rate <= spec.down_table[cnt] else 1
-    return 1 if u * q_rate < spec.up_table[cnt] else 0
-
-
 def evolve_background(spec: BackgroundSpec, b0, tl, t: float) -> np.ndarray:
-    """Edge set at time t, processing the timeline's candidate events in order."""
-    times, kinds, idx, marks, _, _, horizon = event_feed(tl)
-    if t > horizon + 1e-9:
-        raise ValueError(f"t={t} beyond the timeline horizon {horizon}")
-    g = tl.graph
-    q_rate = tl.base.flip_rate if hasattr(tl, "base") else tl.flip_rate
-    B = bytearray(g.n_edges)
-    for e in b0:
-        B[e] = 1
-    lnbrs = g.line_nbrs
-    up_tab = spec.up_table
-    down_tab = spec.down_table
-    n = len(times)
-    for i in range(n):
-        if kinds[i] != KIND_FLIP:
-            continue
-        tt = times[i]
-        if tt > t:
-            break
-        e = idx[i]
-        u = marks[i]
-        if B[e]:
-            cnt = 0
-            for a in lnbrs[e]:
-                cnt += B[a]
-            if (1.0 - u) * q_rate <= down_tab[cnt]:
-                B[e] = 0
-        else:
-            cnt = 0
-            for a in lnbrs[e]:
-                cnt += B[a]
-            if u * q_rate < up_tab[cnt]:
-                B[e] = 1
-    return np.flatnonzero(np.frombuffer(bytes(B), dtype=np.uint8)).astype(np.int32)
+    """Edge set at time t: the environment path of (spec, b0) on the timeline
+    (engine.background_path, stored on forward timelines) replayed through t.
+    A timeline without flip candidates leaves b0 as it is."""
+    from .engine import background_path     # engine imports this module
+    if t > tl.t_max + 1e-9:
+        raise ValueError(f"t={t} beyond the timeline horizon {tl.t_max}")
+    base = tl.base if hasattr(tl, "base") else tl
+    if base.flip_rate == 0:
+        edges = frozenset(int(e) for e in b0)
+    else:
+        edges = background_path(spec, b0, tl).until(t)[1]
+    return np.array(sorted(edges), dtype=np.int32)
 
 
 @dataclass(frozen=True)

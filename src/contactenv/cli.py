@@ -385,13 +385,19 @@ def _run_survival(cfg: RunConfig):
 
 
 def _run_critical(cfg: RunConfig):
+    """Probe-by-probe bracket; max_replicas caps each probe's replicas and
+    max_events each replica's timeline."""
     p = cfg.params
+    if p["reps_per_probe"] > cfg.max_replicas:
+        raise BudgetError(f"reps_per_probe {p['reps_per_probe']} exceed "
+                          f"max_replicas {cfg.max_replicas}")
     d = p["d"]
     spec = _make_spec(p.get("spec"), d)
     kw = {key: p[key] for key in ("lam_init", "max_probes") if p.get(key) is not None}
     bracket = analysis.estimate_critical_lambda(
         p["r"], spec, start_mode=p["start_mode"], T=p["T"], L=p["L"],
-        tol=p["tol"], reps_per_probe=p["reps_per_probe"], seed=cfg.seed, d=d, **kw)
+        tol=p["tol"], reps_per_probe=p["reps_per_probe"], seed=cfg.seed, d=d,
+        max_events=cfg.max_events, **kw)
     header = ["lambda", "verdict"] + _est_cols()
     rows = [[lam, verdict] + _est_row(est) for lam, est, verdict in bracket.probes]
     rows.append([bracket.lam_lo, "bracket_lo"] + [""] * 5)

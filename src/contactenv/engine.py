@@ -7,19 +7,21 @@ time-reversed run.  Because coupled variants consume the same event table,
 their containment relations hold pathwise, event by event, and the
 comparison helpers at the bottom of this module check exactly that.
 
-The environment is autonomous, so its path can be computed once per
-(timeline, spec, initial edges) and shared by every infection run that sits
-on top; see background_path.  The inner loop is deliberately flat: plain
-lists, bytearray state, no attribute lookups.  It takes events at roughly
-5-10 MHz on the skip path, which is what makes the Monte Carlo estimators
-affordable in pure Python.
+The environment is autonomous, so its path depends only on (timeline, spec,
+initial edges).  background_path sweeps it once and stores it on the base
+Timeline.  Every later run here with that spec and those initial edges on a
+forward, un-anchored feed of the timeline (thinned or not), and dual_evolve,
+reads the stored path and visits only arrows and recoveries; a run without
+one applies the flip rule inline and stops at extinction.  The Trajectory
+is the same either way.  The inner loop is flat: plain lists, bytearray
+state, no attribute lookups.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +45,8 @@ class RunParams:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.lam, self.r, self.horizon)):
+            raise ValueError("rates and horizon must be finite")
         if self.lam < 0 or self.r < 0:
             raise ValueError("rates must be nonnegative")
         if self.horizon <= 0:
@@ -125,6 +129,7 @@ class Trajectory:
             yield t, frozenset(c), frozenset(b)
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class BackgroundPath:
     """Realized environment on one timeline from one starting edge set.
 
@@ -133,14 +138,20 @@ class BackgroundPath:
     shares (timeline, spec, b0) can reuse one instance.
     """
 
-    __slots__ = ("arrow_open", "edge_deltas", "b_final", "b0", "n_events")
+    arrow_open: list
+    edge_deltas: list
+    b_final: frozenset
+    b0: frozenset
+    n_events: int
 
-    def __init__(self, arrow_open, edge_deltas, b_final, b0, n_events):
-        self.arrow_open = arrow_open
-        self.edge_deltas = edge_deltas
-        self.b_final = b_final
-        self.b0 = b0
-        self.n_events = n_events
+    def until(self, t, want_deltas=True):
+        """(edge deltas, edge set) of the path through time t."""
+        deltas = self.edge_deltas
+        if not deltas or deltas[-1][0] <= t:
+            return (deltas if want_deltas else []), self.b_final
+        k = bisect_right(deltas, t, key=lambda d: d[0])
+        return (deltas[:k] if want_deltas else []), frozenset(
+            Trajectory._apply(set(self.b0), deltas, t))
 
 
 def _bg_tables(spec, tl):
@@ -156,66 +167,97 @@ def _bg_tables(spec, tl):
     return spec.up_table, spec.down_table, base.flip_rate
 
 
-def background_path(spec, b0, tl, *, feed=None) -> BackgroundPath:
+def _path_store(tl):
+    """The base Timeline's stored paths if tl's feed is its forward,
+    un-anchored event order, else None."""
+    if isinstance(tl, TimelineView):
+        return tl.base.bg_paths if tl.anchor is None else None
+    return tl.bg_paths
+
+
+def background_path(spec, b0, tl) -> BackgroundPath:
     """One forward sweep of the environment alone.
 
     Returns per-event open flags for every arrow (the state of the arrow's
     edge just before the arrow fires), the edge delta stream, and the final
     edge set.  The environment never reads the infection state, so the
     result is exact for any infection run on the same timeline.
+
+    On a Timeline, or a view of one without a reversal anchor, the path is
+    stored on the base Timeline under (spec, frozenset(b0)): a repeat call
+    returns the stored object, and every run of this module on that timeline
+    with the same spec and initial edges reads it instead of sweeping the
+    environment again.  Reversed and anchored views are swept on every call.
     """
-    if feed is None:
-        feed = event_feed(tl)
-    times, kinds, idx, marks, _, _, _ = feed
+    store = _path_store(tl)
+    key = (spec, frozenset(int(e) for e in b0))
+    if store is not None and key in store:
+        return store[key]
+    times, kinds, idx, marks, _, _, _ = event_feed(tl)
     g = tl.graph
     tables = _bg_tables(spec, tl)
     n = len(times)
     B = bytearray(g.n_edges)
-    for e in b0:
-        B[int(e)] = 1
+    for e in key[1]:
+        B[e] = 1
     arrow_open = [False] * n
     edge_deltas = []
     app = edge_deltas.append
     dedge = g.dir_edge
     lnbrs = g.line_nbrs
-    if tables is None:
-        for i in range(n):
-            if kinds[i] == 0:
-                arrow_open[i] = B[dedge[idx[i]]] == 1
-    else:
-        up_tab, down_tab, q_rate = tables
-        for i in range(n):
-            k = kinds[i]
-            if k == 0:
-                arrow_open[i] = B[dedge[idx[i]]] == 1
-            elif k == 2:
-                e = idx[i]
-                u = marks[i]
-                if B[e]:
-                    cnt = 0
-                    for a in lnbrs[e]:
-                        cnt += B[a]
-                    if (1.0 - u) * q_rate <= down_tab[cnt]:
-                        B[e] = 0
-                        app((times[i], e, -1))
-                else:
-                    cnt = 0
-                    for a in lnbrs[e]:
-                        cnt += B[a]
-                    if u * q_rate < up_tab[cnt]:
-                        B[e] = 1
-                        app((times[i], e, 1))
+    up_tab, down_tab, q_rate = tables or (None, None, 0.0)   # no tables: no flips
+    for i in range(n):
+        k = kinds[i]
+        if k == 0:
+            arrow_open[i] = B[dedge[idx[i]]] == 1
+        elif k == 2:
+            e = idx[i]
+            u = marks[i]
+            if B[e]:
+                cnt = 0
+                for a in lnbrs[e]:
+                    cnt += B[a]
+                if (1.0 - u) * q_rate <= down_tab[cnt]:
+                    B[e] = 0
+                    app((times[i], e, -1))
+            else:
+                cnt = 0
+                for a in lnbrs[e]:
+                    cnt += B[a]
+                if u * q_rate < up_tab[cnt]:
+                    B[e] = 1
+                    app((times[i], e, 1))
     b_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(B), dtype=np.uint8)))
-    return BackgroundPath(arrow_open, edge_deltas, b_final,
-                          frozenset(int(e) for e in b0), n)
+    path = BackgroundPath(arrow_open, edge_deltas, b_final, key[1], n)
+    if store is not None:
+        store[key] = path
+    return path
 
 
-def _run(g: GraphView, feed, c0, b0, *, t_end, eman_limit, bg_tables=None,
+def _arrows_and_recoveries(tl, hi):
+    """Indices of the first hi events of tl's feed, less the flip candidates
+    when the feed runs in the base table's order and the table has any."""
+    base = tl.base if isinstance(tl, TimelineView) else tl
+    if base.flip_rate == 0 or getattr(tl, "is_reversed", False):
+        return range(hi)
+    order = base.non_flip
+    return order if hi == base.n_events else order[:bisect_left(order, hi)]
+
+
+def _initial_sites(g, sites):
+    """Site states, infected count and boundary flag of an initial site set."""
+    C = bytearray(g.n_sites)
+    for s in sites:
+        C[int(s)] = 1
+    return C, C.count(1), any(g.norm_inf[int(s)] >= g.half_width for s in sites)
+
+
+def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
          bg_path: BackgroundPath | None = None,
          ignore_background=False, ignore_recoveries=False,
          no_arrows_until=-1.0, free_infection_until=-1.0, no_recoveries_until=-1.0,
          mask=None, stop_on_extinct=False, want_deltas=True):
-    times, kinds, idx, marks, lam_frac, r_frac, horizon = feed
+    times, kinds, idx, marks, lam_frac, r_frac, horizon = event_feed(tl)
     if t_end > horizon + 1e-9:
         raise ValueError(f"t_end={t_end} beyond the feed horizon {horizon}")
 
@@ -226,35 +268,16 @@ def _run(g: GraphView, feed, c0, b0, *, t_end, eman_limit, bg_tables=None,
     lnbrs = g.line_nbrs
     bdry = g.half_width
 
-    C = bytearray(g.n_sites)
-    n_inf = 0
-    btouch = False
-    for s in c0:
-        s = int(s)
-        if not C[s]:
-            C[s] = 1
-            n_inf += 1
-            if ninf[s] >= bdry:
-                btouch = True
+    C, n_inf, btouch = _initial_sites(g, c0)
 
     use_path = bg_path is not None
-    if use_path:
-        if bg_path.n_events != len(times):
-            raise ValueError("background path was computed for a different feed")
-        arrow_open = bg_path.arrow_open
-        B = None
-        up_tab = down_tab = None
-        q_rate = 0.0
-    else:
-        arrow_open = None
-        B = bytearray(g.n_edges)
-        for e in b0:
-            B[int(e)] = 1
-        if bg_tables is not None:
-            up_tab, down_tab, q_rate = bg_tables
-        else:
-            up_tab = down_tab = None
-            q_rate = 0.0
+    if use_path and bg_path.n_events != len(times):
+        raise ValueError("background path was computed for a different feed")
+    arrow_open = bg_path.arrow_open if use_path else None
+    B = bytearray(g.n_edges)
+    for e in b0:
+        B[int(e)] = 1
+    up_tab, down_tab, q_rate = bg_tables or (None, None, 0.0)
 
     thin_arrows = lam_frac < 1.0
     thin_recs = r_frac < 1.0
@@ -268,9 +291,11 @@ def _run(g: GraphView, feed, c0, b0, *, t_end, eman_limit, bg_tables=None,
     sapp = site_deltas.append
     eapp = edge_deltas.append
     tau = 0.0 if n_inf == 0 else math.inf
+    t_stop = t_end
 
     hi = bisect_right(times, t_end)
-    for i in range(hi):
+    # a loop that applies no flip rule visits only arrows and recoveries
+    for i in (range(hi) if up_tab is not None else _arrows_and_recoveries(tl, hi)):
         k = kinds[i]
         if k == 0:  # arrow
             j = idx[i]
@@ -317,9 +342,10 @@ def _run(g: GraphView, feed, c0, b0, *, t_end, eman_limit, bg_tables=None,
             if not n_inf:
                 tau = t
                 if stop_on_extinct:
+                    t_stop = t
                     break
         else:  # flip candidate
-            if use_path or up_tab is None:
+            if up_tab is None:
                 continue
             e = idx[i]
             u = marks[i]
@@ -342,18 +368,10 @@ def _run(g: GraphView, feed, c0, b0, *, t_end, eman_limit, bg_tables=None,
 
     c_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)))
     if use_path:
-        edge_deltas = bg_path.edge_deltas
-        b_final = bg_path.b_final
+        edge_deltas, b_final = bg_path.until(t_stop, want_deltas)
     else:
         b_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(B), dtype=np.uint8)))
     return site_deltas, edge_deltas, c_final, b_final, tau, btouch
-
-
-def _resolve_bg(params, tl, bg):
-    """(bg_tables, bg_path, b0) for a run; bg may be a BackgroundPath."""
-    if isinstance(bg, BackgroundPath):
-        return None, bg, bg.b0
-    return _bg_tables(params.spec, tl), None, None
 
 
 def _traj(g, t_end, c0, b0, out) -> Trajectory:
@@ -365,26 +383,33 @@ def _traj(g, t_end, c0, b0, out) -> Trajectory:
                       boundary_touched=btouch)
 
 
+def _evolve(params, c0, b0, tl, shared_bg, **kw) -> Trajectory:
+    """A forward run of params on tl.  Its environment is shared_bg if given,
+    else the path stored on tl for (params.spec, b0), else the inline flip
+    rule; the three give the same Trajectory."""
+    path, store = shared_bg, _path_store(tl)
+    if path is None and store:
+        path = store.get((params.spec, frozenset(int(e) for e in b0)))
+    if path is not None:
+        b0 = path.b0
+    out = _run(params.graph, tl, c0, b0, t_end=params.horizon, bg_path=path,
+               bg_tables=None if path is not None else _bg_tables(params.spec, tl), **kw)
+    return _traj(params.graph, params.horizon, c0, b0, out)
+
+
 def evolve(params: RunParams, c0, b0, tl, *, stop_on_extinct=False,
            want_deltas=True, mask=None, shared_bg: BackgroundPath | None = None) -> Trajectory:
     """Run the pair process: arrows infect across open edges, recoveries heal,
     flip candidates drive the environment.  Arrows emanate from the open
     interior of the box only.  Pass shared_bg (from background_path) to reuse
-    an already-computed environment for the same (timeline, spec, b0).
+    an already-computed environment for the same (timeline, spec, b0); a path
+    stored on the timeline for them is reused without it.
 
     With stop_on_extinct the recording stops when the site set empties (the
     empty set is absorbing, so nothing about survival is lost); edge queries
-    past that moment return the environment as of the stop unless a shared
-    path was supplied."""
-    g = params.graph
-    feed = event_feed(tl)
-    if shared_bg is not None:
-        b0 = shared_bg.b0
-    out = _run(g, feed, c0, b0, t_end=params.horizon, eman_limit=g.half_width,
-               bg_tables=None if shared_bg is not None else _bg_tables(params.spec, tl),
-               bg_path=shared_bg, stop_on_extinct=stop_on_extinct,
-               want_deltas=want_deltas, mask=mask)
-    return _traj(g, params.horizon, c0, b0, out)
+    past that moment return the environment as of the stop."""
+    return _evolve(params, c0, b0, tl, shared_bg, eman_limit=params.graph.half_width,
+                   stop_on_extinct=stop_on_extinct, want_deltas=want_deltas, mask=mask)
 
 
 def evolve_truncated(l_inner: int, params: RunParams, c0, b0, tl, *,
@@ -392,25 +417,18 @@ def evolve_truncated(l_inner: int, params: RunParams, c0, b0, tl, *,
                      shared_bg: BackgroundPath | None = None) -> Trajectory:
     """Like evolve, but arrows emanate only from the open inner box
     (-l_inner, l_inner)^d.  Pathwise contained in the untruncated run."""
-    g = params.graph
-    if l_inner > g.half_width:
-        raise ValueError(f"inner scale {l_inner} exceeds the box half-width {g.half_width}")
-    feed = event_feed(tl)
-    if shared_bg is not None:
-        b0 = shared_bg.b0
-    out = _run(g, feed, c0, b0, t_end=params.horizon, eman_limit=l_inner,
-               bg_tables=None if shared_bg is not None else _bg_tables(params.spec, tl),
-               bg_path=shared_bg, stop_on_extinct=stop_on_extinct,
-               want_deltas=want_deltas, mask=mask)
-    return _traj(g, params.horizon, c0, b0, out)
+    if l_inner > params.graph.half_width:
+        raise ValueError(f"inner scale {l_inner} exceeds the box half-width "
+                         f"{params.graph.half_width}")
+    return _evolve(params, c0, b0, tl, shared_bg, eman_limit=l_inner,
+                   stop_on_extinct=stop_on_extinct, want_deltas=want_deltas, mask=mask)
 
 
 def richardson(c0, tl, t_end: float, *, want_deltas=True) -> Trajectory:
     """Growth-only upper bound: recoveries and the environment are ignored, so
     the site set is nondecreasing and dominates every run on the same timeline."""
     g = tl.graph
-    feed = event_feed(tl)
-    out = _run(g, feed, c0, (), t_end=t_end, eman_limit=g.half_width,
+    out = _run(g, tl, c0, (), t_end=t_end, eman_limit=g.half_width,
                ignore_background=True, ignore_recoveries=True,
                want_deltas=want_deltas)
     return _traj(g, t_end, c0, (), out)
@@ -422,13 +440,9 @@ def evolve_released(params: RunParams, c0, b0, tl, release: float, *,
     [0, release] while the environment runs; full dynamics afterwards.
     This is the burn-in mechanism the estimators use for near-stationary
     starts of environments without a closed-form invariant law."""
-    g = params.graph
-    feed = event_feed(tl)
-    out = _run(g, feed, c0, b0, t_end=params.horizon, eman_limit=g.half_width,
-               no_arrows_until=release, no_recoveries_until=release,
-               bg_tables=_bg_tables(params.spec, tl),
-               stop_on_extinct=stop_on_extinct, want_deltas=want_deltas)
-    return _traj(g, params.horizon, c0, b0, out)
+    return _evolve(params, c0, b0, tl, None, eman_limit=params.graph.half_width,
+                   no_arrows_until=release, no_recoveries_until=release,
+                   stop_on_extinct=stop_on_extinct, want_deltas=want_deltas)
 
 
 def delayed_variant(mode: str, s: float, params: RunParams, c0, b0, tl, *,
@@ -443,28 +457,20 @@ def delayed_variant(mode: str, s: float, params: RunParams, c0, b0, tl, *,
     """
     if s < 0 or s > params.horizon:
         raise ValueError(f"delay {s} outside [0, {params.horizon}]")
-    g = params.graph
-    feed = event_feed(tl)
-    if shared_bg is not None:
-        b0 = shared_bg.b0
-    kw = dict(t_end=params.horizon, eman_limit=g.half_width,
-              bg_tables=None if shared_bg is not None else _bg_tables(params.spec, tl),
-              bg_path=shared_bg, stop_on_extinct=stop_on_extinct,
-              want_deltas=want_deltas)
-    if mode == SUPPRESS_ARROWS:
-        out = _run(g, feed, c0, b0, no_arrows_until=s, **kw)
-    elif mode == SUPPRESS_RECOVERIES_AND_BACKGROUND:
-        out = _run(g, feed, c0, b0, no_recoveries_until=s,
-                   free_infection_until=s, **kw)
-    else:
+    distort = {SUPPRESS_ARROWS: dict(no_arrows_until=s),
+               SUPPRESS_RECOVERIES_AND_BACKGROUND: dict(no_recoveries_until=s,
+                                                        free_infection_until=s)}.get(mode)
+    if distort is None:
         raise ValueError(f"unknown delayed mode {mode!r}")
-    return _traj(g, params.horizon, c0, b0, out)
+    return _evolve(params, c0, b0, tl, shared_bg, eman_limit=params.graph.half_width,
+                   stop_on_extinct=stop_on_extinct, want_deltas=want_deltas, **distort)
 
 
 def coupled_bounds_cpdp(params: RunParams, c0, b0, tl):
     """Three runs on shared randomness: the given spec in the middle, and two
     independent-edge environments built from its extreme rates below and
-    above.  Site and edge sets are nested pathwise."""
+    above.  Site and edge sets are nested pathwise.  The middle run reads the
+    path stored for (params.spec, b0) if background_path has built one."""
     spec = params.spec
     if spec is None:
         raise ValueError("coupled bounds need a background spec")
@@ -479,10 +485,8 @@ def coupled_bounds_cpdp(params: RunParams, c0, b0, tl):
             raise ValueError("timeline flip rate too small for the bounding environments; "
                              "build it at the middle spec's uniformization rate or higher")
     mid = evolve(params, c0, b0, tl)
-    under = evolve(RunParams(params.graph, params.lam, params.r, under_spec,
-                             params.horizon, params.seed), c0, b0, tl)
-    over = evolve(RunParams(params.graph, params.lam, params.r, over_spec,
-                            params.horizon, params.seed), c0, b0, tl)
+    under = evolve(replace(params, spec=under_spec), c0, b0, tl)
+    over = evolve(replace(params, spec=over_spec), c0, b0, tl)
     return under, mid, over
 
 
@@ -492,7 +496,8 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
 
     The dual starts from A at reversed time 0 (= forward time t*), crosses
     each arrow in the opposite direction at the reversed timestamp, and uses
-    the forward environment's state just before the arrow's original time.
+    the forward environment's state just before the arrow's original time,
+    read from background_path(params.spec, b0) on the base timeline.
     On every realization the indicator identity
 
         1{forward sites at t* meet A}  ==  1{dual sites at t* meet C0}
@@ -508,9 +513,7 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
 
     times, kinds, idx, marks = base._lists
     hi = bisect_right(times, t_star)
-    feed = (times[:hi], kinds[:hi], idx[:hi], marks[:hi], lam_frac, r_frac, t_star)
-    path = background_path(params.spec, b0, tl, feed=feed)
-    arrow_open = path.arrow_open
+    arrow_open = background_path(params.spec, b0, base).arrow_open
 
     dsrc = g.dir_src
     ddst = g.dir_dst
@@ -519,21 +522,12 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     thin_arrows = lam_frac < 1.0
     thin_recs = r_frac < 1.0
 
-    C = bytearray(g.n_sites)
-    n_inf = 0
-    btouch = False
-    for s in a_sites:
-        s = int(s)
-        if not C[s]:
-            C[s] = 1
-            n_inf += 1
-            if ninf[s] >= eman:
-                btouch = True
+    C, n_inf, btouch = _initial_sites(g, a_sites)
     site_deltas = []
     app = site_deltas.append
     tau = 0.0 if n_inf == 0 else math.inf
 
-    for i in range(hi - 1, -1, -1):
+    for i in reversed(_arrows_and_recoveries(base, hi)):
         k = kinds[i]
         if k == 0:
             j = idx[i]
@@ -581,10 +575,10 @@ def _frac_of(tl):
 
 
 def duality_indicators(params: RunParams, c0, b0, a_sites, tl, t_star: float):
-    """Both sides of the pathwise duality identity on one realization."""
-    fwd_params = RunParams(params.graph, params.lam, params.r, params.spec,
-                           t_star, params.seed)
-    fwd = evolve(fwd_params, c0, b0, tl, want_deltas=False)
+    """Both sides of the pathwise duality identity on one realization.  The
+    environment path is built first, so both runs read the stored path."""
+    background_path(params.spec, b0, _frac_of(tl)[0])
+    fwd = evolve(replace(params, horizon=t_star), c0, b0, tl, want_deltas=False)
     left = bool(fwd.c_final & frozenset(int(s) for s in a_sites))
     dual = dual_evolve(a_sites, params, b0, tl, t_star, want_deltas=False)
     right = bool(dual.c_final & frozenset(int(s) for s in c0))

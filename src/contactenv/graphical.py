@@ -17,7 +17,8 @@ edge-flip dynamics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +59,8 @@ def uniform_from(seed: int, *keys: int) -> float:
 
 @dataclass(eq=False)
 class Timeline:
-    """One realized event table.  Treat as immutable after construction."""
+    """One realized event table.  Treat the table as immutable after
+    construction; bg_paths and non_flip are caches derived from it."""
 
     graph: GraphView
     t_max: float
@@ -70,6 +72,8 @@ class Timeline:
     kinds: np.ndarray       # int8
     idx: np.ndarray         # int32: directed pair / site / edge
     marks: np.ndarray       # float64 in [0,1)
+    # environment paths by (spec, frozenset(b0)); see engine.background_path
+    bg_paths: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_events(self) -> int:
@@ -80,6 +84,11 @@ class Timeline:
         # plain-list views for the event loops; built once per timeline
         return (self.times.tolist(), self.kinds.tolist(),
                 self.idx.tolist(), self.marks.tolist())
+
+    @cached_property
+    def non_flip(self):
+        # indices of the arrows and recoveries, for loops that skip flip candidates
+        return np.flatnonzero(self.kinds != KIND_FLIP).tolist()
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,8 @@ def build_timeline(g: GraphView, lam_max: float, r: float, flip_rate: float,
     separated by one float ulp, so downstream code may assume strictly
     increasing timestamps.
     """
+    if not all(math.isfinite(v) for v in (lam_max, r, flip_rate, t_max)):
+        raise ValueError("rates and t_max must be finite")
     if lam_max < 0 or r < 0 or flip_rate < 0:
         raise ValueError("rates must be nonnegative")
     if t_max <= 0:

@@ -145,6 +145,26 @@ class TestRun:
         row = (tmp_path / "survival.csv").read_text().strip().split("\n")[1]
         assert 0.0 <= float(row.split(",")[5]) <= 1.0
 
+    CRITICAL = {"subcommand": "critical", "seed": 3, "d": 1, "L": 10, "r": 1.0,
+                "T": 4.0, "reps_per_probe": 20, "tol": 2.0, "max_probes": 1}
+
+    def test_critical_rejects_reps_over_max_replicas(self, tmp_path):
+        doc = dict(self.CRITICAL, out_dir=str(tmp_path), max_replicas=19)
+        assert cli.run(cli.parse_config(json.dumps(doc))) == cli.EXIT_BUDGET
+        manifest = json.loads((tmp_path / "critical_manifest.json").read_text())
+        assert "max_replicas" in manifest["flags"]["error"]
+        doc["max_replicas"] = 20
+        assert cli.run(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+
+    def test_critical_max_events_is_a_per_timeline_budget(self, tmp_path):
+        # one replica's timeline at lam_init 1: (1*2*20 + 1*21) * 4 = 244 events
+        doc = dict(self.CRITICAL, out_dir=str(tmp_path), max_events=243)
+        assert cli.run(cli.parse_config(json.dumps(doc))) == cli.EXIT_BUDGET
+        manifest = json.loads((tmp_path / "critical_manifest.json").read_text())
+        assert "event budget" in manifest["flags"]["error"]
+        doc["max_events"] = 244
+        assert cli.run(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+
     def test_threads_pool_runs(self, tmp_path):
         doc = dict(MINIMAL_SURVIVAL)
         doc["out_dir"] = str(tmp_path)

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from contactenv import (build_box, build_timeline, coupled_bounds_cpdp,
-                        delayed_variant, dual_evolve, duality_indicators,
-                        evolve, evolve_truncated, is_contained_pathwise,
-                        make_spec, phi_set, richardson, thin_view,
+from contactenv import (background_path, build_box, build_timeline,
+                        coupled_bounds_cpdp, delayed_variant, dual_evolve,
+                        duality_indicators, evolve, evolve_background,
+                        evolve_released, evolve_truncated, is_contained_pathwise,
+                        make_spec, phi_set, reverse_view, richardson, thin_view,
                         union_matches_pathwise)
 from contactenv.engine import RunParams
 from contactenv.graphical import KIND_ARROW, KIND_RECOVERY, derive_seed
@@ -361,3 +362,124 @@ def test_boundary_touch_flag():
     tl2 = build_timeline(g, 0.0, 1.0, 0.0, 6.0, seed=36)
     stay = evolve(RunParams(g, 0.0, 1.0, None, 6.0), (g.origin(),), range(g.n_edges), tl2)
     assert not stay.boundary_touched
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["lam", "r", "horizon"])
+def test_run_params_reject_non_finite(field, bad):
+    args = dict(lam=1.0, r=1.0, horizon=2.0)
+    args[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        RunParams(build_box(1, 3), spec=None, **args)
+
+
+# ---------------------------------------------------------------------------
+# stored environment paths: every run reads the same environment as the
+# inline flip rule on a fresh timeline, which holds no stored path
+
+def _fields(x):
+    if isinstance(x, bool):
+        return x
+    if hasattr(x, "tolist"):
+        return x.tolist()
+    if isinstance(x, tuple):
+        return tuple(_fields(y) for y in x)
+    return (x.t_end, x.c0, x.b0, x.site_deltas, x.edge_deltas, x.c_final,
+            x.b_final, x.tau_ex, x.boundary_touched)
+
+
+def _every_entry_point(P, c0, b0, a, tl_of, t_star):
+    """Each run that can read an environment path, each on tl_of()."""
+    g = P.graph
+    half = RunParams(g, P.lam / 2, P.r, P.spec, P.horizon)
+    early = RunParams(g, P.lam, P.r, P.spec, t_star)
+    return {
+        "evolve": evolve(P, c0, b0, tl_of()),
+        "thinned": evolve(half, c0, b0, thin_view(tl_of(), P.lam / 2)),
+        "no-deltas": evolve(P, c0, b0, tl_of(), want_deltas=False),
+        "stop-on-extinct": evolve(P, c0, b0, tl_of(), stop_on_extinct=True),
+        "early-horizon": evolve(early, c0, b0, tl_of()),
+        "truncated": evolve_truncated(g.half_width // 2, P, c0, b0, tl_of()),
+        "released": evolve_released(P, c0, b0, tl_of(), 1.0),
+        "delayed-lo": delayed_variant("suppress-arrows", 1.0, P, c0, b0, tl_of()),
+        "delayed-hi": delayed_variant("suppress-recoveries-and-background", 1.0, P,
+                                      c0, b0, tl_of()),
+        "sandwich": coupled_bounds_cpdp(P, c0, b0, tl_of()),
+        "richardson": richardson(c0, tl_of(), P.horizon),
+        "dual": dual_evolve(a, P, b0, tl_of(), t_star),
+        "duality": duality_indicators(P, c0, b0, a, tl_of(), t_star),
+        "background": evolve_background(P.spec, b0, tl_of(), t_star),
+    }
+
+
+@pytest.mark.parametrize("kind,kw,d,L", [
+    ("ising", dict(beta_inv=0.12), 2, 4),
+    ("dynamical-percolation", dict(alpha=1.0, beta=1.0), 1, 12),
+    ("noisy-voter", dict(alpha=1.0, beta=0.5), 1, 12),
+])
+def test_stored_path_runs_equal_inline_runs(kind, kw, d, L):
+    spec = make_spec(kind, d=d, **kw)
+    g = build_box(d, L)
+    rng = random.Random(L)
+    for i in range(4):
+        seed = derive_seed(401, i)
+
+        def fresh():
+            return build_timeline(g, 2.0, 1.0, spec.flip_rate, 6.0, seed)
+
+        c0 = [s for s in range(g.n_sites) if rng.random() < 0.3]
+        a = [s for s in range(g.n_sites) if rng.random() < 0.3]
+        b0 = [e for e in range(g.n_edges) if rng.random() < 0.5]
+        P = RunParams(g, 2.0, 1.0, spec, 6.0)
+        tl = fresh()
+        path = background_path(spec, b0, tl)
+        assert background_path(spec, b0[::-1], thin_view(tl, 1.0)) is path
+        stored = _every_entry_point(P, c0, b0, a, lambda: tl, 3.5)
+        inline = _every_entry_point(P, c0, b0, a, fresh, 3.5)
+        for name in inline:
+            assert _fields(stored[name]) == _fields(inline[name]), name
+        assert list(tl.bg_paths.values()) == [path]
+
+
+def test_runs_read_the_stored_path():
+    # a doctored stored path with every arrow closed: a run that reads it
+    # cannot infect, while the inline rule on a fresh timeline does
+    g = build_box(1, 10)
+    P = RunParams(g, 3.0, 0.0, DP, 4.0)
+    tl = build_timeline(g, 3.0, 0.0, DP.flip_rate, 4.0, seed=5)
+    b0 = range(g.n_edges)
+    path = background_path(DP, b0, tl)
+    path.arrow_open = [False] * path.n_events
+    assert evolve(P, (g.origin(),), b0, tl).c_final == {g.origin()}
+    fresh = build_timeline(g, 3.0, 0.0, DP.flip_rate, 4.0, seed=5)
+    assert len(evolve(P, (g.origin(),), b0, fresh).c_final) > 1
+
+
+def test_reversed_and_anchored_views_are_not_stored():
+    g = build_box(1, 8)
+    tl = build_timeline(g, 2.0, 1.0, DP.flip_rate, 5.0, seed=7)
+    rev = reverse_view(tl, 3.0)
+    for view in (rev, reverse_view(rev, 3.0)):
+        first = background_path(DP, (), view)
+        assert background_path(DP, (), view) is not first
+    assert tl.bg_paths == {}
+
+
+def test_flip_rate_below_the_spec_is_rejected():
+    g = build_box(1, 5)
+    low = build_timeline(g, 1.0, 1.0, DP.flip_rate / 2, 3.0, seed=1)
+    for run in (lambda: background_path(DP, (), low),
+                lambda: evolve_background(DP, (), low, 2.0),
+                lambda: evolve(RunParams(g, 1.0, 1.0, DP, 3.0), (0,), (), low)):
+        with pytest.raises(ValueError, match="uniformization rate"):
+            run()
+
+
+def test_frozen_timeline_keeps_every_event_index():
+    # no flip candidates: loops that skip them never build the index list
+    g = build_box(1, 8)
+    tl = build_timeline(g, 2.0, 1.0, 0.0, 4.0, seed=3)
+    richardson((g.origin(),), tl, 4.0)
+    background_path(None, range(g.n_edges), tl)
+    evolve(RunParams(g, 2.0, 1.0, None, 4.0), (g.origin(),), range(g.n_edges), tl)
+    assert "non_flip" not in vars(tl)

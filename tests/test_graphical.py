@@ -16,6 +16,15 @@ def test_empty_timeline():
     assert tl.n_events == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["lam_max", "r", "flip_rate", "t_max"])
+def test_non_finite_inputs_rejected(field, bad):
+    args = dict(lam_max=1.0, r=1.0, flip_rate=1.0, t_max=2.0)
+    args[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        build_timeline(build_box(1, 3), seed=0, **args)
+
+
 def test_determinism_bit_identical():
     g = build_box(1, 1)
     a = build_timeline(g, 1.0, 1.0, 2.0, 10.0, seed=99)
