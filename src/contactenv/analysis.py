@@ -591,7 +591,7 @@ def self_duality_check(lam: float, r: float, alpha: float, beta: float,
     when the environment starts from its reversible stationary law:
     start-from-C hitting A versus start-from-A hitting C.  Returns both
     estimates and the two-proportion z-score."""
-    spec = make_spec_dp(alpha, beta, d)
+    spec = make_spec("dynamical-percolation", alpha=alpha, beta=beta, d=d)
     g = build_box(d, L)
     c_ids = tuple(g.site_index(x) if not isinstance(x, (int, np.integer)) else int(x)
                   for x in c_sites)
@@ -619,10 +619,6 @@ def self_duality_check(lam: float, r: float, alpha: float, beta: float,
     else:
         z = (est1.p_hat - est2.p_hat) / math.sqrt(pooled * (1 - pooled) * 2 / reps)
     return est1, est2, z
-
-
-def make_spec_dp(alpha, beta, d=1):
-    return make_spec("dynamical-percolation", alpha=alpha, beta=beta, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +685,7 @@ def local_survival_proxy(params: RunParams, x: int, T: float, reps: int,
         rep_seed = derive_seed(seed, i)
         tl = build_timeline(g, params.lam, params.r, _q_rate(params.spec), T, rep_seed)
         traj = evolve(RunParams(g, params.lam, params.r, params.spec, T, rep_seed),
-                      params_c0(params, x), b0, tl)
+                      (x,), b0, tl)
         if traj.tau_ex == math.inf:
             alive += 1
         seen = False
@@ -710,10 +706,6 @@ def local_survival_proxy(params: RunParams, x: int, T: float, reps: int,
             hit += 1
     return LocalSurvivalProxy(proxy=_estimate(hit, reps, seed),
                               survival=_estimate(alive, reps, seed))
-
-
-def params_c0(params, x):
-    return (int(x),)
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +772,7 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
         for b in betas:
             if a is None or b is None:
                 continue
-            specs[(a, b)] = make_spec_dp(a, b, d)
+            specs[(a, b)] = make_spec("dynamical-percolation", alpha=a, beta=b, d=d)
             q_ceiling = max(q_ceiling, specs[(a, b)].flip_rate)
     if flip_ceiling is not None:
         if flip_ceiling + 1e-12 < q_ceiling:
@@ -792,7 +784,7 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
     kw = {} if max_events is None else {"max_events": max_events}
     for i in range(reps):
         rep_seed = derive_seed(seed, i)
-        tl_cache = {}
+        tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T, rep_seed, **kw)
         for v2 in vals2:
             for v1 in vals1:
                 lam = float(setting("lambda", v1, v2))
@@ -800,11 +792,7 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
                 a = setting("alpha", v1, v2)
                 b = setting("beta", v1, v2)
                 spec = specs.get((a, b)) if a is not None and b is not None else None
-                key = ()
-                if key not in tl_cache:
-                    tl_cache[key] = build_timeline(g, lam_ceiling, r_ceiling,
-                                                   q_ceiling, T, rep_seed, **kw)
-                view = thin_view(tl_cache[key], lam, r)
+                view = thin_view(tl, lam, r)
                 traj = evolve(RunParams(g, lam, r, spec, T, rep_seed), (origin,), (),
                               view, stop_on_extinct=True, want_deltas=False)
                 cell = counts[(v1, v2)]

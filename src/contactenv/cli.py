@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -115,6 +116,9 @@ def _check_number(errors, doc, path, key, *, required=False, minimum=None,
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         errors.append((path + key, f"expected a number, got {type(v).__name__}"))
+        return None
+    if not math.isfinite(v):
+        errors.append((path + key, "must be finite"))
         return None
     if integer and int(v) != v:
         errors.append((path + key, "expected an integer"))

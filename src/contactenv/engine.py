@@ -15,18 +15,25 @@ reads the stored path and visits only arrows and recoveries; a run without
 one applies the flip rule inline and stops at extinction.  The Trajectory
 is the same either way.  The inner loop is flat: plain lists, bytearray
 state, no attribute lookups.
+
+A run reads its feed through the base Timeline's list views, which are
+converted on demand (Timeline.lists).  A run that stops at extinction pulls
+them in doubling chunks and stops pulling when the infection dies, so an
+early death converts a small prefix of the table; every other run converts
+through its horizon in one chunk.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .background import BackgroundSpec, coupled_region, make_spec, min_max_rates
-from .graphical import Timeline, TimelineView, event_feed
+from .graphical import Timeline, TimelineView, event_feed, feed_size
 from .lattice import GraphView
 
 SUPPRESS_ARROWS = "suppress-arrows"
@@ -135,7 +142,9 @@ class BackgroundPath:
 
     Carries the per-arrow-event edge-state flags the infection loop consults,
     the edge delta stream, and the final edge set; every coupled run that
-    shares (timeline, spec, b0) can reuse one instance.
+    shares (timeline, spec, b0) can reuse one instance.  feed records the
+    event order the flags are indexed by: (weak reference to the base
+    Timeline, reversal anchor, reversed); a run on another feed is rejected.
     """
 
     arrow_open: list
@@ -143,6 +152,7 @@ class BackgroundPath:
     b_final: frozenset
     b0: frozenset
     n_events: int
+    feed: tuple
 
     def until(self, t, want_deltas=True):
         """(edge deltas, edge set) of the path through time t."""
@@ -165,6 +175,14 @@ def _bg_tables(spec, tl):
             f"timeline flip rate {base.flip_rate} below the spec's uniformization rate "
             f"{spec.flip_rate}; rebuild the timeline for this spec")
     return spec.up_table, spec.down_table, base.flip_rate
+
+
+def _feed_of(tl):
+    """(base Timeline, reversal anchor or None, reversed): what the order of
+    tl's feed depends on.  Thinning changes no event's position."""
+    if isinstance(tl, TimelineView):
+        return tl.base, tl.anchor, tl.is_reversed
+    return tl, None, False
 
 
 def _path_store(tl):
@@ -193,10 +211,11 @@ def background_path(spec, b0, tl) -> BackgroundPath:
     key = (spec, frozenset(int(e) for e in b0))
     if store is not None and key in store:
         return store[key]
-    times, kinds, idx, marks, _, _, _ = event_feed(tl)
+    base, anchor, rev = _feed_of(tl)
+    n = feed_size(tl)
+    times, kinds, idx, marks = event_feed(tl)[:4] if rev else base.lists(n)
     g = tl.graph
     tables = _bg_tables(spec, tl)
-    n = len(times)
     B = bytearray(g.n_edges)
     for e in key[1]:
         B[e] = 1
@@ -228,20 +247,39 @@ def background_path(spec, b0, tl) -> BackgroundPath:
                     B[e] = 1
                     app((times[i], e, 1))
     b_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(B), dtype=np.uint8)))
-    path = BackgroundPath(arrow_open, edge_deltas, b_final, key[1], n)
+    # a weak reference: the path is stored on the Timeline it refers to
+    path = BackgroundPath(arrow_open, edge_deltas, b_final, key[1], n,
+                          (weakref.ref(base), anchor, rev))
     if store is not None:
         store[key] = path
     return path
 
 
-def _arrows_and_recoveries(tl, hi):
-    """Indices of the first hi events of tl's feed, less the flip candidates
-    when the feed runs in the base table's order and the table has any."""
+def _arrows_and_recoveries(tl, start, stop):
+    """Indices start..stop-1 of tl's feed, less the flip candidates when the
+    feed runs in the base table's order and the table has any."""
     base = tl.base if isinstance(tl, TimelineView) else tl
     if base.flip_rate == 0 or getattr(tl, "is_reversed", False):
-        return range(hi)
+        return range(start, stop)
     order = base.non_flip
-    return order if hi == base.n_events else order[:bisect_left(order, hi)]
+    if start == 0 and stop == base.n_events:
+        return order
+    return order[bisect_left(order, start):bisect_left(order, stop)]
+
+
+_FIRST_CHUNK = 4096
+
+
+def _chunk_ends(hi, chunked):
+    """Ends of the chunks a run pulls its first hi events in: doubling from
+    _FIRST_CHUNK when chunked, else one chunk."""
+    ends = []
+    stop = _FIRST_CHUNK
+    while chunked and stop < hi:
+        ends.append(stop)
+        stop *= 2
+    ends.append(hi)
+    return ends
 
 
 def _initial_sites(g, sites):
@@ -257,9 +295,17 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
          ignore_background=False, ignore_recoveries=False,
          no_arrows_until=-1.0, free_infection_until=-1.0, no_recoveries_until=-1.0,
          mask=None, stop_on_extinct=False, want_deltas=True):
-    times, kinds, idx, marks, lam_frac, r_frac, horizon = event_feed(tl)
+    base, anchor, rev = _feed_of(tl)
+    _, lam_frac, r_frac = _frac_of(tl)
+    horizon = tl.t_max
     if t_end > horizon + 1e-9:
         raise ValueError(f"t_end={t_end} beyond the feed horizon {horizon}")
+    if rev:     # materialized whole: a reversal is built from its end
+        feed = event_feed(tl)[:4]
+        hi = bisect_right(feed[0], t_end)
+    else:       # pulled from the base table's list views, chunk by chunk
+        feed = None
+        hi = min(int(np.searchsorted(base.times, t_end, side="right")), feed_size(tl))
 
     dsrc = g.dir_src
     ddst = g.dir_dst
@@ -271,7 +317,8 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     C, n_inf, btouch = _initial_sites(g, c0)
 
     use_path = bg_path is not None
-    if use_path and bg_path.n_events != len(times):
+    # weak references compare by their referents, so this matches the base by identity
+    if use_path and bg_path.feed != (weakref.ref(base), anchor, rev):
         raise ValueError("background path was computed for a different feed")
     arrow_open = bg_path.arrow_open if use_path else None
     B = bytearray(g.n_edges)
@@ -293,78 +340,85 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     tau = 0.0 if n_inf == 0 else math.inf
     t_stop = t_end
 
-    hi = bisect_right(times, t_end)
-    # a loop that applies no flip rule visits only arrows and recoveries
-    for i in (range(hi) if up_tab is not None else _arrows_and_recoveries(tl, hi)):
-        k = kinds[i]
-        if k == 0:  # arrow
-            j = idx[i]
-            s = dsrc[j]
-            if not C[s]:
-                continue
-            if thin_arrows and marks[i] >= lam_frac:
-                continue
-            if ninf[s] >= eman_limit:
-                continue
-            d2 = ddst[j]
-            if C[d2]:
-                continue
-            t = times[i]
-            if suppress_arrows and t <= no_arrows_until:
-                continue
-            if check_bg:
-                if not (arrow_open[i] if use_path else B[dedge[j]]):
-                    if not (free_phase and t <= free_infection_until):
-                        continue
-            if mask is not None and not (mask(s, t) and mask(d2, t)):
-                continue
-            C[d2] = 1
-            n_inf += 1
-            if ninf[d2] >= bdry:
-                btouch = True
-            if want_deltas:
-                sapp((t, d2, 1))
-        elif k == 1:  # recovery
-            if ignore_recoveries:
-                continue
-            if thin_recs and marks[i] >= r_frac:
-                continue
-            s = idx[i]
-            if not C[s]:
-                continue
-            t = times[i]
-            if suppress_recs and t <= no_recoveries_until:
-                continue
-            C[s] = 0
-            n_inf -= 1
-            if want_deltas:
-                sapp((t, s, -1))
-            if not n_inf:
-                tau = t
-                if stop_on_extinct:
-                    t_stop = t
-                    break
-        else:  # flip candidate
-            if up_tab is None:
-                continue
-            e = idx[i]
-            u = marks[i]
-            if B[e]:
-                cnt = 0
-                for a in lnbrs[e]:
-                    cnt += B[a]
-                if (1.0 - u) * q_rate <= down_tab[cnt]:
-                    B[e] = 0
-                    if want_deltas:
-                        eapp((times[i], e, -1))
-            else:
-                cnt = 0
-                for a in lnbrs[e]:
-                    cnt += B[a]
-                if u * q_rate < up_tab[cnt]:
-                    B[e] = 1
-                    if want_deltas:
-                        eapp((times[i], e, 1))
+    start = 0
+    for stop in _chunk_ends(hi, stop_on_extinct):
+        times, kinds, idx, marks = feed if rev else base.lists(stop)
+        # a loop that applies no flip rule visits only arrows and recoveries
+        for i in (range(start, stop) if up_tab is not None
+                  else _arrows_and_recoveries(tl, start, stop)):
+            k = kinds[i]
+            if k == 0:  # arrow
+                j = idx[i]
+                s = dsrc[j]
+                if not C[s]:
+                    continue
+                if thin_arrows and marks[i] >= lam_frac:
+                    continue
+                if ninf[s] >= eman_limit:
+                    continue
+                d2 = ddst[j]
+                if C[d2]:
+                    continue
+                t = times[i]
+                if suppress_arrows and t <= no_arrows_until:
+                    continue
+                if check_bg:
+                    if not (arrow_open[i] if use_path else B[dedge[j]]):
+                        if not (free_phase and t <= free_infection_until):
+                            continue
+                if mask is not None and not (mask(s, t) and mask(d2, t)):
+                    continue
+                C[d2] = 1
+                n_inf += 1
+                if ninf[d2] >= bdry:
+                    btouch = True
+                if want_deltas:
+                    sapp((t, d2, 1))
+            elif k == 1:  # recovery
+                if ignore_recoveries:
+                    continue
+                if thin_recs and marks[i] >= r_frac:
+                    continue
+                s = idx[i]
+                if not C[s]:
+                    continue
+                t = times[i]
+                if suppress_recs and t <= no_recoveries_until:
+                    continue
+                C[s] = 0
+                n_inf -= 1
+                if want_deltas:
+                    sapp((t, s, -1))
+                if not n_inf:
+                    tau = t
+                    if stop_on_extinct:
+                        t_stop = t
+                        break
+            else:  # flip candidate
+                if up_tab is None:
+                    continue
+                e = idx[i]
+                u = marks[i]
+                if B[e]:
+                    cnt = 0
+                    for a in lnbrs[e]:
+                        cnt += B[a]
+                    if (1.0 - u) * q_rate <= down_tab[cnt]:
+                        B[e] = 0
+                        if want_deltas:
+                            eapp((times[i], e, -1))
+                else:
+                    cnt = 0
+                    for a in lnbrs[e]:
+                        cnt += B[a]
+                    if u * q_rate < up_tab[cnt]:
+                        B[e] = 1
+                        if want_deltas:
+                            eapp((times[i], e, 1))
+        else:
+            start = stop        # chunk read through: pull the next one
+            continue
+        break                   # stopped at extinction: pull no further
 
     c_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)))
     if use_path:
@@ -511,9 +565,9 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     if t_star <= 0 or t_star > base.t_max + 1e-9:
         raise ValueError(f"t_star={t_star} outside (0, {base.t_max}]")
 
-    times, kinds, idx, marks = base._lists
-    hi = bisect_right(times, t_star)
     arrow_open = background_path(params.spec, b0, base).arrow_open
+    hi = int(np.searchsorted(base.times, t_star, side="right"))
+    times, kinds, idx, marks = base.lists(hi)
 
     dsrc = g.dir_src
     ddst = g.dir_dst
@@ -527,7 +581,7 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     app = site_deltas.append
     tau = 0.0 if n_inf == 0 else math.inf
 
-    for i in reversed(_arrows_and_recoveries(base, hi)):
+    for i in reversed(_arrows_and_recoveries(base, 0, hi)):
         k = kinds[i]
         if k == 0:
             j = idx[i]

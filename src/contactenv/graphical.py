@@ -7,11 +7,14 @@ recovery marks per site, and flip candidates per edge.  All coupled processes
 run) consume the same Timeline, which is what makes their pathwise
 comparisons exact rather than distributional.
 
-Generation is eager and deterministic: equal (seed, box, rates, horizon)
-reproduce a bit-identical event table.  Every event carries an independent
-uniform mark; marks drive thinning (a view at a smaller rate keeps an event
-iff its mark falls below the rate ratio) and the accept/reject step of the
-edge-flip dynamics.
+The draws and the time sort are eager and deterministic: equal (seed, box,
+rates, horizon) reproduce a bit-identical event table.  The plain-list views
+the event loops read are converted lazily, as one cached prefix per table
+that grows only as far as a run reads (Timeline.lists), so a replica that
+dies early converts a fraction of its table.  Every event carries an
+independent uniform mark; marks drive thinning (a view at a smaller rate
+keeps an event iff its mark falls below the rate ratio) and the
+accept/reject step of the edge-flip dynamics.
 """
 
 from __future__ import annotations
@@ -60,7 +63,14 @@ def uniform_from(seed: int, *keys: int) -> float:
 @dataclass(eq=False)
 class Timeline:
     """One realized event table.  Treat the table as immutable after
-    construction; bg_paths and non_flip are caches derived from it."""
+    construction; bg_paths, non_flip and the list views are caches derived
+    from it.
+
+    The four arrays hold every event from construction on.  Their plain-list
+    views are converted on demand: lists(hi) extends one cached prefix
+    (kept in the instance attribute _lists) through index hi and returns it,
+    so indices into the views are always indices into the table.
+    """
 
     graph: GraphView
     t_max: float
@@ -79,11 +89,20 @@ class Timeline:
     def n_events(self) -> int:
         return len(self.times)
 
-    @cached_property
-    def _lists(self):
-        # plain-list views for the event loops; built once per timeline
-        return (self.times.tolist(), self.kinds.tolist(),
-                self.idx.tolist(), self.marks.tolist())
+    def lists(self, hi: int | None = None):
+        """(times, kinds, idx, marks) as plain lists holding at least the
+        events with index < hi (all of them by default).  The lists are the
+        cached prefix, which may run past hi; it only ever grows."""
+        n = self.n_events if hi is None else hi
+        arrays = (self.times, self.kinds, self.idx, self.marks)
+        cur = self.__dict__.get("_lists")
+        if cur is None:
+            cur = self._lists = tuple(a[:n].tolist() for a in arrays)
+        elif len(cur[0]) < n:
+            done = len(cur[0])
+            for lst, a in zip(cur, arrays):
+                lst.extend(a[done:n].tolist())
+        return cur
 
     @cached_property
     def non_flip(self):
@@ -134,7 +153,8 @@ def build_timeline(g: GraphView, lam_max: float, r: float, flip_rate: float,
     inputs give bit-identical tables.  Events are globally sorted by time
     with ties broken by target index and then kind, and any residual ties are
     separated by one float ulp, so downstream code may assume strictly
-    increasing timestamps.
+    increasing timestamps.  Without an exact tie the time order alone is
+    that order, so the three-key sort runs only on tables with a tie.
     """
     if not all(math.isfinite(v) for v in (lam_max, r, flip_rate, t_max)):
         raise ValueError("rates and t_max must be finite")
@@ -166,8 +186,12 @@ def build_timeline(g: GraphView, lam_max: float, r: float, flip_rate: float,
     ids = np.concatenate([b[2] for b in blocks])
     marks = np.concatenate([b[3] for b in blocks])
 
-    order = np.lexsort((kinds, ids, times))
-    times = times[order]
+    order = np.argsort(times)
+    sorted_times = times[order]
+    if np.any(sorted_times[1:] == sorted_times[:-1]):
+        order = np.lexsort((kinds, ids, times))
+        sorted_times = times[order]
+    times = sorted_times
     kinds = kinds[order]
     ids = ids[order]
     marks = marks[order]
@@ -222,26 +246,37 @@ def _unpack(tl):
     raise TypeError(f"expected Timeline or TimelineView, got {type(tl).__name__}")
 
 
+def feed_size(tl) -> int:
+    """Number of events in tl's feed: the whole table, or the events at or
+    before the reversal anchor of an anchored view."""
+    base, _, _, anchor, _ = _unpack(tl)
+    if anchor is None:
+        return base.n_events
+    return int(np.searchsorted(base.times, anchor, side="right"))
+
+
 def event_feed(tl):
     """Normalize a Timeline or view into (times, kinds, idx, marks, lam_frac,
-    r_frac, horizon) plain-list form for the event loops.
+    r_frac, horizon) plain-list form, holding exactly the feed's events.
 
-    For reversed views the arrays are materialized with times mapped to
-    t* - u, order reversed, and arrow pair ids flipped to the opposite
-    orientation; recovery and flip events keep their type and target.
+    Forward lists come from the base table's cached prefix (Timeline.lists),
+    which this converts through the end of the feed; an anchored view gets a
+    copy cut at its anchor, as the prefix may later grow past it.  For
+    reversed views the arrays are materialized with times mapped to t* - u,
+    order reversed, and arrow pair ids flipped to the opposite orientation;
+    recovery and flip events keep their type and target.
     """
     base, lam, r, anchor, rev = _unpack(tl)
     lam_frac = 1.0 if base.lam_max <= 0 else lam / base.lam_max
     r_frac = 1.0 if base.r_max <= 0 else r / base.r_max
-    times_l, kinds_l, idx_l, marks_l = base._lists
+    hi = feed_size(tl)
+    times_l, kinds_l, idx_l, marks_l = base.lists(hi)
     if not rev:
-        if anchor is None:
-            return times_l, kinds_l, idx_l, marks_l, lam_frac, r_frac, base.t_max
-        hi = int(np.searchsorted(base.times, anchor, side="right"))
-        return (times_l[:hi], kinds_l[:hi], idx_l[:hi], marks_l[:hi],
-                lam_frac, r_frac, anchor)
+        if anchor is not None:
+            times_l, kinds_l, idx_l, marks_l = (times_l[:hi], kinds_l[:hi],
+                                                idx_l[:hi], marks_l[:hi])
+        return times_l, kinds_l, idx_l, marks_l, lam_frac, r_frac, tl.t_max
     t_star = anchor
-    hi = int(np.searchsorted(base.times, t_star, side="right"))
     rtimes, rkinds, ridx, rmarks = [], [], [], []
     for i in range(hi - 1, -1, -1):
         rtimes.append(t_star - times_l[i])

@@ -47,7 +47,6 @@ class GraphView:
     coords: np.ndarray           # (n_sites, d) int32, row-major order
     edge_ends: np.ndarray        # (n_edges, 2) int32 site ids, ends[e,0] < ends[e,1]
     degree: np.ndarray           # (n_sites,) int32
-    growth_exponent: float       # 0 for every box this module produces
 
     # loop tables, filled by build_box
     site_nbrs: tuple = ()        # per site: tuple of neighbour site ids
@@ -167,7 +166,6 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
         coords=coords,
         edge_ends=edge_ends,
         degree=np.array([len(v) for v in nbrs], dtype=np.int32),
-        growth_exponent=0.0,
         site_nbrs=tuple(tuple(v) for v in nbrs),
         site_edges=tuple(tuple(v) for v in incident),
         dir_src=tuple(dir_src),

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -185,6 +186,17 @@ class TestMain:
         code = cli.main(["--config", json.dumps({"subcommand": "nope"})])
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,bad", [("lambda", math.nan), ("T", math.inf),
+                                         ("r", -math.inf), ("seed", math.nan),
+                                         ("reps", math.inf)])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, key, bad):
+        # json reads NaN and Infinity literals; they stop at validation, exit 2
+        doc = dict(MINIMAL_SURVIVAL, **{key: bad})
+        code = cli.main(["--config", json.dumps(doc), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert f"config error at .{key}: must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_seed_and_out_override(self, tmp_path):
         code = cli.main(["--config", json.dumps(MINIMAL_SURVIVAL),

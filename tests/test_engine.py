@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -483,3 +484,83 @@ def test_frozen_timeline_keeps_every_event_index():
     background_path(None, range(g.n_edges), tl)
     evolve(RunParams(g, 2.0, 1.0, None, 4.0), (g.origin(),), range(g.n_edges), tl)
     assert "non_flip" not in vars(tl)
+
+
+# ---------------------------------------------------------------------------
+# list views converted as far as a run reads
+
+def _converted(tl):
+    return len(vars(tl)["_lists"][0]) if "_lists" in vars(tl) else 0
+
+
+def test_early_death_converts_a_prefix():
+    g = build_box(1, 100)
+    P = RunParams(g, 1.0, 1.0, None, 60.0)
+    b0 = range(g.n_edges)
+    early = 0
+    for i in range(6):
+        seed = derive_seed(505, i)
+        tl = build_timeline(g, 1.0, 1.0, 0.0, 60.0, seed)
+        twin = build_timeline(g, 1.0, 1.0, 0.0, 60.0, seed)
+        twin.lists()
+        traj = evolve(P, (g.origin(),), b0, tl, stop_on_extinct=True)
+        assert _fields(traj) == _fields(evolve(P, (g.origin(),), b0, twin,
+                                               stop_on_extinct=True))
+        assert _converted(tl) <= tl.n_events
+        if traj.tau_ex < 1.0:
+            early += 1
+            assert _converted(tl) < tl.n_events // 4
+    assert early > 0
+
+
+def test_runs_in_any_order_match_fresh_tables():
+    # one table read short, then whole, then by a path, a dual and a
+    # reversal: each result equals the same call on a fresh table
+    spec = DP
+    g = build_box(1, 40)
+    T, t_star = 30.0, 12.0
+    for i in range(4):
+        seed = derive_seed(606, i)
+
+        def fresh():
+            return build_timeline(g, 2.0, 1.0, spec.flip_rate, T, seed)
+
+        P = RunParams(g, 2.0, 1.0, spec, T)
+        c0, b0, a = (g.origin(),), range(0, g.n_edges, 2), (g.origin() + 3,)
+        calls = [
+            lambda tl: evolve(replace(P, lam=1.2), c0, b0, thin_view(tl, 1.2),
+                              stop_on_extinct=True),
+            lambda tl: evolve(P, c0, b0, tl),
+            lambda tl: tuple(background_path(spec, b0, tl).arrow_open),
+            lambda tl: dual_evolve(a, P, b0, tl, t_star),
+            lambda tl: evolve(RunParams(g, 2.0, 1.0, spec, t_star), c0, b0,
+                              reverse_view(tl, t_star), stop_on_extinct=True),
+        ]
+        tl = fresh()
+        for call in calls:
+            assert _fields(call(tl)) == _fields(call(fresh()))
+        assert _converted(tl) == tl.n_events
+
+
+def test_shared_path_from_another_feed_is_rejected():
+    g = build_box(1, 6)
+    tl = build_timeline(g, 2.0, 1.0, DP.flip_rate, 4.0, seed=11)
+    twin = build_timeline(g, 2.0, 1.0, DP.flip_rate, 4.0, seed=11)
+    P = RunParams(g, 2.0, 1.0, DP, 4.0)
+    forward = background_path(DP, (), tl)
+    reversed_path = background_path(DP, (), reverse_view(tl, tl.t_max))
+    for feed, path in ((reverse_view(tl, tl.t_max), forward),
+                       (tl, reversed_path),
+                       (reverse_view(tl, 3.0), reversed_path),
+                       (reverse_view(reverse_view(tl, 3.0), 3.0), forward),
+                       (twin, forward)):
+        with pytest.raises(ValueError, match="different feed"):
+            evolve(RunParams(g, 2.0, 1.0, DP, feed.t_max), (0,), (), feed,
+                   shared_bg=path)
+    # thinning keeps every event in place, so a thinned view reads the path
+    half = RunParams(g, 1.0, 1.0, DP, 4.0)
+    assert _fields(evolve(half, (0,), (), thin_view(tl, 1.0), shared_bg=forward)) == \
+        _fields(evolve(half, (0,), (), thin_view(twin, 1.0)))
+    rv = reverse_view(tl, tl.t_max)
+    assert _fields(evolve(P, (0,), (), rv, shared_bg=reversed_path)) == \
+        _fields(evolve(P, (0,), (), rv))

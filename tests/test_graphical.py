@@ -162,3 +162,107 @@ def test_ndjson_round_trip_stable():
     assert len(lines) == tl.n_events
     rec = json.loads(lines[0])
     assert {"t", "kind", "mark"} <= set(rec)
+
+
+# ---------------------------------------------------------------------------
+# the sort and the list views against the three-key lexsort they replace
+
+def _lexsort_table(g, lam_max, r, flip_rate, t_max, seed):
+    """Reference build: the same draws, sorted by (time, index, kind) with
+    np.lexsort, ties separated by one ulp.  Returns the four arrays and the
+    number of exact time ties before the separation."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for kind, n_streams, rate in ((KIND_ARROW, 2 * g.n_edges, lam_max),
+                                  (KIND_RECOVERY, g.n_sites, r),
+                                  (KIND_FLIP, g.n_edges, flip_rate)):
+        counts = rng.poisson(rate * t_max, n_streams) if rate > 0 else np.zeros(n_streams, dtype=np.int64)
+        total = int(counts.sum())
+        times = rng.random(total) * t_max
+        marks = rng.random(total)
+        ids = np.repeat(np.arange(n_streams, dtype=np.int32), counts)
+        blocks.append((times, np.full(total, kind, dtype=np.int8), ids, marks))
+    times, kinds, ids, marks = (np.concatenate([b[i] for b in blocks]) for i in range(4))
+    order = np.lexsort((kinds, ids, times))
+    times, kinds, ids, marks = times[order], kinds[order], ids[order], marks[order]
+    ties = int(np.count_nonzero(np.diff(times) == 0.0))
+    prev = 0.0
+    for i in range(len(times)):
+        if times[i] <= prev:
+            times[i] = np.nextafter(prev, np.inf)
+        prev = times[i]
+    return (times, kinds, ids, marks), ties
+
+
+_SORT_CASES = [(1, 12, 2.0, 1.0, 0.0, 8.0), (1, 12, 2.0, 1.0, 2.0, 8.0),
+               (2, 4, 1.5, 1.0, 0.0, 5.0), (2, 4, 1.5, 1.0, 2.0, 5.0)]
+
+
+def _arrays(tl):
+    return tl.times, tl.kinds, tl.idx, tl.marks
+
+
+@pytest.mark.parametrize("d,L,lam,r,q,T", _SORT_CASES)
+def test_sort_matches_lexsort_reference(d, L, lam, r, q, T):
+    g = build_box(d, L)
+    for i in range(5):
+        seed = derive_seed(31, i)
+        tl = build_timeline(g, lam, r, q, T, seed)
+        ref, _ = _lexsort_table(g, lam, r, q, T, seed)
+        for got, want in zip(_arrays(tl), ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+class _RoundedRng:
+    """A default_rng whose uniforms are rounded to 2 decimals: most event
+    times then tie with another."""
+
+    def __init__(self, seed, _make=np.random.default_rng):
+        self._rng = _make(seed)
+
+    def poisson(self, lam, size):
+        return self._rng.poisson(lam, size)
+
+    def random(self, size):
+        return np.round(self._rng.random(size), 2)
+
+
+@pytest.mark.parametrize("d,L,lam,r,q,T", _SORT_CASES)
+def test_tied_times_fall_back_to_the_three_key_order(monkeypatch, d, L, lam, r, q, T):
+    monkeypatch.setattr(np.random, "default_rng", _RoundedRng)
+    g = build_box(d, L)
+    for seed in range(3):
+        tl = build_timeline(g, lam, r, q, T, seed)
+        ref, ties = _lexsort_table(g, lam, r, q, T, seed)
+        assert ties > 0
+        for got, want in zip(_arrays(tl), ref):
+            assert np.array_equal(got, want)
+        assert tl.times[0] > 0 and np.all(np.diff(tl.times) > 0)
+
+
+def test_list_views_grow_as_one_prefix():
+    g = build_box(1, 6)
+    tl = build_timeline(g, 2.0, 1.0, 1.0, 10.0, seed=4)
+    n = tl.n_events
+    assert "_lists" not in vars(tl)
+    first = tl.lists(10)
+    assert [len(v) for v in first] == [10] * 4
+    assert tl.lists(5) is first and len(first[0]) == 10     # never shrinks
+    assert tl.lists(n // 2) is first
+    full = tl.lists()
+    assert full is first and vars(tl)["_lists"] is first
+    for view, arr in zip(full, _arrays(tl)):
+        assert view == arr.tolist()
+
+
+def test_anchored_feed_is_exact_and_not_the_cache():
+    g = build_box(1, 4)
+    tl = build_timeline(g, 1.0, 1.0, 1.0, 6.0, seed=9)
+    anchored = reverse_view(reverse_view(tl, 3.0), 3.0)
+    hi = int(np.count_nonzero(tl.times <= 3.0))
+    feed = event_feed(anchored)
+    assert len(feed[0]) == hi
+    tl.lists()      # growing the prefix leaves the anchored feed as it was
+    assert feed[0] == tl.times[:hi].tolist()
+    assert feed[3] == tl.marks[:hi].tolist()
