@@ -17,10 +17,13 @@ is the same either way.  The inner loop is flat: plain lists, bytearray
 state, no attribute lookups.
 
 A run reads its feed through the base Timeline's list views, which are
-converted on demand (Timeline.lists).  A run that stops at extinction pulls
-them in doubling chunks and stops pulling when the infection dies, so an
-early death converts a small prefix of the table; every other run converts
-through its horizon in one chunk.
+converted on demand.  A run that stops at extinction reads fixed-size
+chunks (Timeline.chunk) and stops when the infection dies: an early death
+converts a small prefix of the table, which later runs share, and the
+lists a long run adds past Timeline.chunk's kept prefix are dropped chunk by
+chunk, so its memory does not grow with its length.  Every other run
+converts through its horizon in one chunk and keeps it in the cached prefix
+(Timeline.lists).
 """
 
 from __future__ import annotations
@@ -256,30 +259,26 @@ def background_path(spec, b0, tl) -> BackgroundPath:
 
 
 def _arrows_and_recoveries(tl, start, stop):
-    """Indices start..stop-1 of tl's feed, less the flip candidates when the
-    feed runs in the base table's order and the table has any."""
+    """Offsets from start of the events start..stop-1 of tl's feed, less the
+    flip candidates when the feed runs in the base table's order and the
+    table has any."""
     base = tl.base if isinstance(tl, TimelineView) else tl
     if base.flip_rate == 0 or getattr(tl, "is_reversed", False):
-        return range(start, stop)
+        return range(stop - start)
     order = base.non_flip
     if start == 0 and stop == base.n_events:
         return order
-    return order[bisect_left(order, start):bisect_left(order, stop)]
+    sel = order[bisect_left(order, start):bisect_left(order, stop)]
+    return [i - start for i in sel] if start else sel
 
 
-_FIRST_CHUNK = 4096
+_CHUNK = 4096
 
 
 def _chunk_ends(hi, chunked):
-    """Ends of the chunks a run pulls its first hi events in: doubling from
-    _FIRST_CHUNK when chunked, else one chunk."""
-    ends = []
-    stop = _FIRST_CHUNK
-    while chunked and stop < hi:
-        ends.append(stop)
-        stop *= 2
-    ends.append(hi)
-    return ends
+    """Ends of the chunks a run reads its first hi events in: one every
+    _CHUNK events when chunked, else one chunk."""
+    return [*range(_CHUNK, hi, _CHUNK), hi] if chunked else [hi]
 
 
 def _initial_sites(g, sites):
@@ -320,7 +319,7 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     # weak references compare by their referents, so this matches the base by identity
     if use_path and bg_path.feed != (weakref.ref(base), anchor, rev):
         raise ValueError("background path was computed for a different feed")
-    arrow_open = bg_path.arrow_open if use_path else None
+    arrow_open = None
     B = bytearray(g.n_edges)
     for e in b0:
         B[int(e)] = 1
@@ -340,11 +339,20 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     tau = 0.0 if n_inf == 0 else math.inf
     t_stop = t_end
 
+    # i below is an event's offset from the chunk's start
+    chunked = stop_on_extinct and not rev
     start = 0
-    for stop in _chunk_ends(hi, stop_on_extinct):
-        times, kinds, idx, marks = feed if rev else base.lists(stop)
+    for stop in _chunk_ends(hi, chunked):
+        if rev:
+            times, kinds, idx, marks = feed
+        elif chunked:
+            times, kinds, idx, marks = base.chunk(start, stop)
+        else:
+            times, kinds, idx, marks = base.lists(stop)
+        if use_path:
+            arrow_open = bg_path.arrow_open[start:stop] if start else bg_path.arrow_open
         # a loop that applies no flip rule visits only arrows and recoveries
-        for i in (range(start, stop) if up_tab is not None
+        for i in (range(stop - start) if up_tab is not None
                   else _arrows_and_recoveries(tl, start, stop)):
             k = kinds[i]
             if k == 0:  # arrow
@@ -416,9 +424,9 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
                         if want_deltas:
                             eapp((times[i], e, 1))
         else:
-            start = stop        # chunk read through: pull the next one
+            start = stop        # chunk read through: read the next one
             continue
-        break                   # stopped at extinction: pull no further
+        break                   # stopped at extinction: read no further
 
     c_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)))
     if use_path:

@@ -9,12 +9,14 @@ comparisons exact rather than distributional.
 
 The draws and the time sort are eager and deterministic: equal (seed, box,
 rates, horizon) reproduce a bit-identical event table.  The plain-list views
-the event loops read are converted lazily, as one cached prefix per table
-that grows only as far as a run reads (Timeline.lists), so a replica that
-dies early converts a fraction of its table.  Every event carries an
-independent uniform mark; marks drive thinning (a view at a smaller rate
-keeps an event iff its mark falls below the rate ratio) and the
-accept/reject step of the edge-flip dynamics.
+the event loops read are converted lazily: as one cached prefix per table
+that grows only as far as a run reads (Timeline.lists), and past the first
+KEPT_PREFIX events also as chunks that are converted, read and dropped
+(Timeline.chunk), so a replica that dies early converts a fraction of its
+table and one that lives long holds a bounded part of it.  Every event
+carries an independent uniform mark; marks drive thinning (a view at a
+smaller rate keeps an event iff its mark falls below the rate ratio) and
+the accept/reject step of the edge-flip dynamics.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ KIND_FLIP = 2
 _KIND_NAMES = {KIND_ARROW: "arrow", KIND_RECOVERY: "recovery", KIND_FLIP: "flip"}
 
 DEFAULT_EVENT_BUDGET = 20_000_000
+
+# Timeline.chunk grows the cached prefix through this many events and no
+# further: most runs that stop at extinction die inside it, and a long one
+# then holds one chunk of lists past it instead of the rest of the table.
+KEPT_PREFIX = 8192
 
 _M64 = (1 << 64) - 1
 
@@ -69,7 +76,9 @@ class Timeline:
     The four arrays hold every event from construction on.  Their plain-list
     views are converted on demand: lists(hi) extends one cached prefix
     (kept in the instance attribute _lists) through index hi and returns it,
-    so indices into the views are always indices into the table.
+    so indices into the prefix are always indices into the table; chunk()
+    reads a slice, which past KEPT_PREFIX events it may convert without
+    keeping it.
     """
 
     graph: GraphView
@@ -103,6 +112,19 @@ class Timeline:
             for lst, a in zip(cur, arrays):
                 lst.extend(a[done:n].tolist())
         return cur
+
+    def chunk(self, start: int, stop: int):
+        """(times, kinds, idx, marks) of the events start..stop-1 as plain
+        lists indexed from start: item i holds event start + i (a list read
+        from index 0 may run past stop).  They are read from the cached
+        prefix, grown through stop if stop <= KEPT_PREFIX; a chunk past
+        both is converted here and not kept."""
+        cur = self.__dict__.get("_lists")
+        if stop <= KEPT_PREFIX or cur is not None and len(cur[0]) >= stop:
+            cur = self.lists(stop)
+            return cur if start == 0 else tuple(lst[start:stop] for lst in cur)
+        return tuple(a[start:stop].tolist()
+                     for a in (self.times, self.kinds, self.idx, self.marks))
 
     @cached_property
     def non_flip(self):

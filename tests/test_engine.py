@@ -10,8 +10,8 @@ from contactenv import (background_path, build_box, build_timeline,
                         evolve_released, evolve_truncated, is_contained_pathwise,
                         make_spec, phi_set, reverse_view, richardson, thin_view,
                         union_matches_pathwise)
-from contactenv.engine import RunParams
-from contactenv.graphical import KIND_ARROW, KIND_RECOVERY, derive_seed
+from contactenv.engine import _CHUNK, RunParams
+from contactenv.graphical import KEPT_PREFIX, KIND_ARROW, KIND_RECOVERY, derive_seed
 
 
 DP = make_spec("dynamical-percolation", alpha=1.0, beta=1.0)
@@ -493,24 +493,47 @@ def _converted(tl):
     return len(vars(tl)["_lists"][0]) if "_lists" in vars(tl) else 0
 
 
-def test_early_death_converts_a_prefix():
+@pytest.mark.parametrize("spec,lam", [(None, 1.6), (DP, 8.0)], ids=["frozen", "dp"])
+def test_runs_that_stop_at_extinction_keep_a_bounded_prefix(spec, lam):
+    # such runs keep what they read of the first KEPT_PREFIX events and drop
+    # the chunks past it, dead early or alive at the horizon, and equal the
+    # same run on a fully converted twin
     g = build_box(1, 100)
-    P = RunParams(g, 1.0, 1.0, None, 60.0)
+    q = 0.0 if spec is None else spec.flip_rate
+    P = RunParams(g, lam, 1.0, spec, 30.0)
     b0 = range(g.n_edges)
-    early = 0
-    for i in range(6):
+    taus = []
+    for i in range(8):
         seed = derive_seed(505, i)
-        tl = build_timeline(g, 1.0, 1.0, 0.0, 60.0, seed)
-        twin = build_timeline(g, 1.0, 1.0, 0.0, 60.0, seed)
+        tl = build_timeline(g, lam, 1.0, q, 30.0, seed)
+        twin = build_timeline(g, lam, 1.0, q, 30.0, seed)
         twin.lists()
         traj = evolve(P, (g.origin(),), b0, tl, stop_on_extinct=True)
         assert _fields(traj) == _fields(evolve(P, (g.origin(),), b0, twin,
                                                stop_on_extinct=True))
-        assert _converted(tl) <= tl.n_events
-        if traj.tau_ex < 1.0:
-            early += 1
-            assert _converted(tl) < tl.n_events // 4
-    assert early > 0
+        read = int((tl.times <= traj.tau_ex).sum())
+        assert _converted(tl) == min(-(-read // _CHUNK) * _CHUNK, KEPT_PREFIX)
+        taus.append(traj.tau_ex)
+    assert min(taus) < 1.0 and max(taus) == math.inf
+    assert tl.n_events > 2 * KEPT_PREFIX
+
+
+def test_chunked_runs_read_a_stored_path():
+    # a run that stops at extinction reads the path's flags chunk by chunk
+    g = build_box(1, 30)
+    P = RunParams(g, 8.0, 1.0, DP, 20.0)
+    b0 = range(g.n_edges)
+    late = 0
+    for i in range(4):
+        seed = derive_seed(707, i)
+        tl = build_timeline(g, 8.0, 1.0, DP.flip_rate, 20.0, seed)
+        fresh = build_timeline(g, 8.0, 1.0, DP.flip_rate, 20.0, seed)
+        background_path(DP, b0, tl)
+        traj = evolve(P, (g.origin(),), b0, tl, stop_on_extinct=True)
+        assert _fields(traj) == _fields(evolve(P, (g.origin(),), b0, fresh,
+                                               stop_on_extinct=True))
+        late += traj.tau_ex > tl.times[2 * _CHUNK]
+    assert late > 0
 
 
 def test_runs_in_any_order_match_fresh_tables():

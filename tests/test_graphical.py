@@ -7,7 +7,8 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from contactenv import SizingError, build_box, build_timeline, reverse_view, thin_view, to_ndjson
-from contactenv.graphical import KIND_ARROW, KIND_FLIP, KIND_RECOVERY, derive_seed, event_feed
+from contactenv.graphical import (KEPT_PREFIX, KIND_ARROW, KIND_FLIP, KIND_RECOVERY, derive_seed,
+                                  event_feed)
 
 
 def test_empty_timeline():
@@ -254,6 +255,26 @@ def test_list_views_grow_as_one_prefix():
     assert full is first and vars(tl)["_lists"] is first
     for view, arr in zip(full, _arrays(tl)):
         assert view == arr.tolist()
+
+
+def test_chunks_grow_the_prefix_only_through_the_kept_part():
+    g = build_box(1, 40)
+    tl = build_timeline(g, 2.0, 1.0, 1.0, 60.0, seed=4)
+    n, kept = tl.n_events, KEPT_PREFIX
+    assert n > 2 * kept
+    bounds = [(0, 7), (7, kept), (kept, kept + 100), (n - 50, n)]
+
+    def check():
+        for lo, hi in bounds:
+            for view, arr in zip(tl.chunk(lo, hi), _arrays(tl)):
+                assert view[:hi - lo] == arr[lo:hi].tolist()
+
+    check()
+    assert len(vars(tl)["_lists"][0]) == kept
+    assert tl.chunk(0, 7) is vars(tl)["_lists"]
+    tl.lists()          # a prefix that reaches a chunk serves it
+    check()
+    assert len(vars(tl)["_lists"][0]) == n
 
 
 def test_anchored_feed_is_exact_and_not_the_cache():
