@@ -109,6 +109,9 @@ def _tables(kind, n, alpha, beta, beta_inv):
 def make_spec(kind: str, *, alpha: float | None = None, beta: float | None = None,
               beta_inv: float | None = None, d: int = 1) -> BackgroundSpec:
     """Build and validate a background spec for boxes of dimension d."""
+    for name, v in (("alpha", alpha), ("beta", beta), ("beta_inv", beta_inv)):
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if kind == DYNAMICAL_PERCOLATION:
         if alpha is None or beta is None or alpha <= 0 or beta <= 0:
             raise ValueError("dynamical percolation needs alpha > 0 and beta > 0")

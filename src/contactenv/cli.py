@@ -133,6 +133,54 @@ def _check_number(errors, doc, path, key, *, required=False, minimum=None,
     return int(v) if integer else float(v)
 
 
+# phase-scan settings: keyword arguments of _check_number for each value
+_SCAN_SETTINGS = {"lambda": dict(minimum=0.0), "r": dict(minimum=0.0),
+                  "alpha": dict(minimum=0.0, strict_min=True),
+                  "beta": dict(minimum=0.0, strict_min=True),
+                  "d": dict(minimum=1, integer=True), "L": dict(minimum=1, integer=True)}
+
+
+def _check_phase_scan(errors, doc, params):
+    """The two axes and the fixed settings of a phase scan: known names,
+    finite values in range, both rates set, and alpha and beta set
+    together."""
+    names = set()
+    for ax in ("axis1", "axis2"):
+        spec = doc.get(ax)
+        if not (isinstance(spec, list) and len(spec) == 2 and isinstance(spec[0], str)
+                and isinstance(spec[1], list) and spec[1]):
+            errors.append((f".{ax}", 'expected ["name", [values...]]'))
+            continue
+        name, values = spec
+        if name not in analysis.AXIS_NAMES:
+            errors.append((f".{ax}[0]", f"must be one of {', '.join(analysis.AXIS_NAMES)}"))
+            continue
+        if name in names:
+            errors.append((f".{ax}[0]", "the two axes must differ"))
+        names.add(name)
+        n_errors = len(errors)
+        checked = [_check_number(errors, {f"[{i}]": v}, f".{ax}[1]", f"[{i}]",
+                                 **_SCAN_SETTINGS[name]) for i, v in enumerate(values)]
+        if len(errors) == n_errors:
+            params[ax] = (name, checked)
+    fixed = doc.get("fixed")
+    if not isinstance(fixed, dict):
+        errors.append((".fixed", "expected an object"))
+        return
+    for key in fixed:
+        if key not in _SCAN_SETTINGS:
+            errors.append((f".fixed.{key}", "unknown key"))
+        else:
+            _check_number(errors, fixed, ".fixed.", key, **_SCAN_SETTINGS[key])
+    given = names | set(fixed)
+    for key in ("lambda", "r"):
+        if key not in given:
+            errors.append((f".fixed.{key}", "missing: set it here or on an axis"))
+    if ("alpha" in given) != ("beta" in given):
+        errors.append((".fixed", "alpha and beta must be set together"))
+    params["fixed"] = fixed
+
+
 def _validate_spec(errors, doc, path):
     if doc is None:
         return None
@@ -223,18 +271,7 @@ def parse_config(source: str) -> RunConfig:
         num("lam_init", minimum=0.0, strict_min=True)
         num("max_probes", minimum=1, integer=True)
     if sub == "phase-scan":
-        for ax in ("axis1", "axis2"):
-            spec = doc.get(ax)
-            if not (isinstance(spec, list) and len(spec) == 2 and isinstance(spec[0], str)
-                    and isinstance(spec[1], list) and spec[1]):
-                errors.append((f".{ax}", 'expected ["name", [values...]]'))
-            else:
-                params[ax] = (spec[0], [float(v) for v in spec[1]])
-        fixed = doc.get("fixed")
-        if not isinstance(fixed, dict):
-            errors.append((".fixed", "expected an object"))
-        else:
-            params["fixed"] = fixed
+        _check_phase_scan(errors, doc, params)
     if sub == "duality":
         num("alpha", minimum=0.0, strict_min=True)
         num("beta", minimum=0.0, strict_min=True)

@@ -17,13 +17,17 @@ is the same either way.  The inner loop is flat: plain lists, bytearray
 state, no attribute lookups.
 
 A run reads its feed through the base Timeline's list views, which are
-converted on demand.  A run that stops at extinction reads fixed-size
-chunks (Timeline.chunk) and stops when the infection dies: an early death
-converts a small prefix of the table, which later runs share, and the
-lists a long run adds past Timeline.chunk's kept prefix are dropped chunk by
-chunk, so its memory does not grow with its length.  Every other run
-converts through its horizon in one chunk and keeps it in the cached prefix
-(Timeline.lists).
+converted on demand from a table that is itself sorted on demand.  A run
+that stops at extinction reads fixed-size chunks (Timeline.chunk), finds
+its horizon in the chunk that holds it and stops when the infection dies:
+an early death sorts and converts a small prefix of the table, which later
+runs share, and the lists a long run adds past Timeline.chunk's kept prefix
+are dropped chunk by chunk, so its memory does not grow with its length.
+Every other run converts through its horizon (Timeline.count_through) in
+one chunk and keeps it in the cached prefix (Timeline.lists).
+
+Every entry point that takes RunParams runs at (params.lam, params.r): a
+Timeline is thinned to them here, and a view must already be at them.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .background import BackgroundSpec, coupled_region, make_spec, min_max_rates
-from .graphical import Timeline, TimelineView, event_feed, feed_size
+from .graphical import Timeline, TimelineView, event_feed, feed_size, thin_view
 from .lattice import GraphView
 
 SUPPRESS_ARROWS = "suppress-arrows"
@@ -173,6 +177,9 @@ def _bg_tables(spec, tl):
         raise ValueError("timeline carries flip events but no background spec was given")
     if spec is None:
         return None
+    if spec.dimension != base.graph.dimension:
+        raise ValueError(f"background spec for d={spec.dimension} on a "
+                         f"{base.graph.dimension}-dimensional box")
     if base.flip_rate + 1e-12 < spec.flip_rate:
         raise ValueError(
             f"timeline flip rate {base.flip_rate} below the spec's uniformization rate "
@@ -299,12 +306,14 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     horizon = tl.t_max
     if t_end > horizon + 1e-9:
         raise ValueError(f"t_end={t_end} beyond the feed horizon {horizon}")
+    chunked = stop_on_extinct and not rev
     if rev:     # materialized whole: a reversal is built from its end
         feed = event_feed(tl)[:4]
         hi = bisect_right(feed[0], t_end)
     else:       # pulled from the base table's list views, chunk by chunk
         feed = None
-        hi = min(int(np.searchsorted(base.times, t_end, side="right")), feed_size(tl))
+        # a chunked run finds its horizon in the chunk that holds it
+        hi = feed_size(tl) if chunked else min(base.count_through(t_end), feed_size(tl))
 
     dsrc = g.dir_src
     ddst = g.dir_dst
@@ -340,13 +349,14 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     t_stop = t_end
 
     # i below is an event's offset from the chunk's start
-    chunked = stop_on_extinct and not rev
     start = 0
     for stop in _chunk_ends(hi, chunked):
         if rev:
             times, kinds, idx, marks = feed
         elif chunked:
             times, kinds, idx, marks = base.chunk(start, stop)
+            if stop > start and times[stop - start - 1] > t_end:
+                stop = hi = start + bisect_right(times, t_end, 0, stop - start)
         else:
             times, kinds, idx, marks = base.lists(stop)
         if use_path:
@@ -425,8 +435,9 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
                             eapp((times[i], e, 1))
         else:
             start = stop        # chunk read through: read the next one
-            continue
-        break                   # stopped at extinction: read no further
+            if stop < hi:
+                continue
+        break                   # stopped at extinction or the horizon: read no further
 
     c_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)))
     if use_path:
@@ -445,10 +456,25 @@ def _traj(g, t_end, c0, b0, out) -> Trajectory:
                       boundary_touched=btouch)
 
 
+def _at_rates(params, tl):
+    """tl as a run of params reads it: a Timeline thinned to (params.lam,
+    params.r), which thin_view rejects above the generation rates, or a view
+    that already runs at them."""
+    if isinstance(tl, TimelineView):
+        if abs(tl.lam - params.lam) > 1e-12 or abs(tl.r - params.r) > 1e-12:
+            raise ValueError(f"view rates lam={tl.lam}, r={tl.r} differ from the run's "
+                             f"lam={params.lam}, r={params.r}")
+        return tl
+    if params.lam == tl.lam_max and params.r == tl.r_max:
+        return tl
+    return thin_view(tl, params.lam, params.r)
+
+
 def _evolve(params, c0, b0, tl, shared_bg, **kw) -> Trajectory:
-    """A forward run of params on tl.  Its environment is shared_bg if given,
-    else the path stored on tl for (params.spec, b0), else the inline flip
-    rule; the three give the same Trajectory."""
+    """A forward run of params on tl, at params' rates.  Its environment is
+    shared_bg if given, else the path stored on tl for (params.spec, b0),
+    else the inline flip rule; the three give the same Trajectory."""
+    tl = _at_rates(params, tl)
     path, store = shared_bg, _path_store(tl)
     if path is None and store:
         path = store.get((params.spec, frozenset(int(e) for e in b0)))
@@ -569,12 +595,12 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     g = params.graph
     if isinstance(tl, TimelineView) and tl.is_reversed:
         raise ValueError("pass the forward timeline; dual_evolve reverses internally")
-    base, lam_frac, r_frac = _frac_of(tl)
+    base, lam_frac, r_frac = _frac_of(_at_rates(params, tl))
     if t_star <= 0 or t_star > base.t_max + 1e-9:
         raise ValueError(f"t_star={t_star} outside (0, {base.t_max}]")
 
     arrow_open = background_path(params.spec, b0, base).arrow_open
-    hi = int(np.searchsorted(base.times, t_star, side="right"))
+    hi = base.count_through(t_star)
     times, kinds, idx, marks = base.lists(hi)
 
     dsrc = g.dir_src

@@ -7,9 +7,12 @@ recovery marks per site, and flip candidates per edge.  All coupled processes
 run) consume the same Timeline, which is what makes their pathwise
 comparisons exact rather than distributional.
 
-The draws and the time sort are eager and deterministic: equal (seed, box,
-rates, horizon) reproduce a bit-identical event table.  The plain-list views
-the event loops read are converted lazily: as one cached prefix per table
+The draws are eager and deterministic: equal (seed, box, rates, horizon)
+reproduce a bit-identical event table.  The time sort is lazy: the table is
+sorted in time slabs of doubling size, each on its first read, so a replica
+that dies early sorts a prefix of its table; the sorted table is the same
+however far and in whatever order it is read.  The plain-list views the
+event loops read are converted lazily too: as one cached prefix per table
 that grows only as far as a run reads (Timeline.lists), and past the first
 KEPT_PREFIX events also as chunks that are converted, read and dropped
 (Timeline.chunk), so a replica that dies early converts a fraction of its
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,6 +41,10 @@ KIND_FLIP = 2
 _KIND_NAMES = {KIND_ARROW: "arrow", KIND_RECOVERY: "recovery", KIND_FLIP: "flip"}
 
 DEFAULT_EVENT_BUDGET = 20_000_000
+
+# A timeline's first time slab is sized to hold about this many events;
+# see Timeline.
+SLAB_EVENTS = 4096
 
 # Timeline.chunk grows the cached prefix through this many events and no
 # further: most runs that stop at extinction die inside it, and a long one
@@ -73,12 +81,25 @@ class Timeline:
     construction; bg_paths, non_flip and the list views are caches derived
     from it.
 
-    The four arrays hold every event from construction on.  Their plain-list
-    views are converted on demand: lists(hi) extends one cached prefix
-    (kept in the instance attribute _lists) through index hi and returns it,
-    so indices into the prefix are always indices into the table; chunk()
-    reads a slice, which past KEPT_PREFIX events it may convert without
-    keeping it.
+    The draws are kept per kind, unsorted, and sorted in time slabs on first
+    read: slab 0 holds the events before t_max / 2^m, and slab k >= 1 those
+    in [t_max * 2^(k-1-m), t_max * 2^(k-m)), the last slab running to the
+    end, with m chosen so that slab 0 holds about SLAB_EVENTS events.  Every
+    later slab spans as much time as all earlier ones together, so a read
+    through event hi sorts about 2 hi events at most (and slab 0 at least),
+    and scanning the draws for each slab's members costs O(n log n) over a
+    whole table.  Equal times fall in one slab, so sorting each slab by time
+    (by time, target and kind when it holds a tie) and nudging from the last
+    time of the slab before gives the table's global order and nudge.
+    Sorted slabs are written in place into the four whole arrays; once the
+    last one is, the draws are released.
+
+    times, kinds, idx and marks are those whole arrays, sorted on first
+    access.  The plain-list views are converted on demand: lists(hi) extends
+    one cached prefix (kept in the instance attribute _lists) through index
+    hi and returns it, so indices into the prefix are always indices into
+    the table; chunk() reads a slice, which past KEPT_PREFIX events it may
+    convert without keeping it.
     """
 
     graph: GraphView
@@ -87,23 +108,109 @@ class Timeline:
     lam_max: float          # generation rate per directed pair
     r_max: float            # generation rate per site
     flip_rate: float        # candidate rate per edge
-    times: np.ndarray       # float64, strictly increasing
-    kinds: np.ndarray       # int8
-    idx: np.ndarray         # int32: directed pair / site / edge
-    marks: np.ndarray       # float64 in [0,1)
+    # per kind, in kind order: (times, stream ids, marks) as drawn; None once sorted
+    draws: list | None = field(repr=False)
+    n_events: int = field(init=False)
     # environment paths by (spec, frozenset(b0)); see engine.background_path
     bg_paths: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):
+        n = self.n_events = sum(len(block[0]) for block in self.draws)
+        # float64 times, int8 kinds, int32 targets, float64 marks; written slab by slab
+        self._sorted = (np.empty(n), np.empty(n, dtype=np.int8),
+                        np.empty(n, dtype=np.int32), np.empty(n))
+        self.n_sorted = 0       # events sorted so far
+        self._slab = 0          # next slab to sort
+        self._last = 0.0        # last sorted time: the next slab's nudge starts from it
+        m = max((n // SLAB_EVENTS).bit_length() - 1, 0)
+        self._edges = [self.t_max * 2.0 ** (k - m) for k in range(m)]
+        if n == 0:
+            self.draws = None
+
+    def _sort_slabs(self, last: int):
+        """Sort the slabs from the next one through slab last into place, as
+        one group: its order and nudge are those of its slabs one by one."""
+        first, edges = self._slab, self._edges
+        lo = edges[first - 1] if first else None
+        hi = edges[last] if last < len(edges) else None
+        parts = []
+        for kind, (times, ids, marks) in enumerate(self.draws):
+            if lo is None:
+                sel = slice(None) if hi is None else np.flatnonzero(times < hi)
+            elif hi is None:
+                sel = np.flatnonzero(times >= lo)
+            else:
+                sel = np.flatnonzero((times >= lo) & (times < hi))
+            t = times[sel]
+            parts.append((t, np.full(len(t), kind, dtype=np.int8), ids[sel], marks[sel]))
+        times, kinds, ids, marks = (np.concatenate([p[j] for p in parts]) for j in range(4))
+
+        a, b = self.n_sorted, self.n_sorted + len(times)
+        out_t, out_k, out_i, out_m = (arr[a:b] for arr in self._sorted)
+        order = np.argsort(times)
+        np.take(times, order, out=out_t, mode="clip")
+        tied = bool(np.any(out_t[1:] == out_t[:-1]))
+        if tied:
+            order = np.lexsort((kinds, ids, times))
+            np.take(times, order, out=out_t, mode="clip")
+        np.take(kinds, order, out=out_k, mode="clip")
+        np.take(ids, order, out=out_i, mode="clip")
+        np.take(marks, order, out=out_m, mode="clip")
+        if b > a and (tied or out_t[0] <= self._last):
+            prev = self._last
+            for i in range(b - a):
+                if out_t[i] <= prev:
+                    out_t[i] = np.nextafter(prev, np.inf)
+                prev = out_t[i]
+        if b > a:
+            self._last = out_t[-1]
+        self.n_sorted, self._slab = b, last + 1
+        if b == self.n_events:
+            self.draws = self._edges = None
+
+    def _sort_through(self, hi: int):
+        """Sort slabs until the first hi events are in place: one at a time,
+        or all that are left at once when hi is the end of the table."""
+        while self.n_sorted < min(hi, self.n_events):
+            self._sort_slabs(self._slab if hi < self.n_events else len(self._edges))
+        return self._sorted
+
+    def count_through(self, t: float) -> int:
+        """Number of events at or before time t.  Only the slabs that can
+        hold such events are sorted: every event of a later slab was drawn
+        after t, and a nudge only moves a time up."""
+        if self.draws is not None:
+            last = bisect_right(self._edges, t)
+            if last >= self._slab:
+                self._sort_slabs(last)
+        return int(np.searchsorted(self._sorted[0][:self.n_sorted], t, side="right"))
+
     @property
-    def n_events(self) -> int:
-        return len(self.times)
+    def times(self) -> np.ndarray:
+        """float64, strictly increasing."""
+        return self._sort_through(self.n_events)[0]
+
+    @property
+    def kinds(self) -> np.ndarray:
+        """int8: KIND_ARROW, KIND_RECOVERY or KIND_FLIP."""
+        return self._sort_through(self.n_events)[1]
+
+    @property
+    def idx(self) -> np.ndarray:
+        """int32: directed pair / site / edge."""
+        return self._sort_through(self.n_events)[2]
+
+    @property
+    def marks(self) -> np.ndarray:
+        """float64 in [0,1)."""
+        return self._sort_through(self.n_events)[3]
 
     def lists(self, hi: int | None = None):
         """(times, kinds, idx, marks) as plain lists holding at least the
         events with index < hi (all of them by default).  The lists are the
         cached prefix, which may run past hi; it only ever grows."""
         n = self.n_events if hi is None else hi
-        arrays = (self.times, self.kinds, self.idx, self.marks)
+        arrays = self._sort_through(n)
         cur = self.__dict__.get("_lists")
         if cur is None:
             cur = self._lists = tuple(a[:n].tolist() for a in arrays)
@@ -123,8 +230,7 @@ class Timeline:
         if stop <= KEPT_PREFIX or cur is not None and len(cur[0]) >= stop:
             cur = self.lists(stop)
             return cur if start == 0 else tuple(lst[start:stop] for lst in cur)
-        return tuple(a[start:stop].tolist()
-                     for a in (self.times, self.kinds, self.idx, self.marks))
+        return tuple(a[start:stop].tolist() for a in self._sort_through(stop))
 
     @cached_property
     def non_flip(self):
@@ -176,7 +282,9 @@ def build_timeline(g: GraphView, lam_max: float, r: float, flip_rate: float,
     with ties broken by target index and then kind, and any residual ties are
     separated by one float ulp, so downstream code may assume strictly
     increasing timestamps.  Without an exact tie the time order alone is
-    that order, so the three-key sort runs only on tables with a tie.
+    that order, so the three-key sort runs only on slabs with a tie.  The
+    sort is deferred: the Timeline sorts its draws slab by slab as they are
+    read.
     """
     if not all(math.isfinite(v) for v in (lam_max, r, flip_rate, t_max)):
         raise ValueError("rates and t_max must be finite")
@@ -191,43 +299,18 @@ def build_timeline(g: GraphView, lam_max: float, r: float, flip_rate: float,
             f"exceeds the event budget {max_events}")
 
     rng = np.random.default_rng(seed & _M64)
-    blocks = []
-    for kind, n_streams, rate in ((KIND_ARROW, 2 * g.n_edges, lam_max),
-                                  (KIND_RECOVERY, g.n_sites, r),
-                                  (KIND_FLIP, g.n_edges, flip_rate)):
+    draws = []
+    for n_streams, rate in ((2 * g.n_edges, lam_max), (g.n_sites, r), (g.n_edges, flip_rate)):
         counts = rng.poisson(rate * t_max, n_streams) if rate > 0 else np.zeros(n_streams, dtype=np.int64)
         total = int(counts.sum())
         times = rng.random(total) * t_max
         marks = rng.random(total)
         ids = np.repeat(np.arange(n_streams, dtype=np.int32), counts)
-        kinds = np.full(total, kind, dtype=np.int8)
-        blocks.append((times, kinds, ids, marks))
-
-    times = np.concatenate([b[0] for b in blocks])
-    kinds = np.concatenate([b[1] for b in blocks])
-    ids = np.concatenate([b[2] for b in blocks])
-    marks = np.concatenate([b[3] for b in blocks])
-
-    order = np.argsort(times)
-    sorted_times = times[order]
-    if np.any(sorted_times[1:] == sorted_times[:-1]):
-        order = np.lexsort((kinds, ids, times))
-        sorted_times = times[order]
-    times = sorted_times
-    kinds = kinds[order]
-    ids = ids[order]
-    marks = marks[order]
-
-    if len(times) and (times[0] <= 0.0 or np.any(np.diff(times) <= 0.0)):
-        prev = 0.0
-        for i in range(len(times)):
-            if times[i] <= prev:
-                times[i] = np.nextafter(prev, np.inf)
-            prev = times[i]
+        draws.append((times, ids, marks))
 
     return Timeline(graph=g, t_max=float(t_max), seed=int(seed),
                     lam_max=float(lam_max), r_max=float(r), flip_rate=float(flip_rate),
-                    times=times, kinds=kinds, idx=ids, marks=marks)
+                    draws=draws)
 
 
 def thin_view(tl, lam_prime: float, r_prime: float | None = None) -> TimelineView:
@@ -274,7 +357,7 @@ def feed_size(tl) -> int:
     base, _, _, anchor, _ = _unpack(tl)
     if anchor is None:
         return base.n_events
-    return int(np.searchsorted(base.times, anchor, side="right"))
+    return base.count_through(anchor)
 
 
 def event_feed(tl):

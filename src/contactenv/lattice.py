@@ -136,27 +136,22 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
     n_edges = len(edge_ends)
     assert n_edges == d * side ** (d - 1) * 2 * L
 
+    # one pass over the edges as plain ints fills the per-site and per-edge
+    # tables; line neighbours need the finished incidence lists
     nbrs = [[] for _ in range(n_sites)]
     incident = [[] for _ in range(n_sites)]
-    for e, (a, b) in enumerate(edge_ends):
-        a = int(a); b = int(b)
+    dir_src, dir_dst, dir_edge = [], [], []
+    lookup = {}
+    ends_l = edge_ends.tolist()
+    for e, (a, b) in enumerate(ends_l):
         nbrs[a].append(b); incident[a].append(e)
         nbrs[b].append(a); incident[b].append(e)
-
-    dir_src, dir_dst, dir_edge = [], [], []
-    for e, (a, b) in enumerate(edge_ends):
-        dir_src += [int(a), int(b)]
-        dir_dst += [int(b), int(a)]
-        dir_edge += [e, e]
-
-    line_nbrs = []
-    for e, (a, b) in enumerate(edge_ends):
-        seen = [x for x in incident[int(a)] + incident[int(b)] if x != e]
-        line_nbrs.append(tuple(sorted(set(seen))))
-
-    lookup = {}
-    for e, (a, b) in enumerate(edge_ends):
-        lookup[(int(a), int(b))] = e
+        dir_src += (a, b)
+        dir_dst += (b, a)
+        dir_edge += (e, e)
+        lookup[a, b] = e
+    line_nbrs = [tuple(sorted({*incident[a], *incident[b]} - {e}))
+                 for e, (a, b) in enumerate(ends_l)]
 
     g = GraphView(
         dimension=d,
@@ -172,7 +167,7 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
         dir_dst=tuple(dir_dst),
         dir_edge=tuple(dir_edge),
         line_nbrs=tuple(line_nbrs),
-        norm_inf=tuple(int(v) for v in np.abs(coords).max(axis=1)),
+        norm_inf=tuple(np.abs(coords).max(axis=1).tolist()),
         _edge_lookup=lookup,
         _shape=shape,
         _strides=strides,

@@ -177,3 +177,14 @@ def test_coupled_region_dp_law():
         p_not = 1 - len(region.edges) / g.n_edges
         expect = math.exp(-2.0 * t)
         assert abs(p_not - expect) < 3 * binom_sigma(expect, g.n_edges)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind,rate", [("dynamical-percolation", "alpha"),
+                                       ("dynamical-percolation", "beta"),
+                                       ("noisy-voter", "alpha"), ("ising", "beta_inv")])
+def test_non_finite_rates_are_rejected(kind, rate, bad):
+    rates = {"dynamical-percolation": dict(alpha=1.0, beta=1.0),
+             "noisy-voter": dict(alpha=1.0, beta=1.0), "ising": dict(beta_inv=0.2)}[kind]
+    with pytest.raises(ValueError, match=f"{rate} must be finite"):
+        make_spec(kind, **dict(rates, **{rate: bad}))

@@ -198,6 +198,26 @@ class TestMain:
         assert f"config error at .{key}: must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("change,path", [
+        (dict(fixed={"alpha": math.nan, "r": 1.0}), ".fixed.alpha: must be finite"),
+        (dict(axis1=["lambda", [1.0, math.nan]]), ".axis1[1][1]: must be finite"),
+        (dict(axis2=["beta", [0.5, -1.0]]), ".axis2[1][1]: must be > 0.0"),
+        (dict(axis1=["lambda", [1.0, "2"]]), ".axis1[1][1]: expected a number"),
+        (dict(axis1=["gamma", [1.0]]), ".axis1[0]: must be one of"),
+        (dict(axis2=["lambda", [1.0]]), ".axis2[0]: the two axes must differ"),
+        (dict(fixed={"alpha": 1.0, "r": 1.0, "delta": 2}), ".fixed.delta: unknown key"),
+        (dict(fixed={"alpha": 1.0}), ".fixed.r: missing"),
+        (dict(fixed={"r": 1.0}), ".fixed: alpha and beta must be set together"),
+    ])
+    def test_phase_scan_settings_are_checked(self, tmp_path, capsys, change, path):
+        doc = {"subcommand": "phase-scan", "seed": 4, "d": 1, "L": 5,
+               "axis1": ["lambda", [1.0, 2.0]], "axis2": ["beta", [0.5, 1.0]],
+               "fixed": {"alpha": 1.0, "r": 1.0}, "T": 2.0, "reps": 2}
+        code = cli.main(["--config", json.dumps(dict(doc, **change)), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert f"config error at {path}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_seed_and_out_override(self, tmp_path):
         code = cli.main(["--config", json.dumps(MINIMAL_SURVIVAL),
                          "--seed", "77", "--out", str(tmp_path)])

@@ -10,7 +10,7 @@ from contactenv import (background_path, build_box, build_timeline,
                         evolve_released, evolve_truncated, is_contained_pathwise,
                         make_spec, phi_set, reverse_view, richardson, thin_view,
                         union_matches_pathwise)
-from contactenv.engine import _CHUNK, RunParams
+from contactenv.engine import _CHUNK, SUPPRESS_ARROWS, RunParams
 from contactenv.graphical import KEPT_PREFIX, KIND_ARROW, KIND_RECOVERY, derive_seed
 
 
@@ -587,3 +587,97 @@ def test_shared_path_from_another_feed_is_rejected():
     rv = reverse_view(tl, tl.t_max)
     assert _fields(evolve(P, (0,), (), rv, shared_bg=reversed_path)) == \
         _fields(evolve(P, (0,), (), rv))
+
+
+# ---------------------------------------------------------------------------
+# the lazy sort under the runs
+
+def test_an_early_death_sorts_part_of_the_table():
+    # W1-shaped replicas: those that die early sort a prefix of the slabs
+    # and equal the same run on a fully sorted twin
+    g = build_box(1, 200)
+    P = RunParams(g, 1.25, 1.0, None, 100.0)
+    early = 0
+    for i in range(8):
+        seed = derive_seed(808, i)
+        tl = build_timeline(g, 1.5, 1.0, 0.0, 100.0, seed)
+        twin = build_timeline(g, 1.5, 1.0, 0.0, 100.0, seed)
+        twin.times
+        runs = [evolve(P, (g.origin(),), range(g.n_edges), thin_view(t, 1.25),
+                       stop_on_extinct=True, want_deltas=False) for t in (tl, twin)]
+        assert _fields(runs[0]) == _fields(runs[1])
+        if runs[0].tau_ex < 10.0:
+            early += 1
+            assert tl.n_sorted < tl.n_events / 4 and tl.draws is not None
+    assert early > 0
+
+
+def test_a_chunked_run_cuts_its_horizon_inside_a_chunk():
+    # a horizon short of t_max is found in the chunk that holds it: a
+    # survivor equals the run that reads through the horizon in one chunk
+    g = build_box(1, 100)
+    P = RunParams(g, 3.0, 1.0, None, 7.3)
+    alive = 0
+    for i in range(6):
+        seed = derive_seed(909, i)
+        tl = build_timeline(g, 3.0, 1.0, 0.0, 30.0, seed)
+        fresh = build_timeline(g, 3.0, 1.0, 0.0, 30.0, seed)
+        traj = evolve(P, (g.origin(),), range(g.n_edges), tl, stop_on_extinct=True)
+        if traj.tau_ex == math.inf:
+            alive += 1
+            assert _fields(traj) == _fields(evolve(P, (g.origin(),), range(g.n_edges), fresh))
+        assert tl.n_sorted < tl.n_events
+    assert alive > 0
+
+
+# ---------------------------------------------------------------------------
+# a run means its parameters
+
+def test_a_run_on_a_timeline_is_thinned_to_its_rates():
+    g = build_box(1, 30)
+    P = RunParams(g, 0.5, 0.6, None, 10.0)
+    b0 = range(g.n_edges)
+    c0 = range(10, 21)
+    differs = 0
+    for i in range(20):
+        seed = derive_seed(313, i)
+        tl = build_timeline(g, 4.0, 1.0, 0.0, 10.0, seed)
+        view = thin_view(tl, 0.5, 0.6)
+        got = evolve(P, c0, b0, tl)
+        assert _fields(got) == _fields(evolve(P, c0, b0, view))
+        assert _fields(dual_evolve(c0, P, b0, tl, 6.0)) == \
+            _fields(dual_evolve(c0, P, b0, view, 6.0))
+        differs += _fields(got) != _fields(evolve(replace(P, lam=4.0, r=1.0), c0, b0, tl))
+    assert differs > 10
+
+
+def test_rates_the_feed_cannot_give_are_rejected():
+    g = build_box(1, 8)
+    tl = build_timeline(g, 4.0, 1.0, 0.0, 5.0, seed=2)
+    c0, b0 = (g.origin(),), range(g.n_edges)
+    with pytest.raises(ValueError, match="cannot thin to lam"):
+        evolve(RunParams(g, 9.0, 1.0, None, 5.0), c0, b0, tl)
+    with pytest.raises(ValueError, match="cannot thin to r"):
+        evolve_truncated(2, RunParams(g, 1.0, 2.0, None, 5.0), c0, b0, tl)
+    with pytest.raises(ValueError, match="cannot thin to lam"):
+        dual_evolve(c0, RunParams(g, 9.0, 1.0, None, 5.0), b0, tl, 3.0)
+    for run in (lambda P, v: evolve(P, c0, b0, v),
+                lambda P, v: evolve_released(P, c0, b0, v, 1.0),
+                lambda P, v: delayed_variant(SUPPRESS_ARROWS, 1.0, P, c0, b0, v),
+                lambda P, v: dual_evolve(c0, P, b0, v, 3.0)):
+        with pytest.raises(ValueError, match="differ from the run's"):
+            run(RunParams(g, 0.5, 1.0, None, 5.0), thin_view(tl, 1.0))
+        with pytest.raises(ValueError, match="differ from the run's"):
+            run(RunParams(g, 1.0, 1.0, None, 5.0), thin_view(tl, 1.0, 0.5))
+
+
+def test_a_spec_for_another_dimension_is_rejected():
+    g1, g2 = build_box(1, 4), build_box(2, 2)
+    ising2 = make_spec("ising", beta_inv=0.1, d=2)
+    dp1 = make_spec("dynamical-percolation", alpha=1.0, beta=1.0, d=1)
+    for g, spec in ((g1, ising2), (g2, dp1)):
+        tl = build_timeline(g, 1.0, 1.0, 3.0, 2.0, seed=1)
+        with pytest.raises(ValueError, match="background spec for d="):
+            evolve(RunParams(g, 1.0, 1.0, spec, 2.0), (0,), (), tl)
+        with pytest.raises(ValueError, match="background spec for d="):
+            background_path(spec, (), tl)

@@ -7,8 +7,8 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from contactenv import SizingError, build_box, build_timeline, reverse_view, thin_view, to_ndjson
-from contactenv.graphical import (KEPT_PREFIX, KIND_ARROW, KIND_FLIP, KIND_RECOVERY, derive_seed,
-                                  event_feed)
+from contactenv.graphical import (KEPT_PREFIX, KIND_ARROW, KIND_FLIP, KIND_RECOVERY, SLAB_EVENTS,
+                                  derive_seed, event_feed)
 
 
 def test_empty_timeline():
@@ -287,3 +287,97 @@ def test_anchored_feed_is_exact_and_not_the_cache():
     tl.lists()      # growing the prefix leaves the anchored feed as it was
     assert feed[0] == tl.times[:hi].tolist()
     assert feed[3] == tl.marks[:hi].tolist()
+
+
+# ---------------------------------------------------------------------------
+# the sort in time slabs, each on its first read
+
+def _read(tl, order):
+    """The four arrays, after reading tl first in the given order."""
+    n = tl.n_events
+    if order == "prefix":           # short reads first, then chunk by chunk
+        tl.lists(10)
+        tl.count_through(tl.t_max / 5)
+        for start in range(0, n, 4096):
+            tl.chunk(start, min(start + 4096, n))
+    elif order == "late-chunk":
+        tl.chunk(n - 50, n)
+    return _arrays(tl)              # "full": the arrays are the first read
+
+
+@pytest.mark.parametrize("order", ["prefix", "full", "late-chunk"])
+@pytest.mark.parametrize("d,L,lam,r,q,T", [(1, 400, 2.0, 1.0, 1.0, 30.0),
+                                           (2, 10, 1.5, 1.0, 2.0, 12.0)])
+def test_slabs_read_in_any_order_match_the_reference(order, d, L, lam, r, q, T):
+    g = build_box(d, L)
+    for i in range(3):
+        seed = derive_seed(41, i)
+        tl = build_timeline(g, lam, r, q, T, seed)
+        assert tl.n_events > 4 * SLAB_EVENTS and tl.n_sorted == 0
+        ref, _ = _lexsort_table(g, lam, r, q, T, seed)
+        for got, want in zip(_read(tl, order), ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+class _EdgeTiedRng:
+    """A default_rng that moves one uniform in seven to just below 1/2 and
+    one in seven onto 1/2: with t_max = 1 both sides of a slab edge at 1/2
+    then hold long runs of tied times."""
+
+    def __init__(self, seed, _make=np.random.default_rng):
+        self._rng = _make(seed)
+
+    def poisson(self, lam, size):
+        return self._rng.poisson(lam, size)
+
+    def random(self, size):
+        u = self._rng.random(size)
+        u[::7] = np.nextafter(0.5, 0.0)
+        u[3::7] = 0.5
+        return u
+
+
+def test_the_nudge_carries_across_a_slab_edge(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _EdgeTiedRng)
+    g = build_box(1, 200)
+    for seed in range(3):
+        tl = build_timeline(g, 10.0, 1.0, 0.0, 1.0, seed)
+        # 2 to 4 SLAB_EVENTS events: two slabs, split at t_max / 2
+        assert 2 * SLAB_EVENTS <= tl.n_events < 4 * SLAB_EVENTS
+        tl.lists(10)
+        first = tl.n_sorted
+        assert 0 < first < tl.n_events
+        ref, ties = _lexsort_table(g, 10.0, 1.0, 0.0, 1.0, seed)
+        assert ties > 0
+        for got, want in zip(_arrays(tl), ref):
+            assert np.array_equal(got, want)
+        # the ties below 1/2 were nudged onto and past it, so the second
+        # slab's ties at 1/2 start above the first slab's last time
+        assert tl.times[first - 1] > 0.5
+        assert np.all(np.diff(tl.times) > 0)
+
+
+def test_the_draws_are_released_once_every_slab_is_sorted():
+    g = build_box(1, 100)
+    reads = {"arrays": lambda tl: tl.times,
+             "chunks": lambda tl: [tl.chunk(s, min(s + 4096, tl.n_events))
+                                   for s in range(0, tl.n_events, 4096)],
+             "count": lambda tl: tl.count_through(tl.t_max)}
+    for name, read in reads.items():
+        tl = build_timeline(g, 2.0, 1.0, 1.0, 30.0, seed=3)
+        tl.lists(10)
+        assert tl.draws is not None and 0 < tl.n_sorted < tl.n_events, name
+        read(tl)
+        assert tl.draws is None and tl.n_sorted == tl.n_events, name
+    assert build_timeline(g, 0.0, 0.0, 0.0, 1.0, seed=3).draws is None
+
+
+def test_count_through_sorts_only_the_slabs_it_needs():
+    g = build_box(1, 200)
+    tl = build_timeline(g, 2.0, 1.0, 0.0, 40.0, seed=5)
+    ref = build_timeline(g, 2.0, 1.0, 0.0, 40.0, seed=5).times
+    for t in (0.5, 3.0, 3.0, 11.0, 40.0):
+        assert tl.count_through(t) == int(np.count_nonzero(ref <= t))
+        if t < 40.0:
+            assert tl.n_sorted < tl.n_events

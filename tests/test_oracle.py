@@ -1,0 +1,345 @@
+"""Differential tests of every engine entry point against a naive reference.
+
+The reference steps through a timeline's four arrays (times, kinds, idx,
+marks) one event at a time, holds the infection and the environment in
+Python sets and recounts line-graph neighbours on every flip with the same
+inequalities as the engine.  It has no stored paths, chunks, index lists,
+slabs or early stops.  It reads a fully sorted twin of the table (same seed,
+built fresh), while the engine reads a table whose slabs, list views and
+stored paths are filled in whatever order the drawn calls leave them, so
+the comparison also checks that the order of reads changes nothing.
+
+Small tables would hold one slab and one chunk, so each case also draws the
+slab, chunk and kept-prefix sizes (graphical.SLAB_EVENTS, engine._CHUNK,
+graphical.KEPT_PREFIX) from values small enough to put many boundaries in
+the table, and whether the table's uniforms are rounded so that its times
+tie.  See McKeeman, "Differential testing for software", Digital
+Tech. J. 10 (1998); Claessen & Hughes, QuickCheck, ICFP 2000.
+"""
+
+import math
+from contextlib import ExitStack
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from contactenv import engine, graphical
+from contactenv.background import make_spec
+from contactenv.engine import (SUPPRESS_ARROWS, SUPPRESS_RECOVERIES_AND_BACKGROUND,
+                               RunParams, background_path, delayed_variant,
+                               dual_evolve, evolve, evolve_released,
+                               evolve_truncated, richardson)
+from contactenv.graphical import (KIND_ARROW, KIND_RECOVERY, build_timeline,
+                                  reverse_view, thin_view)
+from contactenv.lattice import build_box
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# the reference
+
+def _events(tl):
+    return list(zip(tl.times.tolist(), tl.kinds.tolist(), tl.idx.tolist(),
+                    tl.marks.tolist()))
+
+
+def _flip(g, b, spec, q, e, u):
+    cnt = sum(1 for a in g.line_nbrs[e] if a in b)
+    if e in b:
+        if (1.0 - u) * q <= spec.down_table[cnt]:
+            b.discard(e)
+            return -1
+    elif u * q < spec.up_table[cnt]:
+        b.add(e)
+        return 1
+    return 0
+
+
+def reference(tl, c0, b0, spec, t_end, *, lam_frac=1.0, r_frac=1.0, eman=None,
+              anchor=None, reverse=False, env=True, recoveries=True,
+              no_arrows_until=-1.0, free_until=-1.0, no_rec_until=-1.0,
+              stop_on_extinct=False, want_deltas=True):
+    """Trajectory fields of one forward run, from the definitions."""
+    g = tl.graph
+    events = _events(tl)
+    if anchor is not None:
+        events = [ev for ev in events if ev[0] <= anchor]
+        if reverse:
+            events = [(anchor - t, k, j ^ 1 if k == KIND_ARROW else j, u)
+                      for t, k, j, u in reversed(events)]
+    L = g.half_width
+    eman = L if eman is None else eman
+    c, b = set(c0), set(b0)
+    touched = any(g.norm_inf[s] >= L for s in c)
+    tau = math.inf if c else 0.0
+    sd, ed = [], []
+    for t, k, j, u in events:
+        if t > t_end:
+            break
+        if k == KIND_ARROW:
+            src, dst, e = g.dir_src[j], g.dir_dst[j], g.dir_edge[j]
+            is_open = not env or e in b or t <= free_until
+            if (src in c and dst not in c and u < lam_frac and g.norm_inf[src] < eman
+                    and t > no_arrows_until and is_open):
+                c.add(dst)
+                sd.append((t, dst, 1))
+                touched = touched or g.norm_inf[dst] >= L
+        elif k == KIND_RECOVERY:
+            if recoveries and j in c and u < r_frac and t > no_rec_until:
+                c.discard(j)
+                sd.append((t, j, -1))
+                if not c:
+                    tau = t
+                    if stop_on_extinct:
+                        break
+        elif spec is not None and env:
+            sign = _flip(g, b, spec, tl.flip_rate, j, u)
+            if sign:
+                ed.append((t, j, sign))
+    if not want_deltas:
+        sd, ed = [], []
+    return (t_end, frozenset(c0), frozenset(b0), sd, ed, frozenset(c), frozenset(b),
+            tau, touched)
+
+
+def reference_dual(tl, a_sites, b0, spec, t_star, lam_frac, r_frac, want_deltas=True):
+    """Trajectory fields of dual_evolve: the arrows of [0, t*] crossed
+    backwards against the forward environment from b0."""
+    g = tl.graph
+    events = _events(tl)
+    b = set(b0)
+    open_before = []
+    for t, k, j, u in events:
+        open_before.append(k == KIND_ARROW and g.dir_edge[j] in b)
+        if k not in (KIND_ARROW, KIND_RECOVERY) and spec is not None:
+            _flip(g, b, spec, tl.flip_rate, j, u)
+    L = g.half_width
+    c = set(a_sites)
+    touched = any(g.norm_inf[s] >= L for s in c)
+    tau = math.inf if c else 0.0
+    sd = []
+    for i in reversed(range(len(events))):
+        t, k, j, u = events[i]
+        if t > t_star:
+            continue
+        if k == KIND_ARROW:
+            src, dst = g.dir_dst[j], g.dir_src[j]
+            if (src in c and dst not in c and u < lam_frac and g.norm_inf[dst] < L
+                    and open_before[i]):
+                c.add(dst)
+                sd.append((t_star - t, dst, 1))
+        elif k == KIND_RECOVERY and j in c and u < r_frac:
+            c.discard(j)
+            sd.append((t_star - t, j, -1))
+            if not c:
+                tau = t_star - t
+    if not want_deltas:
+        sd = []
+    return (t_star, frozenset(a_sites), frozenset(b0), sd, [], frozenset(c), frozenset(),
+            tau, touched)
+
+
+def _fields(x):
+    return (x.t_end, x.c0, x.b0, x.site_deltas, x.edge_deltas, x.c_final, x.b_final,
+            x.tau_ex, x.boundary_touched)
+
+
+# ---------------------------------------------------------------------------
+# cases
+
+def _spec(kind, d):
+    if kind == "dp":
+        return make_spec("dynamical-percolation", alpha=1.0, beta=0.7, d=d)
+    if kind == "voter":
+        return make_spec("noisy-voter", alpha=0.8, beta=0.6, d=1)
+    if kind == "ising":
+        return make_spec("ising", beta_inv=0.3 if d == 1 else 0.12, d=d)
+    return None
+
+
+@st.composite
+def tables(draw):
+    d = draw(st.sampled_from([1, 2]))
+    L = draw(st.integers(1, 6 if d == 1 else 3))
+    kind = draw(st.sampled_from(["frozen", "dp", "ising"] + (["voter"] if d == 1 else [])))
+    spec = _spec(kind, d)
+    lam_max = draw(st.sampled_from([0.5, 1.5, 3.0]))
+    r_max = draw(st.sampled_from([0.6, 1.0]))
+    q = 0.0 if spec is None else spec.flip_rate * draw(st.sampled_from([1.0, 1.5]))
+    T = draw(st.sampled_from([2.0, 6.0, 15.0]))
+    seed = draw(st.integers(0, 2 ** 40))
+    sizes = dict(slab=draw(st.sampled_from([1, 4, 32, 4096])),
+                 chunk=draw(st.sampled_from([3, 16, 4096])),
+                 kept=draw(st.sampled_from([0, 8, 8192])),
+                 ties=draw(st.booleans()))
+    g = build_box(d, L)
+    return g, spec, (lam_max, r_max, q, T, seed), sizes
+
+
+class _RoundedRng:
+    """A default_rng whose uniforms are rounded down to 2 decimals, so they
+    stay below 1, and one in seven then moved to just below 1/2: most event
+    times tie with another, and the nudge that separates the ties below
+    t_max / 2, which is a slab edge when the table has two slabs or more,
+    carries them past it."""
+
+    def __init__(self, seed, _make=np.random.default_rng):
+        self._rng = _make(seed)
+
+    def poisson(self, lam, size):
+        return self._rng.poisson(lam, size)
+
+    def random(self, size):
+        u = np.floor(self._rng.random(size) * 100) / 100
+        u[::7] = np.nextafter(0.5, 0.0)
+        return u
+
+
+def _sizes(stack, sizes):
+    stack.enter_context(mock.patch.object(graphical, "SLAB_EVENTS", sizes["slab"]))
+    stack.enter_context(mock.patch.object(engine, "_CHUNK", sizes["chunk"]))
+    stack.enter_context(mock.patch.object(graphical, "KEPT_PREFIX", sizes["kept"]))
+    if sizes["ties"]:
+        stack.enter_context(mock.patch.object(np.random, "default_rng", _RoundedRng))
+
+
+def _sets(draw, g):
+    sites = st.sets(st.integers(0, g.n_sites - 1), max_size=g.n_sites)
+    c0 = draw(sites)
+    b0 = draw(st.sets(st.integers(0, g.n_edges - 1), max_size=g.n_edges))
+    return c0, b0, draw(sites)
+
+
+# each call: (engine call on the table, reference call on the sorted twin)
+@st.composite
+def calls(draw, g, spec, gen):
+    lam_max, r_max, q, T, seed = gen
+    c0, b0, a_sites = _sets(draw, g)
+    lam = draw(st.sampled_from([lam_max, lam_max / 3]))
+    r = draw(st.sampled_from([r_max, r_max / 2]))
+    t_end = draw(st.sampled_from([T, T * 0.6]))
+    t_star = draw(st.sampled_from([T, T * 0.7]))
+    stop = draw(st.booleans())
+    want = draw(st.booleans())
+    as_view = draw(st.booleans())
+    P = RunParams(g, lam, r, spec, t_end)
+    fr = dict(lam_frac=lam / lam_max, r_frac=r / r_max)
+    which = draw(st.sampled_from(["evolve", "stored", "truncated", "released", "delay-lo",
+                                  "delay-hi", "richardson", "reversed", "anchored",
+                                  "dual"]))
+
+    def feed(tl):
+        return thin_view(tl, lam, r) if as_view else tl
+
+    if which == "evolve":
+        return which, (lambda tl: evolve(P, c0, b0, feed(tl), stop_on_extinct=stop,
+                                         want_deltas=want),
+                       lambda tw: reference(tw, c0, b0, spec, t_end, stop_on_extinct=stop,
+                                            want_deltas=want, **fr))
+    if which == "stored":
+        return which, (lambda tl: evolve(P, c0, b0, feed(tl), stop_on_extinct=stop,
+                                         want_deltas=want,
+                                         shared_bg=background_path(spec, b0, tl)),
+                       lambda tw: reference(tw, c0, b0, spec, t_end, stop_on_extinct=stop,
+                                            want_deltas=want, **fr))
+    if which == "truncated":
+        inner = draw(st.integers(0, g.half_width))
+        return which, (lambda tl: evolve_truncated(inner, P, c0, b0, feed(tl),
+                                                   stop_on_extinct=stop, want_deltas=want),
+                       lambda tw: reference(tw, c0, b0, spec, t_end, eman=inner,
+                                            stop_on_extinct=stop, want_deltas=want, **fr))
+    if which == "released":
+        rel = draw(st.sampled_from([0.0, T / 4]))
+        return which, (lambda tl: evolve_released(P, c0, b0, feed(tl), rel,
+                                                  stop_on_extinct=stop, want_deltas=want),
+                       lambda tw: reference(tw, c0, b0, spec, t_end, no_arrows_until=rel,
+                                            no_rec_until=rel, stop_on_extinct=stop,
+                                            want_deltas=want, **fr))
+    if which in ("delay-lo", "delay-hi"):
+        s = draw(st.sampled_from([0.0, t_end / 3]))
+        mode = SUPPRESS_ARROWS if which == "delay-lo" else SUPPRESS_RECOVERIES_AND_BACKGROUND
+        distort = (dict(no_arrows_until=s) if which == "delay-lo"
+                   else dict(no_rec_until=s, free_until=s))
+        return which, (lambda tl: delayed_variant(mode, s, P, c0, b0, feed(tl),
+                                                  stop_on_extinct=stop, want_deltas=want),
+                       lambda tw: reference(tw, c0, b0, spec, t_end, stop_on_extinct=stop,
+                                            want_deltas=want, **distort, **fr))
+    if which == "richardson":
+        return which, (lambda tl: richardson(c0, thin_view(tl, lam, r), t_end, want_deltas=want),
+                       lambda tw: reference(tw, c0, (), spec, t_end, env=False,
+                                            recoveries=False, want_deltas=want, **fr))
+    if which in ("reversed", "anchored"):
+        rev = which == "reversed"
+        h = t_star * (0.6 if t_end < T else 1.0)
+
+        def view(tl):
+            v = reverse_view(thin_view(tl, lam, r), t_star)
+            return v if rev else reverse_view(v, t_star)
+
+        return which, (lambda tl: evolve(replace(P, horizon=h), c0, b0, view(tl),
+                                         stop_on_extinct=stop, want_deltas=want),
+                       lambda tw: reference(tw, c0, b0, spec, h, anchor=t_star, reverse=rev,
+                                            stop_on_extinct=stop, want_deltas=want, **fr))
+    return which, (lambda tl: dual_evolve(a_sites, P, b0, feed(tl), t_star,
+                                          want_deltas=want),
+                   lambda tw: reference_dual(tw, a_sites, b0, spec, t_star, want_deltas=want,
+                                             **fr))
+
+
+@st.composite
+def cases(draw):
+    g, spec, gen, sizes = draw(tables())
+    runs = draw(st.lists(calls(g, spec, gen), min_size=1, max_size=3))
+    return g, gen, sizes, runs
+
+
+@SETTINGS
+@given(cases())
+def test_entry_points_match_the_reference(case):
+    g, (lam_max, r_max, q, T, seed), sizes, runs = case
+    with ExitStack() as stack:
+        _sizes(stack, sizes)
+        tl = build_timeline(g, lam_max, r_max, q, T, seed)
+        twin = build_timeline(g, lam_max, r_max, q, T, seed)
+        twin.times      # sorted whole, before any read
+        for which, (run, ref) in runs:
+            assert _fields(run(tl)) == ref(twin), which
+
+
+# ---------------------------------------------------------------------------
+# reads that cross slab and chunk boundaries at the real sizes
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 40), lam=st.sampled_from([1.4, 1.7, 2.2]),
+       horizon=st.sampled_from([40.0, 23.0]), second=st.sampled_from(["full", "dual", "short"]))
+def test_long_runs_across_slabs_match_the_reference(seed, lam, horizon, second):
+    # a 1-d table of about 33k events: eight default-sized slabs and chunks;
+    # a run that stops at extinction reads part of it, then a second run
+    # reads on from there
+    g = build_box(1, 100)
+    spec = make_spec("dynamical-percolation", alpha=1.0, beta=0.5)
+    T = 40.0
+    tl = build_timeline(g, 2.2, 1.0, spec.flip_rate, T, seed)
+    twin = build_timeline(g, 2.2, 1.0, spec.flip_rate, T, seed)
+    twin.times
+    fr = dict(lam_frac=lam / 2.2)
+    P = RunParams(g, lam, 1.0, spec, horizon)
+    c0, b0 = (g.origin(),), range(0, g.n_edges, 3)
+    got = evolve(P, c0, b0, tl, stop_on_extinct=True)
+    assert _fields(got) == reference(twin, c0, b0, spec, horizon, stop_on_extinct=True, **fr)
+    assert tl.n_sorted < tl.n_events or got.tau_ex > T / 4
+    if second == "full":
+        got = evolve(replace(P, lam=2.2), c0, b0, tl)
+        want = reference(twin, c0, b0, spec, horizon)
+    elif second == "dual":
+        got = dual_evolve((g.origin() + 1,), P, b0, tl, horizon)
+        want = reference_dual(twin, (g.origin() + 1,), b0, spec, horizon, **fr, r_frac=1.0)
+    else:
+        got = evolve(replace(P, horizon=horizon / 8), c0, b0, thin_view(tl, lam))
+        want = reference(twin, c0, b0, spec, horizon / 8, **fr)
+    assert _fields(got) == want
