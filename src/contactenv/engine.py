@@ -17,14 +17,18 @@ is the same either way.  The inner loop is flat: plain lists, bytearray
 state, no attribute lookups.
 
 A run reads its feed through the base Timeline's list views, which are
-converted on demand from a table that is itself sorted on demand.  A run
-that stops at extinction reads fixed-size chunks (Timeline.chunk), finds
-its horizon in the chunk that holds it and stops when the infection dies:
-an early death sorts and converts a small prefix of the table, which later
-runs share, and the lists a long run adds past Timeline.chunk's kept prefix
-are dropped chunk by chunk, so its memory does not grow with its length.
-Every other run converts through its horizon (Timeline.count_through) in
-one chunk and keeps it in the cached prefix (Timeline.lists).
+converted on demand from a table that is itself drawn and sorted on demand,
+slab by slab.  A run that stops at extinction reads fixed-size chunks
+(Timeline.chunk) and never asks for the table's length: it draws slabs as
+far as its chunks reach and none past the one that holds its horizon,
+finds the horizon in the chunk that holds it and stops when the infection
+dies.  So an early death draws, sorts and converts a small prefix of the
+table, which later runs share, and the lists a long run adds past
+Timeline.chunk's kept prefix are dropped chunk by chunk, so its memory
+does not grow with its length.  Every other run draws and converts
+through its horizon (Timeline.count_through) in one chunk and keeps it in
+the cached prefix (Timeline.lists); stored paths and dual_evolve read the
+whole table, and reversed views the slabs through their anchor.
 
 Every entry point that takes RunParams runs at (params.lam, params.r): a
 Timeline is thinned to them here, and a view must already be at them.
@@ -256,7 +260,7 @@ def background_path(spec, b0, tl) -> BackgroundPath:
                 if u * q_rate < up_tab[cnt]:
                     B[e] = 1
                     app((times[i], e, 1))
-    b_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(B), dtype=np.uint8)))
+    b_final = frozenset(np.flatnonzero(np.frombuffer(bytes(B), dtype=np.uint8)).tolist())
     # a weak reference: the path is stored on the Timeline it refers to
     path = BackgroundPath(arrow_open, edge_deltas, b_final, key[1], n,
                           (weakref.ref(base), anchor, rev))
@@ -273,19 +277,13 @@ def _arrows_and_recoveries(tl, start, stop):
     if base.flip_rate == 0 or getattr(tl, "is_reversed", False):
         return range(stop - start)
     order = base.non_flip
-    if start == 0 and stop == base.n_events:
+    if start == 0 and stop == base.n_generated:
         return order
     sel = order[bisect_left(order, start):bisect_left(order, stop)]
     return [i - start for i in sel] if start else sel
 
 
-_CHUNK = 4096
-
-
-def _chunk_ends(hi, chunked):
-    """Ends of the chunks a run reads its first hi events in: one every
-    _CHUNK events when chunked, else one chunk."""
-    return [*range(_CHUNK, hi, _CHUNK), hi] if chunked else [hi]
+_CHUNK = 4096     # events a run that stops at extinction reads at a time
 
 
 def _initial_sites(g, sites):
@@ -307,13 +305,13 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     if t_end > horizon + 1e-9:
         raise ValueError(f"t_end={t_end} beyond the feed horizon {horizon}")
     chunked = stop_on_extinct and not rev
+    # a forward feed ends at its anchor; a chunked run finds the end in the chunk holding it
+    t_last = t_end if anchor is None else min(t_end, anchor)
     if rev:     # materialized whole: a reversal is built from its end
         feed = event_feed(tl)[:4]
         hi = bisect_right(feed[0], t_end)
-    else:       # pulled from the base table's list views, chunk by chunk
-        feed = None
-        # a chunked run finds its horizon in the chunk that holds it
-        hi = feed_size(tl) if chunked else min(base.count_through(t_end), feed_size(tl))
+    elif not chunked:   # pulled from the base table's list views in one chunk
+        hi = base.count_through(t_last)
 
     dsrc = g.dir_src
     ddst = g.dir_dst
@@ -350,15 +348,22 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
 
     # i below is an event's offset from the chunk's start
     start = 0
-    for stop in _chunk_ends(hi, chunked):
+    while True:
         if rev:
             times, kinds, idx, marks = feed
+            stop = hi
         elif chunked:
-            times, kinds, idx, marks = base.chunk(start, stop)
-            if stop > start and times[stop - start - 1] > t_end:
-                stop = hi = start + bisect_right(times, t_end, 0, stop - start)
+            # slabs are drawn as far as this chunk reaches, and none past t_last's;
+            # the last chunk's lists go first, as they would add to the peak memory
+            times = kinds = idx = marks = None
+            times, kinds, idx, marks = base.chunk(start, start + _CHUNK, t_last)
+            stop = min(start + _CHUNK, base.n_generated)
+            hi = stop if stop < start + _CHUNK else math.inf
+            if stop > start and times[stop - start - 1] > t_last:
+                stop = hi = start + bisect_right(times, t_last, 0, stop - start)
         else:
-            times, kinds, idx, marks = base.lists(stop)
+            times, kinds, idx, marks = base.lists(hi)
+            stop = hi
         if use_path:
             arrow_open = bg_path.arrow_open[start:stop] if start else bg_path.arrow_open
         # a loop that applies no flip rule visits only arrows and recoveries
@@ -439,11 +444,11 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
                 continue
         break                   # stopped at extinction or the horizon: read no further
 
-    c_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)))
+    c_final = frozenset(np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)).tolist())
     if use_path:
         edge_deltas, b_final = bg_path.until(t_stop, want_deltas)
     else:
-        b_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(B), dtype=np.uint8)))
+        b_final = frozenset(np.flatnonzero(np.frombuffer(bytes(B), dtype=np.uint8)).tolist())
     return site_deltas, edge_deltas, c_final, b_final, tau, btouch
 
 
@@ -649,7 +654,7 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
                 if not n_inf:
                     tau = t_star - times[i]
 
-    c_final = frozenset(int(v) for v in np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)))
+    c_final = frozenset(np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)).tolist())
     return Trajectory(graph=g, t_end=float(t_star), c0=frozenset(int(s) for s in a_sites),
                       b0=frozenset(int(e) for e in b0), site_deltas=site_deltas,
                       edge_deltas=[], c_final=c_final, b_final=frozenset(),

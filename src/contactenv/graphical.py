@@ -1,22 +1,22 @@
 """Shared Poisson randomness for every process the package runs.
 
-A Timeline materializes, for one lattice box and one seed, every elementary
-event on a time window: infection arrows per directed neighbour pair,
+A Timeline holds, for one lattice box and one seed, every elementary event
+on a time window: infection arrows per directed neighbour pair,
 recovery marks per site, and flip candidates per edge.  All coupled processes
 (plain runs, thinned runs, truncated runs, bounding runs, the time-reversed
 run) consume the same Timeline, which is what makes their pathwise
 comparisons exact rather than distributional.
 
-The draws are eager and deterministic: equal (seed, box, rates, horizon)
-reproduce a bit-identical event table.  The time sort is lazy: the table is
-sorted in time slabs of doubling size, each on its first read, so a replica
-that dies early sorts a prefix of its table; the sorted table is the same
-however far and in whatever order it is read.  The plain-list views the
-event loops read are converted lazily too: as one cached prefix per table
-that grows only as far as a run reads (Timeline.lists), and past the first
-KEPT_PREFIX events also as chunks that are converted, read and dropped
-(Timeline.chunk), so a replica that dies early converts a fraction of its
-table and one that lives long holds a bounded part of it.  Every event
+Generation is lazy and deterministic: equal (seed, box, rates, horizon)
+give a bit-identical event table, drawn in time slabs of doubling size,
+each from its own generator on its first read, and sorted slab by slab, so
+a replica that dies early draws and sorts a prefix of its table; the table
+is the same however far and in whatever order it is read.  The plain-list
+views the event loops read are converted lazily too: as one cached prefix
+per table that grows only as far as a run reads (Timeline.lists), and past
+the first KEPT_PREFIX events also as chunks that are converted, read and
+dropped (Timeline.chunk), so a replica that dies early converts a fraction
+of its table and one that lives long holds a bounded part of it.  Every event
 carries an independent uniform mark; marks drive thinning (a view at a
 smaller rate keeps an event iff its mark falls below the rate ratio) and
 the accept/reject step of the edge-flip dynamics.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,6 +51,7 @@ SLAB_EVENTS = 4096
 KEPT_PREFIX = 8192
 
 _M64 = (1 << 64) - 1
+_M32 = (1 << 32) - 1
 
 
 def mix64(x: int) -> int:
@@ -63,8 +63,11 @@ def mix64(x: int) -> int:
 
 
 def derive_seed(root: int, index: int) -> int:
-    """Replica seed: root seed XOR replica index, hashed through mix64."""
-    return mix64((root ^ index) & _M64)
+    """Replica seed: the hashed root seed XOR the replica index, hashed
+    again through mix64.  Hashing the root first keeps the seed sets of
+    nearby roots apart: root ^ index alone maps (r, i) and (r ^ 1, i ^ 1)
+    to one seed."""
+    return mix64((mix64(root & _M64) ^ index) & _M64)
 
 
 def uniform_from(seed: int, *keys: int) -> float:
@@ -77,29 +80,35 @@ def uniform_from(seed: int, *keys: int) -> float:
 
 @dataclass(eq=False)
 class Timeline:
-    """One realized event table.  Treat the table as immutable after
-    construction; bg_paths, non_flip and the list views are caches derived
-    from it.
+    """One realized event table, generated lazily.  Treat the table as
+    immutable; its slabs, bg_paths, non_flip and the list views are caches.
 
-    The draws are kept per kind, unsorted, and sorted in time slabs on first
-    read: slab 0 holds the events before t_max / 2^m, and slab k >= 1 those
-    in [t_max * 2^(k-1-m), t_max * 2^(k-m)), the last slab running to the
-    end, with m chosen so that slab 0 holds about SLAB_EVENTS events.  Every
-    later slab spans as much time as all earlier ones together, so a read
-    through event hi sorts about 2 hi events at most (and slab 0 at least),
-    and scanning the draws for each slab's members costs O(n log n) over a
-    whole table.  Equal times fall in one slab, so sorting each slab by time
-    (by time, target and kind when it holds a tie) and nudging from the last
-    time of the slab before gives the table's global order and nudge.
-    Sorted slabs are written in place into the four whole arrays; once the
-    last one is, the draws are released.
+    The window [0, t_max] is cut into time slabs before any draw, from the
+    expected event count: slab 0 is [0, t_max / 2^m) and slab k >= 1 is
+    [t_max * 2^(k-1-m), t_max * 2^(k-m)), the last one closed at t_max, with
+    m chosen so that slab 0 holds about SLAB_EVENTS events.  Every later
+    slab spans as much time as all earlier ones together, so reading
+    through event hi generates about 2 hi events at most (and slab 0 at
+    least).  Slab k is drawn on first need from its own generator,
+    default_rng([seed mod 2^32, seed div 2^32 mod 2^32, k]): Poisson counts
+    per stream at rate * width, for each kind in kind order, then a uniform
+    time in the slab for every event.  The slab is sorted on its own by time
+    (by time, target and kind when it holds an exact tie), given a mark for
+    every event in that order, nudged by one ulp from the last time of the
+    slab before, so times strictly increase across slab edges, and appended
+    to the generated prefix.  Poisson processes on disjoint windows superpose
+    to Poisson processes on the whole window, so the table has the law of
+    one drawn at once, and it is the same bit for bit however far and in
+    whatever order it is read.
 
-    times, kinds, idx and marks are those whole arrays, sorted on first
-    access.  The plain-list views are converted on demand: lists(hi) extends
-    one cached prefix (kept in the instance attribute _lists) through index
-    hi and returns it, so indices into the prefix are always indices into
-    the table; chunk() reads a slice, which past KEPT_PREFIX events it may
-    convert without keeping it.
+    n_generated counts the events generated so far.  n_events, times,
+    kinds, idx and marks are the whole table: reading them generates every
+    slab left.  count_through(t) generates only the slabs that can hold
+    events at or before t.  The plain-list views are converted on demand:
+    lists(hi) extends one cached prefix (kept in the instance attribute
+    _lists) through index hi and returns it, so indices into the prefix are
+    always indices into the table; chunk() reads a slice, which past
+    KEPT_PREFIX events it may convert without keeping it.
     """
 
     graph: GraphView
@@ -108,45 +117,56 @@ class Timeline:
     lam_max: float          # generation rate per directed pair
     r_max: float            # generation rate per site
     flip_rate: float        # candidate rate per edge
-    # per kind, in kind order: (times, stream ids, marks) as drawn; None once sorted
-    draws: list | None = field(repr=False)
-    n_events: int = field(init=False)
     # environment paths by (spec, frozenset(b0)); see engine.background_path
     bg_paths: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        n = self.n_events = sum(len(block[0]) for block in self.draws)
-        # float64 times, int8 kinds, int32 targets, float64 marks; written slab by slab
-        self._sorted = (np.empty(n), np.empty(n, dtype=np.int8),
-                        np.empty(n, dtype=np.int32), np.empty(n))
-        self.n_sorted = 0       # events sorted so far
-        self._slab = 0          # next slab to sort
-        self._last = 0.0        # last sorted time: the next slab's nudge starts from it
-        m = max((n // SLAB_EVENTS).bit_length() - 1, 0)
-        self._edges = [self.t_max * 2.0 ** (k - m) for k in range(m)]
-        if n == 0:
-            self.draws = None
+        g = self.graph
+        # (stream count, rate per stream) of each kind, in kind order
+        self._streams = ((2 * g.n_edges, self.lam_max), (g.n_sites, self.r_max),
+                         (g.n_edges, self.flip_rate))
+        expected = self.t_max * sum(n * rate for n, rate in self._streams)
+        m = max(int(expected // SLAB_EVENTS).bit_length() - 1, 0)
+        self._edges = [self.t_max * 2.0 ** (k - m) for k in range(m)]   # slab k + 1 starts at _edges[k]
+        # float64 times, int8 kinds, int32 targets, float64 marks, written slab by
+        # slab; np.empty touches only the pages written, and 8 sigma above the
+        # expected count is short with probability below 1e-15 (then it grows)
+        cap = int(expected + 8 * math.sqrt(expected)) + 16
+        self._buf = (np.empty(cap), np.empty(cap, dtype=np.int8),
+                     np.empty(cap, dtype=np.int32), np.empty(cap))
+        self.n_generated = 0
+        self._slab = 0          # next slab to draw
+        self._last = 0.0        # last time generated: the next slab's nudge starts from it
 
-    def _sort_slabs(self, last: int):
-        """Sort the slabs from the next one through slab last into place, as
-        one group: its order and nudge are those of its slabs one by one."""
-        first, edges = self._slab, self._edges
-        lo = edges[first - 1] if first else None
-        hi = edges[last] if last < len(edges) else None
-        parts = []
-        for kind, (times, ids, marks) in enumerate(self.draws):
-            if lo is None:
-                sel = slice(None) if hi is None else np.flatnonzero(times < hi)
-            elif hi is None:
-                sel = np.flatnonzero(times >= lo)
-            else:
-                sel = np.flatnonzero((times >= lo) & (times < hi))
-            t = times[sel]
-            parts.append((t, np.full(len(t), kind, dtype=np.int8), ids[sel], marks[sel]))
-        times, kinds, ids, marks = (np.concatenate([p[j] for p in parts]) for j in range(4))
+    def _draw_slab(self):
+        """Draw, sort and nudge the next slab and append it to the buffers."""
+        k, edges = self._slab, self._edges
+        lo = edges[k - 1] if k else 0.0
+        width = (edges[k] if k < len(edges) else self.t_max) - lo
+        self._slab = k + 1
+        live = [(kind, n, rate) for kind, (n, rate) in enumerate(self._streams) if rate > 0]
+        # fixed-width words: default_rng([s, k]) for s < 2^32 would be
+        # default_rng(s + (k << 32)), slab 0 of another seed
+        rng = np.random.default_rng([self.seed & _M32, self.seed >> 32 & _M32, k])
+        counts = [rng.poisson(rate * width, n) for _, n, rate in live]
+        totals = [int(c.sum()) for c in counts]
+        n = sum(totals)
+        times = rng.random(n)
+        times *= width
+        times += lo
+        kinds = np.repeat(np.array([kind for kind, _, _ in live], dtype=np.int8), totals)
+        ids = np.concatenate([np.repeat(np.arange(m, dtype=np.int32), c)
+                              for (_, m, _), c in zip(live, counts)] or [np.empty(0, np.int32)])
 
-        a, b = self.n_sorted, self.n_sorted + len(times)
-        out_t, out_k, out_i, out_m = (arr[a:b] for arr in self._sorted)
+        a = self.n_generated
+        b = a + n
+        if b > len(self._buf[0]):
+            grown = tuple(np.empty(max(b, 2 * len(arr)), arr.dtype) for arr in self._buf)
+            for old, arr in zip(self._buf, grown):
+                arr[:a] = old[:a]
+            self._buf = grown
+        out_t, out_k, out_i, out_m = (arr[a:b] for arr in self._buf)
+        # np.take with out= and mode="clip" writes in place; the default mode buffers
         order = np.argsort(times)
         np.take(times, order, out=out_t, mode="clip")
         tied = bool(np.any(out_t[1:] == out_t[:-1]))
@@ -155,7 +175,9 @@ class Timeline:
             np.take(times, order, out=out_t, mode="clip")
         np.take(kinds, order, out=out_k, mode="clip")
         np.take(ids, order, out=out_i, mode="clip")
-        np.take(marks, order, out=out_m, mode="clip")
+        # the temporaries go before the marks are drawn: they set the peak memory
+        del times, kinds, ids, order
+        out_m[:] = rng.random(n)        # marks in time order
         if b > a and (tied or out_t[0] <= self._last):
             prev = self._last
             for i in range(b - a):
@@ -164,53 +186,62 @@ class Timeline:
                 prev = out_t[i]
         if b > a:
             self._last = out_t[-1]
-        self.n_sorted, self._slab = b, last + 1
-        if b == self.n_events:
-            self.draws = self._edges = None
+        self.n_generated = b
 
-    def _sort_through(self, hi: int):
-        """Sort slabs until the first hi events are in place: one at a time,
-        or all that are left at once when hi is the end of the table."""
-        while self.n_sorted < min(hi, self.n_events):
-            self._sort_slabs(self._slab if hi < self.n_events else len(self._edges))
-        return self._sorted
+    def _fill(self, hi, t=math.inf):
+        """Draw slabs until the first hi events are generated, every slab is,
+        or the next slab starts after time t; return the buffers."""
+        edges = self._edges
+        while self.n_generated < hi and self._slab <= len(edges) and \
+                (self._slab == 0 or edges[self._slab - 1] <= t):
+            self._draw_slab()
+        return self._buf
+
+    @cached_property
+    def _whole(self):
+        """The whole table's four arrays; draws every slab left."""
+        self._fill(math.inf)
+        return tuple(arr[:self.n_generated] for arr in self._buf)
+
+    @property
+    def n_events(self) -> int:
+        """Number of events in the whole table."""
+        return len(self._whole[0])
 
     def count_through(self, t: float) -> int:
         """Number of events at or before time t.  Only the slabs that can
-        hold such events are sorted: every event of a later slab was drawn
-        after t, and a nudge only moves a time up."""
-        if self.draws is not None:
-            last = bisect_right(self._edges, t)
-            if last >= self._slab:
-                self._sort_slabs(last)
-        return int(np.searchsorted(self._sorted[0][:self.n_sorted], t, side="right"))
+        hold such events are drawn: every event of a later slab lies after
+        t, as a nudge only moves a time up."""
+        self._fill(math.inf, t)
+        return int(np.searchsorted(self._buf[0][:self.n_generated], t, side="right"))
 
     @property
     def times(self) -> np.ndarray:
         """float64, strictly increasing."""
-        return self._sort_through(self.n_events)[0]
+        return self._whole[0]
 
     @property
     def kinds(self) -> np.ndarray:
         """int8: KIND_ARROW, KIND_RECOVERY or KIND_FLIP."""
-        return self._sort_through(self.n_events)[1]
+        return self._whole[1]
 
     @property
     def idx(self) -> np.ndarray:
         """int32: directed pair / site / edge."""
-        return self._sort_through(self.n_events)[2]
+        return self._whole[2]
 
     @property
     def marks(self) -> np.ndarray:
         """float64 in [0,1)."""
-        return self._sort_through(self.n_events)[3]
+        return self._whole[3]
 
     def lists(self, hi: int | None = None):
         """(times, kinds, idx, marks) as plain lists holding at least the
         events with index < hi (all of them by default).  The lists are the
         cached prefix, which may run past hi; it only ever grows."""
-        n = self.n_events if hi is None else hi
-        arrays = self._sort_through(n)
+        n = math.inf if hi is None else hi
+        arrays = self._fill(n)
+        n = min(n, self.n_generated)
         cur = self.__dict__.get("_lists")
         if cur is None:
             cur = self._lists = tuple(a[:n].tolist() for a in arrays)
@@ -220,17 +251,21 @@ class Timeline:
                 lst.extend(a[done:n].tolist())
         return cur
 
-    def chunk(self, start: int, stop: int):
+    def chunk(self, start: int, stop: int, t: float = math.inf):
         """(times, kinds, idx, marks) of the events start..stop-1 as plain
         lists indexed from start: item i holds event start + i (a list read
-        from index 0 may run past stop).  They are read from the cached
-        prefix, grown through stop if stop <= KEPT_PREFIX; a chunk past
-        both is converted here and not kept."""
+        from index 0 may run past stop).  Slabs are drawn through event
+        stop, but none that starts after time t, so the chunk ends early
+        when the events at or before t run out; n_generated then bounds it.
+        They are read from the cached prefix, grown through stop if stop <=
+        KEPT_PREFIX; a chunk past both is converted here and not kept."""
+        self._fill(stop, t)
+        stop = min(stop, self.n_generated)
         cur = self.__dict__.get("_lists")
         if stop <= KEPT_PREFIX or cur is not None and len(cur[0]) >= stop:
             cur = self.lists(stop)
             return cur if start == 0 else tuple(lst[start:stop] for lst in cur)
-        return tuple(a[start:stop].tolist() for a in self._sort_through(stop))
+        return tuple(a[start:stop].tolist() for a in self._buf)
 
     @cached_property
     def non_flip(self):
@@ -274,17 +309,16 @@ class TimelineView:
 def build_timeline(g: GraphView, lam_max: float, r: float, flip_rate: float,
                    t_max: float, seed: int, *,
                    max_events: int = DEFAULT_EVENT_BUDGET) -> Timeline:
-    """Generate the full event table for one window.
+    """The event table for one window, drawn lazily slab by slab.
 
-    Draw order is fixed (arrows, then recoveries, then flip candidates; for
-    each kind: per-stream Poisson counts, then times, then marks), so equal
-    inputs give bit-identical tables.  Events are globally sorted by time
-    with ties broken by target index and then kind, and any residual ties are
-    separated by one float ulp, so downstream code may assume strictly
-    increasing timestamps.  Without an exact tie the time order alone is
-    that order, so the three-key sort runs only on slabs with a tie.  The
-    sort is deferred: the Timeline sorts its draws slab by slab as they are
-    read.
+    The table is a Timeline: nothing is drawn here, and each time slab is
+    drawn from its own generator on first read (see Timeline for the slabs
+    and their draw order), so equal inputs give bit-identical tables.
+    Events are sorted by time, with ties broken by target index and then
+    kind, and any residual ties are separated by one float ulp, so
+    downstream code may assume strictly increasing timestamps.  Without an
+    exact tie the time order alone is that order, so the three-key sort
+    runs only on slabs with a tie.
     """
     if not all(math.isfinite(v) for v in (lam_max, r, flip_rate, t_max)):
         raise ValueError("rates and t_max must be finite")
@@ -297,20 +331,8 @@ def build_timeline(g: GraphView, lam_max: float, r: float, flip_rate: float,
         raise SizingError(
             f"expected event count (lam_max*2|E| + r*|V| + Q*|E|)*T = {expected:.3g} "
             f"exceeds the event budget {max_events}")
-
-    rng = np.random.default_rng(seed & _M64)
-    draws = []
-    for n_streams, rate in ((2 * g.n_edges, lam_max), (g.n_sites, r), (g.n_edges, flip_rate)):
-        counts = rng.poisson(rate * t_max, n_streams) if rate > 0 else np.zeros(n_streams, dtype=np.int64)
-        total = int(counts.sum())
-        times = rng.random(total) * t_max
-        marks = rng.random(total)
-        ids = np.repeat(np.arange(n_streams, dtype=np.int32), counts)
-        draws.append((times, ids, marks))
-
     return Timeline(graph=g, t_max=float(t_max), seed=int(seed),
-                    lam_max=float(lam_max), r_max=float(r), flip_rate=float(flip_rate),
-                    draws=draws)
+                    lam_max=float(lam_max), r_max=float(r), flip_rate=float(flip_rate))
 
 
 def thin_view(tl, lam_prime: float, r_prime: float | None = None) -> TimelineView:

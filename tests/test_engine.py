@@ -503,7 +503,9 @@ def test_runs_that_stop_at_extinction_keep_a_bounded_prefix(spec, lam):
     P = RunParams(g, lam, 1.0, spec, 30.0)
     b0 = range(g.n_edges)
     taus = []
-    for i in range(8):
+    for i in range(64):     # eight seeds, and more until both outcomes are seen
+        if i >= 8 and min(taus) < 1.0 and max(taus) == math.inf:
+            break
         seed = derive_seed(505, i)
         tl = build_timeline(g, lam, 1.0, q, 30.0, seed)
         twin = build_timeline(g, lam, 1.0, q, 30.0, seed)
@@ -590,13 +592,14 @@ def test_shared_path_from_another_feed_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the lazy sort under the runs
+# the lazy generation under the runs
 
 def test_an_early_death_sorts_part_of_the_table():
-    # W1-shaped replicas: those that die early sort a prefix of the slabs
-    # and equal the same run on a fully sorted twin
+    # W1-shaped replicas: those that die early draw and sort a prefix of
+    # the slabs and equal the same run on a fully generated twin
     g = build_box(1, 200)
     P = RunParams(g, 1.25, 1.0, None, 100.0)
+    expected = (1.5 * 2 * g.n_edges + g.n_sites) * 100.0
     early = 0
     for i in range(8):
         seed = derive_seed(808, i)
@@ -608,8 +611,33 @@ def test_an_early_death_sorts_part_of_the_table():
         assert _fields(runs[0]) == _fields(runs[1])
         if runs[0].tau_ex < 10.0:
             early += 1
-            assert tl.n_sorted < tl.n_events / 4 and tl.draws is not None
+            assert tl.n_generated < expected / 4
     assert early > 0
+
+
+def test_an_early_death_draws_at_most_two_slabs():
+    # a W1-shaped replica that dies before t = 1 draws slab 0, and slab 1
+    # at most; a full run on the same table then reads on through every
+    # slab and equals the run on a twin generated whole first
+    g = build_box(1, 200)
+    P = RunParams(g, 1.25, 1.0, None, 100.0)
+    early = 0
+    for i in range(40):
+        seed = derive_seed(818, i)
+        tl = build_timeline(g, 1.5, 1.0, 0.0, 100.0, seed)
+        run = evolve(P, (g.origin(),), range(g.n_edges), thin_view(tl, 1.25),
+                     stop_on_extinct=True, want_deltas=False)
+        if run.tau_ex >= 1.0:
+            continue
+        early += 1
+        twin = build_timeline(g, 1.5, 1.0, 0.0, 100.0, seed)
+        twin.times
+        # slab 0 is [0, T/32) and slab 1 [T/32, T/16)
+        assert tl.n_generated <= twin.count_through(100.0 / 16)
+        assert _fields(evolve(P, (g.origin(),), range(g.n_edges), tl)) == \
+            _fields(evolve(P, (g.origin(),), range(g.n_edges), twin))
+        assert tl.n_generated == twin.n_events
+    assert early >= 5
 
 
 def test_a_chunked_run_cuts_its_horizon_inside_a_chunk():
@@ -626,7 +654,9 @@ def test_a_chunked_run_cuts_its_horizon_inside_a_chunk():
         if traj.tau_ex == math.inf:
             alive += 1
             assert _fields(traj) == _fields(evolve(P, (g.origin(),), range(g.n_edges), fresh))
-        assert tl.n_sorted < tl.n_events
+            # no slab past the one that holds the horizon, [3.75, 7.5), was drawn
+            assert tl.n_generated == fresh.count_through(7.5)
+        assert tl.n_generated < fresh.n_events
     assert alive > 0
 
 

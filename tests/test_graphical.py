@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from contactenv import SizingError, build_box, build_timeline, reverse_view, thin_view, to_ndjson
+from contactenv import graphical
 from contactenv.graphical import (KEPT_PREFIX, KIND_ARROW, KIND_FLIP, KIND_RECOVERY, SLAB_EVENTS,
                                   derive_seed, event_feed)
 
@@ -166,26 +167,41 @@ def test_ndjson_round_trip_stable():
 
 
 # ---------------------------------------------------------------------------
-# the sort and the list views against the three-key lexsort they replace
+# the slabs, their draws and their sort against a three-key lexsort reference
+
+def _slab_edges(g, lam_max, r, flip_rate, t_max):
+    """[lo, hi) of each time slab, from the expected event count: slab 0
+    holds about SLAB_EVENTS events, and slab k >= 1 spans as much time as
+    slabs 0..k-1 together."""
+    expected = (lam_max * 2 * g.n_edges + r * g.n_sites + flip_rate * g.n_edges) * t_max
+    m = max(int(expected // graphical.SLAB_EVENTS).bit_length() - 1, 0)
+    cuts = [0.0] + [t_max * 2.0 ** (k - m) for k in range(m)] + [t_max]
+    return list(zip(cuts[:-1], cuts[1:]))
+
 
 def _lexsort_table(g, lam_max, r, flip_rate, t_max, seed):
-    """Reference build: the same draws, sorted by (time, index, kind) with
-    np.lexsort, ties separated by one ulp.  Returns the four arrays and the
-    number of exact time ties before the separation."""
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for kind, n_streams, rate in ((KIND_ARROW, 2 * g.n_edges, lam_max),
-                                  (KIND_RECOVERY, g.n_sites, r),
-                                  (KIND_FLIP, g.n_edges, flip_rate)):
-        counts = rng.poisson(rate * t_max, n_streams) if rate > 0 else np.zeros(n_streams, dtype=np.int64)
-        total = int(counts.sum())
-        times = rng.random(total) * t_max
-        marks = rng.random(total)
-        ids = np.repeat(np.arange(n_streams, dtype=np.int32), counts)
-        blocks.append((times, np.full(total, kind, dtype=np.int8), ids, marks))
-    times, kinds, ids, marks = (np.concatenate([b[i] for b in blocks]) for i in range(4))
-    order = np.lexsort((kinds, ids, times))
-    times, kinds, ids, marks = times[order], kinds[order], ids[order], marks[order]
+    """Reference build: each slab drawn from its own generator (Poisson
+    counts per stream at rate * width for each kind, then a uniform time in
+    the slab for every event), sorted by (time, index, kind) with np.lexsort,
+    then given a mark for every event in that order; the slabs concatenated
+    and ties separated by one ulp.  Returns the four arrays and the number
+    of exact time ties before the separation."""
+    slabs = []
+    for k, (lo, hi) in enumerate(_slab_edges(g, lam_max, r, flip_rate, t_max)):
+        rng = np.random.default_rng([seed & 0xFFFFFFFF, seed >> 32 & 0xFFFFFFFF, k])
+        kinds, ids = [], []
+        for kind, n_streams, rate in ((KIND_ARROW, 2 * g.n_edges, lam_max),
+                                      (KIND_RECOVERY, g.n_sites, r),
+                                      (KIND_FLIP, g.n_edges, flip_rate)):
+            if rate > 0:
+                counts = rng.poisson(rate * (hi - lo), n_streams)
+                kinds += [kind] * int(counts.sum())
+                ids += [s for s in range(n_streams) for _ in range(counts[s])]
+        times = lo + rng.random(len(ids)) * (hi - lo)
+        kinds, ids = np.array(kinds, dtype=np.int8), np.array(ids, dtype=np.int32)
+        order = np.lexsort((kinds, ids, times))
+        slabs.append((times[order], kinds[order], ids[order], rng.random(len(ids))))
+    times, kinds, ids, marks = (np.concatenate([s[i] for s in slabs]) for i in range(4))
     ties = int(np.count_nonzero(np.diff(times) == 0.0))
     prev = 0.0
     for i in range(len(times)):
@@ -290,11 +306,10 @@ def test_anchored_feed_is_exact_and_not_the_cache():
 
 
 # ---------------------------------------------------------------------------
-# the sort in time slabs, each on its first read
+# the slabs, each drawn and sorted on its first read
 
-def _read(tl, order):
-    """The four arrays, after reading tl first in the given order."""
-    n = tl.n_events
+def _read(tl, order, n):
+    """The four arrays, after reading tl's n events first in the given order."""
     if order == "prefix":           # short reads first, then chunk by chunk
         tl.lists(10)
         tl.count_through(tl.t_max / 5)
@@ -313,16 +328,17 @@ def test_slabs_read_in_any_order_match_the_reference(order, d, L, lam, r, q, T):
     for i in range(3):
         seed = derive_seed(41, i)
         tl = build_timeline(g, lam, r, q, T, seed)
-        assert tl.n_events > 4 * SLAB_EVENTS and tl.n_sorted == 0
+        assert tl.n_generated == 0
         ref, _ = _lexsort_table(g, lam, r, q, T, seed)
-        for got, want in zip(_read(tl, order), ref):
+        assert len(ref[0]) > 4 * SLAB_EVENTS
+        for got, want in zip(_read(tl, order, len(ref[0])), ref):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
 
 class _EdgeTiedRng:
-    """A default_rng that moves one uniform in seven to just below 1/2 and
-    one in seven onto 1/2: with t_max = 1 both sides of a slab edge at 1/2
+    """A default_rng that moves one uniform in seven to just below 1 and
+    one in seven onto 0: with t_max = 1 both sides of a slab edge at 1/2
     then hold long runs of tied times."""
 
     def __init__(self, seed, _make=np.random.default_rng):
@@ -333,8 +349,8 @@ class _EdgeTiedRng:
 
     def random(self, size):
         u = self._rng.random(size)
-        u[::7] = np.nextafter(0.5, 0.0)
-        u[3::7] = 0.5
+        u[::7] = np.nextafter(1.0, 0.0)
+        u[3::7] = 0.0
         return u
 
 
@@ -343,41 +359,134 @@ def test_the_nudge_carries_across_a_slab_edge(monkeypatch):
     g = build_box(1, 200)
     for seed in range(3):
         tl = build_timeline(g, 10.0, 1.0, 0.0, 1.0, seed)
+        tl.lists(10)
+        first = tl.n_generated
         # 2 to 4 SLAB_EVENTS events: two slabs, split at t_max / 2
         assert 2 * SLAB_EVENTS <= tl.n_events < 4 * SLAB_EVENTS
-        tl.lists(10)
-        first = tl.n_sorted
         assert 0 < first < tl.n_events
         ref, ties = _lexsort_table(g, 10.0, 1.0, 0.0, 1.0, seed)
         assert ties > 0
         for got, want in zip(_arrays(tl), ref):
             assert np.array_equal(got, want)
-        # the ties below 1/2 were nudged onto and past it, so the second
-        # slab's ties at 1/2 start above the first slab's last time
+        # the ties just below 1/2 were nudged onto and past it, so the
+        # second slab's ties at 1/2 start above the first slab's last time
         assert tl.times[first - 1] > 0.5
+        assert np.count_nonzero(tl.times[first:] <= tl.times[first - 1] + 1e-12) > 100
         assert np.all(np.diff(tl.times) > 0)
 
 
-def test_the_draws_are_released_once_every_slab_is_sorted():
+def test_whole_reads_draw_every_slab():
     g = build_box(1, 100)
+    n = build_timeline(g, 2.0, 1.0, 1.0, 30.0, seed=3).n_events
     reads = {"arrays": lambda tl: tl.times,
-             "chunks": lambda tl: [tl.chunk(s, min(s + 4096, tl.n_events))
-                                   for s in range(0, tl.n_events, 4096)],
+             "length": lambda tl: tl.n_events,
+             "lists": lambda tl: tl.lists(),
+             "chunks": lambda tl: [tl.chunk(s, min(s + 4096, n)) for s in range(0, n, 4096)],
              "count": lambda tl: tl.count_through(tl.t_max)}
     for name, read in reads.items():
         tl = build_timeline(g, 2.0, 1.0, 1.0, 30.0, seed=3)
         tl.lists(10)
-        assert tl.draws is not None and 0 < tl.n_sorted < tl.n_events, name
+        assert 0 < tl.n_generated < n, name
         read(tl)
-        assert tl.draws is None and tl.n_sorted == tl.n_events, name
-    assert build_timeline(g, 0.0, 0.0, 0.0, 1.0, seed=3).draws is None
+        assert tl.n_generated == n, name
+    assert build_timeline(g, 0.0, 0.0, 0.0, 1.0, seed=3).n_events == 0
 
 
 def test_count_through_sorts_only_the_slabs_it_needs():
     g = build_box(1, 200)
     tl = build_timeline(g, 2.0, 1.0, 0.0, 40.0, seed=5)
     ref = build_timeline(g, 2.0, 1.0, 0.0, 40.0, seed=5).times
+    edges = [hi for _, hi in _slab_edges(g, 2.0, 1.0, 0.0, 40.0)]
     for t in (0.5, 3.0, 3.0, 11.0, 40.0):
         assert tl.count_through(t) == int(np.count_nonzero(ref <= t))
-        if t < 40.0:
-            assert tl.n_sorted < tl.n_events
+        # the slabs through the one that holds t, and no further
+        hi = next(e for e in edges if e > t) if t < 40.0 else math.inf
+        assert tl.n_generated == int(np.count_nonzero(ref < hi)), t
+
+
+def test_derive_seed_keeps_nearby_roots_apart():
+    # root ^ index alone gave roots 70_001 and 70_002 the same 500 seeds
+    a = {derive_seed(70_001, i) for i in range(500)}
+    b = {derive_seed(70_002, i) for i in range(500)}
+    assert len(a) == len(b) == 500 and not a & b
+
+
+def test_slab_generators_do_not_alias():
+    # default_rng([s, k]) is default_rng(s + (k << 32)) for s < 2^32: slab 1
+    # of seed 3 would replay slab 0 of seed 3 + 2^32, marks and all
+    g = build_box(1, 10)
+    a = build_timeline(g, 2.0, 1.0, 1.0, 400.0, seed=3)
+    b = build_timeline(g, 2.0, 1.0, 1.0, 400.0, seed=3 + (1 << 32))
+    assert len(np.intersect1d(a.marks, b.marks)) == 0
+
+
+class _FatRng:
+    """A default_rng that draws three times the Poisson counts."""
+
+    def __init__(self, seed, _make=np.random.default_rng):
+        self._rng = _make(seed)
+
+    def poisson(self, lam, size):
+        return 3 * self._rng.poisson(lam, size)
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+def test_more_events_than_expected_grow_the_table(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _FatRng)
+    g = build_box(1, 30)
+    tl = build_timeline(g, 2.0, 1.0, 1.0, 200.0, seed=8)
+    ref, _ = _lexsort_table(g, 2.0, 1.0, 1.0, 200.0, 8)
+    tl.lists(100)
+    for got, want in zip(_arrays(tl), ref):
+        assert np.array_equal(got, want)
+    assert tl.lists()[0] == ref[0].tolist()
+
+
+def test_slab_edges_keep_the_poisson_law(monkeypatch):
+    # many small slabs: per-stream counts in windows straddling each edge
+    # are Poisson(rate * width), times are uniform in those windows, counts
+    # in adjacent slabs are uncorrelated, and times increase across edges
+    monkeypatch.setattr(graphical, "SLAB_EVENTS", 16)
+    g = build_box(1, 20)
+    rates = {KIND_ARROW: (2 * g.n_edges, 1.0), KIND_RECOVERY: (g.n_sites, 0.5),
+             KIND_FLIP: (g.n_edges, 0.7)}
+    T, n_tables = 10.0, 300
+    slabs = _slab_edges(g, 1.0, 0.5, 0.7, T)
+    assert len(slabs) >= 6
+    edges = [hi for _, hi in slabs[:-1]]
+    # per edge: window [e - e/4, e + e/4), inside both slabs next to the edge
+    win_counts = {k: np.zeros((len(edges), n_tables, n)) for k, (n, _) in rates.items()}
+    win_pos = [[] for _ in edges]
+    slab_counts = {k: np.zeros((len(slabs), n_tables, n)) for k, (n, _) in rates.items()}
+    for s in range(n_tables):
+        tl = build_timeline(g, 1.0, 0.5, 0.7, T, derive_seed(51, s))
+        t, kinds, idx = tl.times, tl.kinds, tl.idx
+        assert t[0] > 0 and np.all(np.diff(t) > 0)
+        for kind, (n, _) in rates.items():
+            sel = kinds == kind
+            tk, ik = t[sel], idx[sel]
+            for j, e in enumerate(edges):
+                inside = (tk >= e - e / 4) & (tk < e + e / 4)
+                win_counts[kind][j, s] = np.bincount(ik[inside], minlength=n)
+            for j, (lo, hi) in enumerate(slabs):
+                inside = (tk >= lo) & (tk < hi)
+                slab_counts[kind][j, s] = np.bincount(ik[inside], minlength=n)
+        for j, e in enumerate(edges):
+            inside = (t >= e - e / 4) & (t < e + e / 4)
+            win_pos[j].extend(((t[inside] - (e - e / 4)) / (e / 2)).tolist())
+    for kind, (n, rate) in rates.items():
+        for j, e in enumerate(edges):
+            c = win_counts[kind][j].ravel()
+            mu = rate * e / 2
+            z_mean = (c.sum() - mu * c.size) / math.sqrt(mu * c.size)
+            # Poisson dispersion: sum (c - mu)^2 / mu is about chi^2 on c.size
+            z_disp = (((c - mu) ** 2).sum() / mu - c.size) / math.sqrt(2 * c.size * (1 + 1 / (2 * mu)))
+            assert abs(z_mean) <= 4 and abs(z_disp) <= 4, (kind, e, z_mean, z_disp)
+        for j in range(len(slabs) - 1):
+            a, b = slab_counts[kind][j].ravel(), slab_counts[kind][j + 1].ravel()
+            r = np.corrcoef(a, b)[0, 1]
+            assert abs(r) * math.sqrt(a.size) <= 4, (kind, j, r)
+    for j, pos in enumerate(win_pos):
+        assert scipy.stats.kstest(pos, "uniform").pvalue > 1e-4, edges[j]
