@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphical import KIND_FLIP, Timeline, build_timeline, event_feed
+from .graphical import Timeline, _unpack, build_timeline
 from .lattice import GraphView
 
 DYNAMICAL_PERCOLATION = "dynamical-percolation"
@@ -222,8 +222,7 @@ def evolve_background(spec: BackgroundSpec, b0, tl, t: float) -> np.ndarray:
     from .engine import background_path     # engine imports this module
     if t > tl.t_max + 1e-9:
         raise ValueError(f"t={t} beyond the timeline horizon {tl.t_max}")
-    base = tl.base if hasattr(tl, "base") else tl
-    if base.flip_rate == 0:
+    if _unpack(tl)[0].flip_rate == 0:
         edges = frozenset(int(e) for e in b0)
     else:
         edges = background_path(spec, b0, tl).until(t)[1]
@@ -243,50 +242,34 @@ def decided_times(spec: BackgroundSpec, tl):
     configuration, within the timeline horizon (inf if never, through the
     horizon).
 
-    Runs the two extreme copies (all edges closed / all open) on the shared
-    event table.  Attractiveness makes the two-extreme comparison equivalent
-    to comparing all initial pairs.  For dynamical percolation an edge is
-    decided forever by its first deciding event, so the times are exact; for
-    other specs they are horizon approximations.
+    Merges, in feed order, the edge deltas of the two extreme paths (all
+    edges closed / all open; engine.background_path, stored on forward
+    timelines, which checks the timeline against spec).  The copies start
+    apart and can only part again through a delta, so an edge's time is that
+    of the event whose deltas last made them agree.  Attractiveness makes
+    the two-extreme comparison equivalent to comparing all initial pairs.
+    For dynamical percolation an edge is decided forever by its first
+    deciding event, so the times are exact; for other specs they are
+    horizon approximations.
     """
-    times, kinds, idx, marks, _, _, horizon = event_feed(tl)
-    g = tl.graph
-    q_rate = tl.base.flip_rate if hasattr(tl, "base") else tl.flip_rate
-    lo = bytearray(g.n_edges)          # started from no open edges
-    hi = bytearray(b"\x01" * g.n_edges)  # started from all open
-    couple_time = [math.inf] * g.n_edges
-    lnbrs = g.line_nbrs
-    up_tab = spec.up_table
-    down_tab = spec.down_table
-    inf = math.inf
-    for i in range(len(times)):
-        if kinds[i] != KIND_FLIP:
-            continue
-        e = idx[i]
-        u = marks[i]
-        cl = 0
-        ch = 0
-        for a in lnbrs[e]:
-            cl += lo[a]
-            ch += hi[a]
-        if lo[e]:
-            if (1.0 - u) * q_rate <= down_tab[cl]:
-                lo[e] = 0
-        else:
-            if u * q_rate < up_tab[cl]:
-                lo[e] = 1
-        if hi[e]:
-            if (1.0 - u) * q_rate <= down_tab[ch]:
-                hi[e] = 0
-        else:
-            if u * q_rate < up_tab[ch]:
-                hi[e] = 1
-        if lo[e] == hi[e]:
-            if couple_time[e] == inf:
-                couple_time[e] = times[i]
-        else:
-            couple_time[e] = inf
-    return couple_time, horizon
+    from .engine import background_path     # engine imports this module
+    n = tl.graph.n_edges
+    copies = (bytearray(n), bytearray(b"\x01" * n))
+    deltas = []
+    for c, b0 in enumerate(((), range(n))):
+        path = background_path(spec, b0, tl)
+        deltas += [(i, c, d) for i, d in zip(path._flip_at, path.edge_deltas)]
+    deltas.sort()
+    couple_time = [math.inf] * n
+    for k, (i, c, (t, e, sign)) in enumerate(deltas):
+        copies[c][e] = sign > 0
+        if k + 1 < len(deltas) and deltas[k + 1][0] == i:
+            continue        # the other copy flips at the same event
+        if copies[0][e] != copies[1][e]:
+            couple_time[e] = math.inf
+        elif couple_time[e] == math.inf:
+            couple_time[e] = t
+    return couple_time, tl.t_max
 
 
 def coupled_region(spec: BackgroundSpec, tl, t: float) -> CoupledRegion:

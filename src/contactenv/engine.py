@@ -7,14 +7,15 @@ time-reversed run.  Because coupled variants consume the same event table,
 their containment relations hold pathwise, event by event, and the
 comparison helpers at the bottom of this module check exactly that.
 
-The environment is autonomous, so its path depends only on (timeline, spec,
-initial edges).  background_path sweeps it once and stores it on the base
-Timeline.  Every later run here with that spec and those initial edges on a
-forward, un-anchored feed of the timeline (thinned or not), and dual_evolve,
-reads the stored path and visits only arrows and recoveries; a run without
-one applies the flip rule inline and stops at extinction.  The Trajectory
-is the same either way.  The inner loop is flat: plain lists, bytearray
-state, no attribute lookups.
+The environment is autonomous, so its path depends only on (feed, spec,
+initial edges).  BackgroundPath holds it and alone applies the flip rule,
+sweeping on through each chunk of the feed before a run reads the chunk.
+Paths on forward, un-anchored feeds are stored on the base Timeline, so
+every run with that spec and those initial edges reads and extends one: a
+run that dies early sweeps a prefix, and the next reuses it.  A frozen
+environment (spec None) reads no path.  The infection loop visits only
+arrows and recoveries, through the table's index of them (grown as runs
+read), and is flat: plain lists, bytearray state, no attribute lookups.
 
 A run reads its feed through the base Timeline's list views, which are
 converted on demand from a table that is itself drawn and sorted on demand,
@@ -27,8 +28,8 @@ table, which later runs share, and the lists a long run adds past
 Timeline.chunk's kept prefix are dropped chunk by chunk, so its memory
 does not grow with its length.  Every other run draws and converts
 through its horizon (Timeline.count_through) in one chunk and keeps it in
-the cached prefix (Timeline.lists); stored paths and dual_evolve read the
-whole table, and reversed views the slabs through their anchor.
+the cached prefix (Timeline.lists); background_path reads the whole feed,
+and reversed views read the slabs through their anchor.
 
 Every entry point that takes RunParams runs at (params.lam, params.r): a
 Timeline is thinned to them here, and a view must already be at them.
@@ -38,13 +39,14 @@ from __future__ import annotations
 
 import math
 import weakref
+from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .background import BackgroundSpec, coupled_region, make_spec, min_max_rates
-from .graphical import Timeline, TimelineView, event_feed, feed_size, thin_view
+from .graphical import KIND_FLIP, TimelineView, _unpack, event_feed, feed_size, thin_view
 from .lattice import GraphView
 
 SUPPRESS_ARROWS = "suppress-arrows"
@@ -149,24 +151,93 @@ class Trajectory:
 
 @dataclass(eq=False, repr=False, slots=True)
 class BackgroundPath:
-    """Realized environment on one timeline from one starting edge set.
-
-    Carries the per-arrow-event edge-state flags the infection loop consults,
-    the edge delta stream, and the final edge set; every coupled run that
-    shares (timeline, spec, b0) can reuse one instance.  feed records the
-    event order the flags are indexed by: (weak reference to the base
-    Timeline, reversal anchor, reversed); a run on another feed is rejected.
+    """Realized environment on one feed from one starting edge set, swept
+    through its first n_events events, and the only code that applies the
+    flip rule.  arrow_open flags each swept arrow whose edge is open just
+    before it fires; edge_deltas lists the flips, and _flip_at their feed
+    offsets (a reversed feed's times can tie).  _grow() sweeps on from the
+    state kept here: edge states, open line-graph neighbour counts and the
+    flip rule (None: no flips).  feed records the event order the flags are
+    indexed by: (weak reference to the base Timeline, reversal anchor,
+    reversed); a run on another feed is rejected.
     """
 
-    arrow_open: list
-    edge_deltas: list
-    b_final: frozenset
     b0: frozenset
-    n_events: int
     feed: tuple
+    _rule: tuple | None         # (up table, down table, candidate rate)
+    _graph: GraphView
+    arrow_open: list = field(default_factory=list, init=False)
+    edge_deltas: list = field(default_factory=list, init=False)
+    _flip_at: array = field(default_factory=lambda: array("i"), init=False)  # int32
+    _edges: bytearray = field(init=False)
+    _open_nbrs: bytearray = field(init=False)
+    _b_final: frozenset | None = field(init=False)
+
+    def __post_init__(self):
+        self._edges = bytearray(self._graph.n_edges)
+        self._open_nbrs = bytearray(self._graph.n_edges)
+        for e in self.b0:
+            self._edges[e] = 1
+            for a in self._graph.line_nbrs[e]:
+                self._open_nbrs[a] += 1
+        self._b_final = self.b0
+
+    @property
+    def n_events(self) -> int:
+        return len(self.arrow_open)
+
+    @property
+    def b_final(self) -> frozenset:
+        """Edge set after the last event swept."""
+        if self._b_final is None:
+            self._b_final = frozenset(
+                np.flatnonzero(np.frombuffer(bytes(self._edges), dtype=np.uint8)).tolist())
+        return self._b_final
+
+    def _grow(self, hi, lists, start=0):
+        """Sweep on through event hi - 1; item i of lists (times, kinds,
+        idx, marks) is event start + i, and start <= n_events."""
+        lo = len(self.arrow_open)
+        if hi <= lo:
+            return
+        times, kinds, idx, marks = lists
+        B = self._edges
+        N = self._open_nbrs      # line-graph neighbours are mutual
+        dedge = self._graph.dir_edge
+        lnbrs = self._graph.line_nbrs
+        up_tab, down_tab, q_rate = self._rule or ((), (), 0.0)
+        flags = self.arrow_open
+        flags.extend([False] * (hi - lo))
+        app = self.edge_deltas.append
+        at = self._flip_at.append
+        n_deltas = len(self.edge_deltas)
+        for i in range(lo, hi):
+            j = i - start
+            k = kinds[j]
+            if k == 0:
+                flags[i] = B[dedge[idx[j]]] == 1
+            elif k == 2:
+                x = idx[j]
+                u = marks[j]
+                if B[x]:
+                    if (1.0 - u) * q_rate <= down_tab[N[x]]:
+                        B[x] = 0
+                        for a in lnbrs[x]:
+                            N[a] -= 1
+                        app((times[j], x, -1))
+                        at(i)
+                elif u * q_rate < up_tab[N[x]]:
+                    B[x] = 1
+                    for a in lnbrs[x]:
+                        N[a] += 1
+                    app((times[j], x, 1))
+                    at(i)
+        if len(self.edge_deltas) != n_deltas:
+            self._b_final = None
 
     def until(self, t, want_deltas=True):
-        """(edge deltas, edge set) of the path through time t."""
+        """(edge deltas, edge set) of the path through time t, which the
+        sweep has reached."""
         deltas = self.edge_deltas
         if not deltas or deltas[-1][0] <= t:
             return (deltas if want_deltas else []), self.b_final
@@ -176,7 +247,10 @@ class BackgroundPath:
 
 
 def _bg_tables(spec, tl):
-    base = tl.base if isinstance(tl, TimelineView) else tl
+    """spec's flip rule on tl's table, (up table, down table, candidate
+    rate), or None for a frozen environment; rejects a table spec cannot
+    run on."""
+    base = _unpack(tl)[0]
     if base.flip_rate > 0 and spec is None:
         raise ValueError("timeline carries flip events but no background spec was given")
     if spec is None:
@@ -191,93 +265,50 @@ def _bg_tables(spec, tl):
     return spec.up_table, spec.down_table, base.flip_rate
 
 
-def _feed_of(tl):
-    """(base Timeline, reversal anchor or None, reversed): what the order of
-    tl's feed depends on.  Thinning changes no event's position."""
-    if isinstance(tl, TimelineView):
-        return tl.base, tl.anchor, tl.is_reversed
-    return tl, None, False
-
-
-def _path_store(tl):
-    """The base Timeline's stored paths if tl's feed is its forward,
-    un-anchored event order, else None."""
-    if isinstance(tl, TimelineView):
-        return tl.base.bg_paths if tl.anchor is None else None
-    return tl.bg_paths
-
-
-def background_path(spec, b0, tl) -> BackgroundPath:
-    """One forward sweep of the environment alone.
-
-    Returns per-event open flags for every arrow (the state of the arrow's
-    edge just before the arrow fires), the edge delta stream, and the final
-    edge set.  The environment never reads the infection state, so the
-    result is exact for any infection run on the same timeline.
-
-    On a Timeline, or a view of one without a reversal anchor, the path is
-    stored on the base Timeline under (spec, frozenset(b0)): a repeat call
-    returns the stored object, and every run of this module on that timeline
-    with the same spec and initial edges reads it instead of sweeping the
-    environment again.  Reversed and anchored views are swept on every call.
-    """
-    store = _path_store(tl)
-    key = (spec, frozenset(int(e) for e in b0))
-    if store is not None and key in store:
-        return store[key]
-    base, anchor, rev = _feed_of(tl)
-    n = feed_size(tl)
-    times, kinds, idx, marks = event_feed(tl)[:4] if rev else base.lists(n)
-    g = tl.graph
-    tables = _bg_tables(spec, tl)
-    B = bytearray(g.n_edges)
-    for e in key[1]:
-        B[e] = 1
-    arrow_open = [False] * n
-    edge_deltas = []
-    app = edge_deltas.append
-    dedge = g.dir_edge
-    lnbrs = g.line_nbrs
-    up_tab, down_tab, q_rate = tables or (None, None, 0.0)   # no tables: no flips
-    for i in range(n):
-        k = kinds[i]
-        if k == 0:
-            arrow_open[i] = B[dedge[idx[i]]] == 1
-        elif k == 2:
-            e = idx[i]
-            u = marks[i]
-            if B[e]:
-                cnt = 0
-                for a in lnbrs[e]:
-                    cnt += B[a]
-                if (1.0 - u) * q_rate <= down_tab[cnt]:
-                    B[e] = 0
-                    app((times[i], e, -1))
-            else:
-                cnt = 0
-                for a in lnbrs[e]:
-                    cnt += B[a]
-                if u * q_rate < up_tab[cnt]:
-                    B[e] = 1
-                    app((times[i], e, 1))
-    b_final = frozenset(np.flatnonzero(np.frombuffer(bytes(B), dtype=np.uint8)).tolist())
-    # a weak reference: the path is stored on the Timeline it refers to
-    path = BackgroundPath(arrow_open, edge_deltas, b_final, key[1], n,
-                          (weakref.ref(base), anchor, rev))
-    if store is not None:
-        store[key] = path
+def _path(spec, b0: frozenset, tl) -> BackgroundPath:
+    """The path of (spec, b0) on tl's feed as far as it is swept: on a
+    forward, un-anchored feed the one stored on the base Timeline, made and
+    stored on first use; on any other feed a new one."""
+    base, _, _, anchor, rev = _unpack(tl)
+    store = base.bg_paths if anchor is None else None
+    path = store.get((spec, b0)) if store is not None else None
+    if path is None:
+        # a weak reference: the path is stored on the Timeline it refers to
+        path = BackgroundPath(b0, (weakref.ref(base), anchor, rev), _bg_tables(spec, tl),
+                              base.graph)
+        if store is not None:
+            store[(spec, b0)] = path
     return path
 
 
-def _arrows_and_recoveries(tl, start, stop):
-    """Offsets from start of the events start..stop-1 of tl's feed, less the
-    flip candidates when the feed runs in the base table's order and the
-    table has any."""
-    base = tl.base if isinstance(tl, TimelineView) else tl
-    if base.flip_rate == 0 or getattr(tl, "is_reversed", False):
+def background_path(spec, b0, tl) -> BackgroundPath:
+    """The environment path of (spec, b0) on tl's feed, swept through the
+    whole feed; exact for any infection run on it, as the environment never
+    reads the infection.  On a Timeline, or a view of one without a reversal
+    anchor, it is the path stored on the base Timeline under (spec,
+    frozenset(b0)), which the runs of this module on that timeline with the
+    same spec and initial edges read and extend, and which this call sweeps
+    on to the end.  Reversed and anchored views get a new path on every call.
+    Paths grow on demand; runs in a frozen environment (spec None) read none.
+    """
+    path = _path(spec, frozenset(map(int, b0)), tl)
+    n = feed_size(tl)
+    if path.n_events < n:
+        path._grow(n, event_feed(tl)[:4])
+    return path
+
+
+def _arrows_and_recoveries(base, rev, kinds, start, stop):
+    """Offsets from start of the arrows and recoveries among the events
+    start..stop-1 of a feed, kinds[i] being event start + i: every event
+    when the table has no flip candidates, else from the base table's index
+    in forward order, or from kinds in reversed order."""
+    if base.flip_rate == 0:
         return range(stop - start)
-    order = base.non_flip
-    if start == 0 and stop == base.n_generated:
+    if rev:
+        return [i for i in range(stop - start) if kinds[i] != KIND_FLIP]
+    order = base._visits_through(stop)
+    if start == 0 and (not order or order[-1] < stop):
         return order
     sel = order[bisect_left(order, start):bisect_left(order, stop)]
     return [i - start for i in sel] if start else sel
@@ -294,13 +325,17 @@ def _initial_sites(g, sites):
     return C, C.count(1), any(g.norm_inf[int(s)] >= g.half_width for s in sites)
 
 
-def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
+def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit,
          bg_path: BackgroundPath | None = None,
          ignore_background=False, ignore_recoveries=False,
          no_arrows_until=-1.0, free_infection_until=-1.0, no_recoveries_until=-1.0,
          mask=None, stop_on_extinct=False, want_deltas=True):
-    base, anchor, rev = _feed_of(tl)
-    _, lam_frac, r_frac = _frac_of(tl)
+    """One infection run on tl's feed.  Its environment is bg_path, grown
+    through each chunk before the chunk is read, or without one the edge
+    set b0 (a frozenset of ints) throughout."""
+    base, lam, r, anchor, rev = _unpack(tl)
+    lam_frac = lam / base.lam_max if lam < base.lam_max else 1.0
+    r_frac = r / base.r_max if r < base.r_max else 1.0
     horizon = tl.t_max
     if t_end > horizon + 1e-9:
         raise ValueError(f"t_end={t_end} beyond the feed horizon {horizon}")
@@ -317,7 +352,6 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     ddst = g.dir_dst
     dedge = g.dir_edge
     ninf = g.norm_inf
-    lnbrs = g.line_nbrs
     bdry = g.half_width
 
     C, n_inf, btouch = _initial_sites(g, c0)
@@ -326,11 +360,11 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     # weak references compare by their referents, so this matches the base by identity
     if use_path and bg_path.feed != (weakref.ref(base), anchor, rev):
         raise ValueError("background path was computed for a different feed")
-    arrow_open = None
-    B = bytearray(g.n_edges)
-    for e in b0:
-        B[int(e)] = 1
-    up_tab, down_tab, q_rate = bg_tables or (None, None, 0.0)
+    arrow_open = B = None
+    if not use_path:
+        B = bytearray(g.n_edges)
+        for e in b0:
+            B[e] = 1
 
     thin_arrows = lam_frac < 1.0
     thin_recs = r_frac < 1.0
@@ -340,9 +374,7 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     check_bg = not ignore_background
 
     site_deltas = []
-    edge_deltas = []
     sapp = site_deltas.append
-    eapp = edge_deltas.append
     tau = 0.0 if n_inf == 0 else math.inf
     t_stop = t_end
 
@@ -365,12 +397,10 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
             times, kinds, idx, marks = base.lists(hi)
             stop = hi
         if use_path:
+            bg_path._grow(stop, (times, kinds, idx, marks), start)
             arrow_open = bg_path.arrow_open[start:stop] if start else bg_path.arrow_open
-        # a loop that applies no flip rule visits only arrows and recoveries
-        for i in (range(stop - start) if up_tab is not None
-                  else _arrows_and_recoveries(tl, start, stop)):
-            k = kinds[i]
-            if k == 0:  # arrow
+        for i in _arrows_and_recoveries(base, rev, kinds, start, stop):
+            if kinds[i] == 0:  # arrow
                 j = idx[i]
                 s = dsrc[j]
                 if not C[s]:
@@ -397,7 +427,7 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
                     btouch = True
                 if want_deltas:
                     sapp((t, d2, 1))
-            elif k == 1:  # recovery
+            else:  # recovery
                 if ignore_recoveries:
                     continue
                 if thin_recs and marks[i] >= r_frac:
@@ -417,27 +447,6 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
                     if stop_on_extinct:
                         t_stop = t
                         break
-            else:  # flip candidate
-                if up_tab is None:
-                    continue
-                e = idx[i]
-                u = marks[i]
-                if B[e]:
-                    cnt = 0
-                    for a in lnbrs[e]:
-                        cnt += B[a]
-                    if (1.0 - u) * q_rate <= down_tab[cnt]:
-                        B[e] = 0
-                        if want_deltas:
-                            eapp((times[i], e, -1))
-                else:
-                    cnt = 0
-                    for a in lnbrs[e]:
-                        cnt += B[a]
-                    if u * q_rate < up_tab[cnt]:
-                        B[e] = 1
-                        if want_deltas:
-                            eapp((times[i], e, 1))
         else:
             start = stop        # chunk read through: read the next one
             if stop < hi:
@@ -448,15 +457,14 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit, bg_tables=None,
     if use_path:
         edge_deltas, b_final = bg_path.until(t_stop, want_deltas)
     else:
-        b_final = frozenset(np.flatnonzero(np.frombuffer(bytes(B), dtype=np.uint8)).tolist())
+        edge_deltas, b_final = [], b0
     return site_deltas, edge_deltas, c_final, b_final, tau, btouch
 
 
 def _traj(g, t_end, c0, b0, out) -> Trajectory:
     site_deltas, edge_deltas, c_final, b_final, tau, btouch = out
     return Trajectory(graph=g, t_end=float(t_end), c0=frozenset(int(s) for s in c0),
-                      b0=frozenset(int(e) for e in b0),
-                      site_deltas=site_deltas, edge_deltas=edge_deltas,
+                      b0=b0, site_deltas=site_deltas, edge_deltas=edge_deltas,
                       c_final=c_final, b_final=b_final, tau_ex=tau,
                       boundary_touched=btouch)
 
@@ -477,16 +485,17 @@ def _at_rates(params, tl):
 
 def _evolve(params, c0, b0, tl, shared_bg, **kw) -> Trajectory:
     """A forward run of params on tl, at params' rates.  Its environment is
-    shared_bg if given, else the path stored on tl for (params.spec, b0),
-    else the inline flip rule; the three give the same Trajectory."""
+    shared_bg if given, else the path of (params.spec, b0) on tl's feed; a
+    frozen environment reads none."""
     tl = _at_rates(params, tl)
-    path, store = shared_bg, _path_store(tl)
-    if path is None and store:
-        path = store.get((params.spec, frozenset(int(e) for e in b0)))
-    if path is not None:
-        b0 = path.b0
-    out = _run(params.graph, tl, c0, b0, t_end=params.horizon, bg_path=path,
-               bg_tables=None if path is not None else _bg_tables(params.spec, tl), **kw)
+    if shared_bg is not None:
+        path, b0 = shared_bg, shared_bg.b0
+    else:
+        b0 = frozenset(map(int, b0))
+        # _bg_tables rejects a table with flips under a frozen environment
+        path = (_bg_tables(None, tl) if params.spec is None
+                else _path(params.spec, b0, tl))
+    out = _run(params.graph, tl, c0, b0, t_end=params.horizon, bg_path=path, **kw)
     return _traj(params.graph, params.horizon, c0, b0, out)
 
 
@@ -495,8 +504,8 @@ def evolve(params: RunParams, c0, b0, tl, *, stop_on_extinct=False,
     """Run the pair process: arrows infect across open edges, recoveries heal,
     flip candidates drive the environment.  Arrows emanate from the open
     interior of the box only.  Pass shared_bg (from background_path) to reuse
-    an already-computed environment for the same (timeline, spec, b0); a path
-    stored on the timeline for them is reused without it.
+    an already-computed environment for the same (timeline, spec, b0); the
+    path stored on the timeline for them is read and extended without it.
 
     With stop_on_extinct the recording stops when the site set empties (the
     empty set is absorbing, so nothing about survival is lost); edge queries
@@ -521,10 +530,10 @@ def richardson(c0, tl, t_end: float, *, want_deltas=True) -> Trajectory:
     """Growth-only upper bound: recoveries and the environment are ignored, so
     the site set is nondecreasing and dominates every run on the same timeline."""
     g = tl.graph
-    out = _run(g, tl, c0, (), t_end=t_end, eman_limit=g.half_width,
+    out = _run(g, tl, c0, frozenset(), t_end=t_end, eman_limit=g.half_width,
                ignore_background=True, ignore_recoveries=True,
                want_deltas=want_deltas)
-    return _traj(g, t_end, c0, (), out)
+    return _traj(g, t_end, c0, frozenset(), out)
 
 
 def evolve_released(params: RunParams, c0, b0, tl, release: float, *,
@@ -562,8 +571,8 @@ def delayed_variant(mode: str, s: float, params: RunParams, c0, b0, tl, *,
 def coupled_bounds_cpdp(params: RunParams, c0, b0, tl):
     """Three runs on shared randomness: the given spec in the middle, and two
     independent-edge environments built from its extreme rates below and
-    above.  Site and edge sets are nested pathwise.  The middle run reads the
-    path stored for (params.spec, b0) if background_path has built one."""
+    above.  Site and edge sets are nested pathwise.  Each run reads the path
+    stored for its spec and b0, and _bg_tables checks the timeline for each."""
     spec = params.spec
     if spec is None:
         raise ValueError("coupled bounds need a background spec")
@@ -572,11 +581,6 @@ def coupled_bounds_cpdp(params: RunParams, c0, b0, tl):
                            d=spec.dimension)
     over_spec = make_spec("dynamical-percolation", alpha=rb.alpha_max, beta=rb.beta_min,
                           d=spec.dimension)
-    base = tl.base if isinstance(tl, TimelineView) else tl
-    for s in (under_spec, spec, over_spec):
-        if base.flip_rate + 1e-9 < s.flip_rate:
-            raise ValueError("timeline flip rate too small for the bounding environments; "
-                             "build it at the middle spec's uniformization rate or higher")
     mid = evolve(params, c0, b0, tl)
     under = evolve(replace(params, spec=under_spec), c0, b0, tl)
     over = evolve(replace(params, spec=over_spec), c0, b0, tl)
@@ -590,7 +594,8 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     The dual starts from A at reversed time 0 (= forward time t*), crosses
     each arrow in the opposite direction at the reversed timestamp, and uses
     the forward environment's state just before the arrow's original time,
-    read from background_path(params.spec, b0) on the base timeline.
+    read from the path of (params.spec, b0) stored on the base timeline,
+    which this run extends through t* if no run has yet.
     On every realization the indicator identity
 
         1{forward sites at t* meet A}  ==  1{dual sites at t* meet C0}
@@ -598,15 +603,20 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     holds exactly; see duality_indicators.
     """
     g = params.graph
-    if isinstance(tl, TimelineView) and tl.is_reversed:
+    if _unpack(tl)[4]:
         raise ValueError("pass the forward timeline; dual_evolve reverses internally")
-    base, lam_frac, r_frac = _frac_of(_at_rates(params, tl))
+    base, lam, r, _, _ = _unpack(_at_rates(params, tl))
+    lam_frac = lam / base.lam_max if lam < base.lam_max else 1.0
+    r_frac = r / base.r_max if r < base.r_max else 1.0
     if t_star <= 0 or t_star > base.t_max + 1e-9:
         raise ValueError(f"t_star={t_star} outside (0, {base.t_max}]")
 
-    arrow_open = background_path(params.spec, b0, base).arrow_open
+    b0 = frozenset(map(int, b0))
+    path = _path(params.spec, b0, base)
     hi = base.count_through(t_star)
-    times, kinds, idx, marks = base.lists(hi)
+    times, kinds, idx, marks = lists = base.lists(hi)
+    path._grow(hi, lists)
+    arrow_open = path.arrow_open
 
     dsrc = g.dir_src
     ddst = g.dir_dst
@@ -620,7 +630,7 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     app = site_deltas.append
     tau = 0.0 if n_inf == 0 else math.inf
 
-    for i in reversed(_arrows_and_recoveries(base, 0, hi)):
+    for i in reversed(_arrows_and_recoveries(base, False, kinds, 0, hi)):
         k = kinds[i]
         if k == 0:
             j = idx[i]
@@ -656,21 +666,14 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
 
     c_final = frozenset(np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)).tolist())
     return Trajectory(graph=g, t_end=float(t_star), c0=frozenset(int(s) for s in a_sites),
-                      b0=frozenset(int(e) for e in b0), site_deltas=site_deltas,
+                      b0=b0, site_deltas=site_deltas,
                       edge_deltas=[], c_final=c_final, b_final=frozenset(),
                       tau_ex=tau, boundary_touched=btouch)
 
 
-def _frac_of(tl):
-    if isinstance(tl, TimelineView):
-        return tl.base, tl.lam_frac, tl.r_frac
-    return tl, 1.0, 1.0
-
-
 def duality_indicators(params: RunParams, c0, b0, a_sites, tl, t_star: float):
-    """Both sides of the pathwise duality identity on one realization.  The
-    environment path is built first, so both runs read the stored path."""
-    background_path(params.spec, b0, _frac_of(tl)[0])
+    """Both sides of the pathwise duality identity on one realization.  Both
+    runs read the path stored for (params.spec, b0)."""
     fwd = evolve(replace(params, horizon=t_star), c0, b0, tl, want_deltas=False)
     left = bool(fwd.c_final & frozenset(int(s) for s in a_sites))
     dual = dual_evolve(a_sites, params, b0, tl, t_star, want_deltas=False)

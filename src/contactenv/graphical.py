@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -81,7 +82,9 @@ def uniform_from(seed: int, *keys: int) -> float:
 @dataclass(eq=False)
 class Timeline:
     """One realized event table, generated lazily.  Treat the table as
-    immutable; its slabs, bg_paths, non_flip and the list views are caches.
+    immutable; its slabs, the list views, the index of arrows and
+    recoveries and bg_paths, the environment paths the engine grows as runs
+    read the table, are caches.
 
     The window [0, t_max] is cut into time slabs before any draw, from the
     expected event count: slab 0 is [0, t_max / 2^m) and slab k >= 1 is
@@ -117,7 +120,8 @@ class Timeline:
     lam_max: float          # generation rate per directed pair
     r_max: float            # generation rate per site
     flip_rate: float        # candidate rate per edge
-    # environment paths by (spec, frozenset(b0)); see engine.background_path
+    # environment paths by (spec, frozenset(b0)), swept as far as runs have
+    # read; see engine.BackgroundPath
     bg_paths: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -135,6 +139,8 @@ class Timeline:
         self._buf = (np.empty(cap), np.empty(cap, dtype=np.int8),
                      np.empty(cap, dtype=np.int32), np.empty(cap))
         self.n_generated = 0
+        self._visits = array("i")   # offsets of the arrows and recoveries among ...
+        self._visited = 0           # ... the first _visited events
         self._slab = 0          # next slab to draw
         self._last = 0.0        # last time generated: the next slab's nudge starts from it
 
@@ -251,6 +257,16 @@ class Timeline:
                 lst.extend(a[done:n].tolist())
         return cur
 
+    def _visits_through(self, stop: int) -> array:
+        """Offsets of the arrows and recoveries among events 0..stop-1, which
+        are generated: one int32 array, extended from the kinds of the events
+        it does not cover yet, so it covers what runs have read and no more."""
+        if self._visited < stop:
+            new = np.flatnonzero(self._buf[1][self._visited:stop] != KIND_FLIP) + self._visited
+            self._visits.frombytes(new.astype(np.int32).tobytes())
+            self._visited = stop
+        return self._visits
+
     def chunk(self, start: int, stop: int, t: float = math.inf):
         """(times, kinds, idx, marks) of the events start..stop-1 as plain
         lists indexed from start: item i holds event start + i (a list read
@@ -266,11 +282,6 @@ class Timeline:
             cur = self.lists(stop)
             return cur if start == 0 else tuple(lst[start:stop] for lst in cur)
         return tuple(a[start:stop].tolist() for a in self._buf)
-
-    @cached_property
-    def non_flip(self):
-        # indices of the arrows and recoveries, for loops that skip flip candidates
-        return np.flatnonzero(self.kinds != KIND_FLIP).tolist()
 
 
 @dataclass(frozen=True)

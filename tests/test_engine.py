@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from contactenv import (background_path, build_box, build_timeline,
-                        coupled_bounds_cpdp, delayed_variant, dual_evolve,
+                        coupled_bounds_cpdp, coupled_region, decided_times,
+                        delayed_variant, dual_evolve,
                         duality_indicators, evolve, evolve_background,
                         evolve_released, evolve_truncated, is_contained_pathwise,
                         make_spec, phi_set, reverse_view, richardson, thin_view,
@@ -375,8 +376,8 @@ def test_run_params_reject_non_finite(field, bad):
 
 
 # ---------------------------------------------------------------------------
-# stored environment paths: every run reads the same environment as the
-# inline flip rule on a fresh timeline, which holds no stored path
+# stored environment paths: runs that share a path, grown and read in any
+# order, get what each run gets on a fresh timeline, whose paths it makes
 
 def _fields(x):
     if isinstance(x, bool):
@@ -418,7 +419,7 @@ def _every_entry_point(P, c0, b0, a, tl_of, t_star):
     ("dynamical-percolation", dict(alpha=1.0, beta=1.0), 1, 12),
     ("noisy-voter", dict(alpha=1.0, beta=0.5), 1, 12),
 ])
-def test_stored_path_runs_equal_inline_runs(kind, kw, d, L):
+def test_runs_sharing_stored_paths_equal_runs_on_fresh_tables(kind, kw, d, L):
     spec = make_spec(kind, d=d, **kw)
     g = build_box(d, L)
     rng = random.Random(L)
@@ -436,15 +437,16 @@ def test_stored_path_runs_equal_inline_runs(kind, kw, d, L):
         path = background_path(spec, b0, tl)
         assert background_path(spec, b0[::-1], thin_view(tl, 1.0)) is path
         stored = _every_entry_point(P, c0, b0, a, lambda: tl, 3.5)
-        inline = _every_entry_point(P, c0, b0, a, fresh, 3.5)
-        for name in inline:
-            assert _fields(stored[name]) == _fields(inline[name]), name
-        assert list(tl.bg_paths.values()) == [path]
+        on_fresh = _every_entry_point(P, c0, b0, a, fresh, 3.5)
+        for name in on_fresh:
+            assert _fields(stored[name]) == _fields(on_fresh[name]), name
+        # the path of (spec, b0), and coupled_bounds_cpdp's under and over paths
+        assert tl.bg_paths[(spec, frozenset(b0))] is path and len(tl.bg_paths) == 3
 
 
 def test_runs_read_the_stored_path():
     # a doctored stored path with every arrow closed: a run that reads it
-    # cannot infect, while the inline rule on a fresh timeline does
+    # cannot infect, while a run on a fresh timeline, sweeping its own, does
     g = build_box(1, 10)
     P = RunParams(g, 3.0, 0.0, DP, 4.0)
     tl = build_timeline(g, 3.0, 0.0, DP.flip_rate, 4.0, seed=5)
@@ -469,21 +471,29 @@ def test_reversed_and_anchored_views_are_not_stored():
 def test_flip_rate_below_the_spec_is_rejected():
     g = build_box(1, 5)
     low = build_timeline(g, 1.0, 1.0, DP.flip_rate / 2, 3.0, seed=1)
+    P = RunParams(g, 1.0, 1.0, DP, 3.0)
     for run in (lambda: background_path(DP, (), low),
                 lambda: evolve_background(DP, (), low, 2.0),
-                lambda: evolve(RunParams(g, 1.0, 1.0, DP, 3.0), (0,), (), low)):
+                lambda: evolve(P, (0,), (), low),
+                lambda: decided_times(DP, low),
+                lambda: coupled_region(DP, low, 2.0),
+                lambda: coupled_bounds_cpdp(P, (0,), (), low)):
         with pytest.raises(ValueError, match="uniformization rate"):
             run()
 
 
 def test_frozen_timeline_keeps_every_event_index():
-    # no flip candidates: loops that skip them never build the index list
+    # no flip candidates: runs visit every event, and a frozen environment
+    # reads no path; background_path gives one with constant edges
     g = build_box(1, 8)
     tl = build_timeline(g, 2.0, 1.0, 0.0, 4.0, seed=3)
     richardson((g.origin(),), tl, 4.0)
-    background_path(None, range(g.n_edges), tl)
     evolve(RunParams(g, 2.0, 1.0, None, 4.0), (g.origin(),), range(g.n_edges), tl)
-    assert "non_flip" not in vars(tl)
+    assert tl.bg_paths == {}
+    path = background_path(None, range(0, g.n_edges, 2), tl)
+    assert path.edge_deltas == [] and path.b_final == frozenset(range(0, g.n_edges, 2))
+    assert path.arrow_open == [k == KIND_ARROW and g.dir_edge[j] % 2 == 0
+                               for k, j in zip(tl.kinds.tolist(), tl.idx.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +528,40 @@ def test_runs_that_stop_at_extinction_keep_a_bounded_prefix(spec, lam):
         taus.append(traj.tau_ex)
     assert min(taus) < 1.0 and max(taus) == math.inf
     assert tl.n_events > 2 * KEPT_PREFIX
+
+
+def test_a_phase_scan_column_sweeps_one_path_as_far_as_its_cells_read():
+    # W2's shape: one phase-scan column, 8 lambda cells thinned from one DP
+    # table, stopped at extinction with b0 = ().  They share one stored path,
+    # swept through the chunk that holds the furthest cell's stop and no
+    # further, so no slab past that chunk's is drawn; each cell equals the
+    # same run on a fresh twin table
+    g = build_box(1, 60)
+    T = 30.0
+    spec = make_spec("dynamical-percolation", alpha=1.0, beta=1.0)
+    lams = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    short = 0
+    for i in range(8):
+        seed = derive_seed(2024, i)
+
+        def fresh():
+            return build_timeline(g, 4.0, 1.0, 4.0, T, seed)
+
+        def cell(tl, lam):
+            return evolve(RunParams(g, lam, 1.0, spec, T, seed), (g.origin(),), (),
+                          thin_view(tl, lam), stop_on_extinct=True, want_deltas=False)
+
+        tl, twin, probe = fresh(), fresh(), fresh()
+        cells = [cell(tl, lam) for lam in lams]
+        assert [_fields(c) for c in cells] == [_fields(cell(fresh(), lam)) for lam in lams]
+        assert list(tl.bg_paths) == [(spec, frozenset())]
+        swept = tl.bg_paths[(spec, frozenset())].n_events
+        furthest = max(twin.count_through(min(c.tau_ex, T)) for c in cells)
+        assert swept == min(-(-furthest // _CHUNK) * _CHUNK, twin.count_through(T))
+        probe.count_through(twin.times[swept - 1])
+        assert tl.n_generated == probe.n_generated
+        short += tl.n_generated < twin.n_events
+    assert short >= 4
 
 
 def test_chunked_runs_read_a_stored_path():
@@ -711,3 +755,5 @@ def test_a_spec_for_another_dimension_is_rejected():
             evolve(RunParams(g, 1.0, 1.0, spec, 2.0), (0,), (), tl)
         with pytest.raises(ValueError, match="background spec for d="):
             background_path(spec, (), tl)
+        with pytest.raises(ValueError, match="background spec for d="):
+            decided_times(spec, tl)

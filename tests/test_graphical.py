@@ -59,21 +59,28 @@ def test_recovery_counts_poissonian():
 
 
 def test_interarrival_ks_against_exponential():
-    # pooled within-stream gaps, >= 1e4 events per stream kind
+    # given its n events on [0, T], a stream's interior spacing g has the law
+    # T * Beta(1, n), so 1 - (1 - g / T)^n is uniform: KS on the values pooled
+    # over the streams of a kind, >= 1e4 of them.  Each kind's total count is
+    # Poisson(streams * rate * T), which checks the rate.
     g = build_box(1, 60)
-    tl = build_timeline(g, 1.0, 1.5, 2.0, 120.0, seed=2024)
+    T = 120.0
+    tl = build_timeline(g, 1.0, 1.5, 2.0, T, seed=2024)
     for kind, n_streams, rate in ((KIND_RECOVERY, g.n_sites, 1.5),
                                   (KIND_FLIP, g.n_edges, 2.0)):
         sel = tl.kinds == kind
         times = tl.times[sel]
         ids = tl.idx[sel]
-        gaps = []
+        u = []
         for s in range(n_streams):
             ts = times[ids == s]
-            gaps.extend(np.diff(ts).tolist())
-        assert len(gaps) >= 10_000
-        stat = scipy.stats.kstest(gaps, "expon", args=(0, 1.0 / rate))
+            u.extend((-np.expm1(len(ts) * np.log1p(-np.diff(ts) / T))).tolist())
+        assert len(u) >= 10_000
+        stat = scipy.stats.kstest(u, "uniform")
         assert stat.pvalue > 0.01, (kind, stat)
+        count = scipy.stats.poisson(n_streams * rate * T)
+        p = 2 * min(count.cdf(len(times)), count.sf(len(times) - 1))
+        assert p > 0.01, (kind, len(times), p)
 
 
 def test_thinning_all_or_nothing():

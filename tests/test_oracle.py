@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from contactenv import engine, graphical
-from contactenv.background import make_spec
+from contactenv.background import decided_times, make_spec
 from contactenv.engine import (SUPPRESS_ARROWS, SUPPRESS_RECOVERIES_AND_BACKGROUND,
                                RunParams, background_path, delayed_variant,
                                dual_evolve, evolve, evolve_released,
@@ -60,18 +60,25 @@ def _flip(g, b, spec, q, e, u):
     return 0
 
 
-def reference(tl, c0, b0, spec, t_end, *, lam_frac=1.0, r_frac=1.0, eman=None,
-              anchor=None, reverse=False, env=True, recoveries=True,
-              no_arrows_until=-1.0, free_until=-1.0, no_rec_until=-1.0,
-              stop_on_extinct=False, want_deltas=True):
-    """Trajectory fields of one forward run, from the definitions."""
-    g = tl.graph
+def _feed(tl, anchor, reverse):
+    """The events of [0, anchor] (all of them without an anchor), reversed
+    at the anchor if reverse."""
     events = _events(tl)
     if anchor is not None:
         events = [ev for ev in events if ev[0] <= anchor]
         if reverse:
             events = [(anchor - t, k, j ^ 1 if k == KIND_ARROW else j, u)
                       for t, k, j, u in reversed(events)]
+    return events
+
+
+def reference(tl, c0, b0, spec, t_end, *, lam_frac=1.0, r_frac=1.0, eman=None,
+              anchor=None, reverse=False, env=True, recoveries=True,
+              no_arrows_until=-1.0, free_until=-1.0, no_rec_until=-1.0,
+              stop_on_extinct=False, want_deltas=True):
+    """Trajectory fields of one forward run, from the definitions."""
+    g = tl.graph
+    events = _feed(tl, anchor, reverse)
     L = g.half_width
     eman = L if eman is None else eman
     c, b = set(c0), set(b0)
@@ -144,6 +151,25 @@ def reference_dual(tl, a_sites, b0, spec, t_star, lam_frac, r_frac, want_deltas=
             tau, touched)
 
 
+def reference_decided(tl, spec, anchor=None, reverse=False):
+    """decided_times from the definition: two copies of the environment,
+    from no open edge and from all, and per edge the time from which they
+    have agreed, reset whenever they disagree."""
+    g = tl.graph
+    lo, hi = set(), set(range(g.n_edges))
+    couple = [math.inf] * g.n_edges
+    for t, k, j, u in _feed(tl, anchor, reverse):
+        if k in (KIND_ARROW, KIND_RECOVERY) or spec is None:
+            continue
+        _flip(g, lo, spec, tl.flip_rate, j, u)
+        _flip(g, hi, spec, tl.flip_rate, j, u)
+        if (j in lo) != (j in hi):
+            couple[j] = math.inf
+        elif couple[j] == math.inf:
+            couple[j] = t
+    return couple, tl.t_max if anchor is None else anchor
+
+
 def _fields(x):
     return (x.t_end, x.c0, x.b0, x.site_deltas, x.edge_deltas, x.c_final, x.b_final,
             x.tau_ex, x.boundary_touched)
@@ -208,18 +234,22 @@ def _sizes(stack, sizes):
         stack.enter_context(mock.patch.object(np.random, "default_rng", _RoundedRng))
 
 
-def _sets(draw, g):
+def _edge_sets(g):
+    return st.sets(st.integers(0, g.n_edges - 1), max_size=g.n_edges)
+
+
+def _sets(draw, g, b0=None):
     sites = st.sets(st.integers(0, g.n_sites - 1), max_size=g.n_sites)
     c0 = draw(sites)
-    b0 = draw(st.sets(st.integers(0, g.n_edges - 1), max_size=g.n_edges))
+    b0 = draw(_edge_sets(g)) if b0 is None else b0
     return c0, b0, draw(sites)
 
 
 # each call: (engine call on the table, reference call on the sorted twin)
 @st.composite
-def calls(draw, g, spec, gen):
+def calls(draw, g, spec, gen, b0=None):
     lam_max, r_max, q, T, seed = gen
-    c0, b0, a_sites = _sets(draw, g)
+    c0, b0, a_sites = _sets(draw, g, b0)
     lam = draw(st.sampled_from([lam_max, lam_max / 3]))
     r = draw(st.sampled_from([r_max, r_max / 2]))
     t_end = draw(st.sampled_from([T, T * 0.6]))
@@ -293,8 +323,12 @@ def calls(draw, g, spec, gen):
 
 @st.composite
 def cases(draw):
+    # in half the cases every call shares one b0, so the calls read one
+    # stored path, which a call that stops at extinction may leave partly
+    # grown for the next to extend
     g, spec, gen, sizes = draw(tables())
-    runs = draw(st.lists(calls(g, spec, gen), min_size=1, max_size=3))
+    b0 = draw(_edge_sets(g)) if draw(st.booleans()) else None
+    runs = draw(st.lists(calls(g, spec, gen, b0), min_size=1, max_size=3))
     return g, gen, sizes, runs
 
 
@@ -343,3 +377,29 @@ def test_long_runs_across_slabs_match_the_reference(seed, lam, horizon, second):
         got = evolve(replace(P, horizon=horizon / 8), c0, b0, thin_view(tl, lam))
         want = reference(twin, c0, b0, spec, horizon / 8, **fr)
     assert _fields(got) == want
+
+
+# ---------------------------------------------------------------------------
+# the decided region: a merge of the two extreme stored paths
+
+@SETTINGS
+@given(table=tables(), view=st.sampled_from(["forward", "thinned", "reversed"]),
+       grown=st.booleans(), t_star=st.sampled_from([1.0, 0.7]))
+def test_decided_times_match_the_reference(table, view, grown, t_star):
+    g, spec, (lam_max, r_max, q, T, seed), sizes = table
+    with ExitStack() as stack:
+        _sizes(stack, sizes)
+        tl = build_timeline(g, lam_max, r_max, q, T, seed)
+        twin = build_timeline(g, lam_max, r_max, q, T, seed)
+        twin.times
+        if grown:       # the path from no open edge, swept partway by a run
+            evolve(RunParams(g, lam_max, r_max, spec, T), (g.origin(),), (), tl,
+                   stop_on_extinct=True)
+        if view == "forward":
+            got = decided_times(spec, tl)
+        elif view == "thinned":
+            got = decided_times(spec, thin_view(tl, lam_max / 3, r_max / 2))
+        else:
+            got = decided_times(spec, reverse_view(tl, T * t_star))
+        anchor = T * t_star if view == "reversed" else None
+        assert got == reference_decided(twin, spec, anchor, view == "reversed")
