@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import (BackgroundSpec, coupled_region, make_spec,
+from .background import (BackgroundSpec, decided_times, make_spec,
                          min_max_rates, sample_stationary_dp,
                          UnsupportedOperationError)
 from .engine import RunParams, evolve, evolve_released, richardson
@@ -512,12 +512,11 @@ def coupling_speed_report(spec: BackgroundSpec, t_grid, reps: int, seed: int):
     counts = {t: 0 for t in t_grid}
     for i in range(reps):
         tl = build_timeline(g, 0.0, 0.0, spec.flip_rate, t_max, derive_seed(seed, i))
+        # one merge per table serves every t: the edge is in coupled_region at t
+        # iff its decided time is at most t
+        decided = decided_times(spec, tl)[0][edge]
         for t in t_grid:
-            if t == 0.0:
-                counts[t] += 1
-                continue
-            region = coupled_region(spec, tl, t)
-            if edge not in set(int(e) for e in region.edges):
+            if t == 0.0 or not decided <= t:
                 counts[t] += 1
     rows = []
     for t in t_grid:
@@ -542,7 +541,6 @@ def growth_vs_coupling_curve(lam: float, spec: BackgroundSpec, s_grid, T: float,
     nondecreasing.  Reported as a trend; there is no finite-horizon threshold
     to assert.
     """
-    from .background import decided_times
     s_grid = sorted(float(s) for s in s_grid)
     if L is None:
         L = int(2.0 * lam * T) + 10   # generous vs the linear growth bound

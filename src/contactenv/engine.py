@@ -7,15 +7,19 @@ time-reversed run.  Because coupled variants consume the same event table,
 their containment relations hold pathwise, event by event, and the
 comparison helpers at the bottom of this module check exactly that.
 
+_run is the one infection loop: every entry point, the dual included, is a
+call to it with its own windows, emanation and entry limits and
+environment.  It visits only arrows and recoveries, through the table's
+index of them (grown as runs read), and is flat: plain lists, bytearray
+state, no attribute lookups.
+
 The environment is autonomous, so its path depends only on (feed, spec,
 initial edges).  BackgroundPath holds it and alone applies the flip rule,
 sweeping on through each chunk of the feed before a run reads the chunk.
 Paths on forward, un-anchored feeds are stored on the base Timeline, so
 every run with that spec and those initial edges reads and extends one: a
 run that dies early sweeps a prefix, and the next reuses it.  A frozen
-environment (spec None) reads no path.  The infection loop visits only
-arrows and recoveries, through the table's index of them (grown as runs
-read), and is flat: plain lists, bytearray state, no attribute lookups.
+environment (spec None) reads no path.
 
 A run reads its feed through the base Timeline's list views, which are
 converted on demand from a table that is itself drawn and sorted on demand,
@@ -28,8 +32,10 @@ table, which later runs share, and the lists a long run adds past
 Timeline.chunk's kept prefix are dropped chunk by chunk, so its memory
 does not grow with its length.  Every other run draws and converts
 through its horizon (Timeline.count_through) in one chunk and keeps it in
-the cached prefix (Timeline.lists); background_path reads the whole feed,
-and reversed views read the slabs through their anchor.
+the cached prefix (Timeline.lists); background_path reads the whole feed.
+A reversed feed is read in place, walked from its anchor back through that
+prefix; only its own environment path, if it has one, is swept over a
+reversed copy (graphical.event_feed).
 
 Every entry point that takes RunParams runs at (params.lam, params.r): a
 Timeline is thinned to them here, and a view must already be at them.
@@ -46,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .background import BackgroundSpec, coupled_region, make_spec, min_max_rates
-from .graphical import KIND_FLIP, TimelineView, _unpack, event_feed, feed_size, thin_view
+from .graphical import TimelineView, _unpack, event_feed, feed_size, reverse_view, thin_view
 from .lattice import GraphView
 
 SUPPRESS_ARROWS = "suppress-arrows"
@@ -298,108 +304,115 @@ def background_path(spec, b0, tl) -> BackgroundPath:
     return path
 
 
-def _arrows_and_recoveries(base, rev, kinds, start, stop):
-    """Offsets from start of the arrows and recoveries among the events
-    start..stop-1 of a feed, kinds[i] being event start + i: every event
-    when the table has no flip candidates, else from the base table's index
-    in forward order, or from kinds in reversed order."""
+def _arrows_and_recoveries(base, start, stop, origin):
+    """Offsets from origin <= start of the arrows and recoveries among the
+    table's events start..stop-1: every event when the table has no flip
+    candidates, else from the table's index of them."""
     if base.flip_rate == 0:
-        return range(stop - start)
-    if rev:
-        return [i for i in range(stop - start) if kinds[i] != KIND_FLIP]
+        return range(start - origin, stop - origin)
     order = base._visits_through(stop)
     if start == 0 and (not order or order[-1] < stop):
         return order
     sel = order[bisect_left(order, start):bisect_left(order, stop)]
-    return [i - start for i in sel] if start else sel
+    return [i - origin for i in sel] if origin else sel
 
 
 _CHUNK = 4096     # events a run that stops at extinction reads at a time
 
 
-def _initial_sites(g, sites):
-    """Site states, infected count and boundary flag of an initial site set."""
-    C = bytearray(g.n_sites)
-    for s in sites:
-        C[int(s)] = 1
-    return C, C.count(1), any(g.norm_inf[int(s)] >= g.half_width for s in sites)
+def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=math.inf,
+         env=None, no_arrows_until=-1.0, free_infection_until=-1.0,
+         no_recoveries_until=-1.0, stop_on_extinct=False, want_deltas=True):
+    """One infection run on tl's feed.  Arrows leave only sites of norm
+    below eman_limit and enter only sites of norm below entry_limit.  Its
+    environment env is a BackgroundPath on tl's feed, grown through each
+    chunk before the chunk is read; or a list of arrow flags by table offset
+    (the dual's forward environment); or, if None, the edge set b0 (a
+    frozenset of ints) throughout.
 
-
-def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit,
-         bg_path: BackgroundPath | None = None,
-         ignore_background=False, ignore_recoveries=False,
-         no_arrows_until=-1.0, free_infection_until=-1.0, no_recoveries_until=-1.0,
-         mask=None, stop_on_extinct=False, want_deltas=True):
-    """One infection run on tl's feed.  Its environment is bg_path, grown
-    through each chunk before the chunk is read, or without one the edge
-    set b0 (a frozenset of ints) throughout."""
+    A reversed feed is read in place: the base table's events from the
+    anchor back, at time anchor - times[i], each arrow crossed from its
+    target to its source."""
     base, lam, r, anchor, rev = _unpack(tl)
     lam_frac = lam / base.lam_max if lam < base.lam_max else 1.0
     r_frac = r / base.r_max if r < base.r_max else 1.0
     horizon = tl.t_max
-    if t_end > horizon + 1e-9:
+    if not t_end <= horizon + 1e-9:
         raise ValueError(f"t_end={t_end} beyond the feed horizon {horizon}")
     chunked = stop_on_extinct and not rev
     # a forward feed ends at its anchor; a chunked run finds the end in the chunk holding it
     t_last = t_end if anchor is None else min(t_end, anchor)
-    if rev:     # materialized whole: a reversal is built from its end
-        feed = event_feed(tl)[:4]
-        hi = bisect_right(feed[0], t_end)
+    if rev:
+        hi = base.count_through(anchor)
     elif not chunked:   # pulled from the base table's list views in one chunk
         hi = base.count_through(t_last)
 
-    dsrc = g.dir_src
-    ddst = g.dir_dst
+    dsrc, ddst = (g.dir_dst, g.dir_src) if rev else (g.dir_src, g.dir_dst)
     dedge = g.dir_edge
     ninf = g.norm_inf
     bdry = g.half_width
 
-    C, n_inf, btouch = _initial_sites(g, c0)
+    C = bytearray(g.n_sites)
+    for s in c0:
+        C[int(s)] = 1
+    n_inf = C.count(1)
+    btouch = any(ninf[int(s)] >= bdry for s in c0)
 
-    use_path = bg_path is not None
+    path = env if isinstance(env, BackgroundPath) else None
     # weak references compare by their referents, so this matches the base by identity
-    if use_path and bg_path.feed != (weakref.ref(base), anchor, rev):
+    if path is not None and path.feed != (weakref.ref(base), anchor, rev):
         raise ValueError("background path was computed for a different feed")
+    use_flags = env is not None
     arrow_open = B = None
-    if not use_path:
+    if env is None:
         B = bytearray(g.n_edges)
         for e in b0:
             B[e] = 1
+    elif path is None:
+        arrow_open = env
+    elif rev:   # swept over the reversed lists, and read from the anchor back
+        if path.n_events < hi:
+            path._grow(hi, event_feed(tl)[:4])
+        arrow_open = path.arrow_open[::-1]
 
     thin_arrows = lam_frac < 1.0
     thin_recs = r_frac < 1.0
     suppress_arrows = no_arrows_until > 0.0
     suppress_recs = no_recoveries_until > 0.0
     free_phase = free_infection_until > 0.0
-    check_bg = not ignore_background
 
     site_deltas = []
     sapp = site_deltas.append
     tau = 0.0 if n_inf == 0 else math.inf
     t_stop = t_end
 
-    # i below is an event's offset from the chunk's start
+    # i below is an event's offset from the chunk's start (from the table's, reversed)
     start = 0
     while True:
         if rev:
-            times, kinds, idx, marks = feed
-            stop = hi
-        elif chunked:
-            # slabs are drawn as far as this chunk reaches, and none past t_last's;
-            # the last chunk's lists go first, as they would add to the peak memory
-            times = kinds = idx = marks = None
-            times, kinds, idx, marks = base.chunk(start, start + _CHUNK, t_last)
-            stop = min(start + _CHUNK, base.n_generated)
-            hi = stop if stop < start + _CHUNK else math.inf
-            if stop > start and times[stop - start - 1] > t_last:
-                stop = hi = start + bisect_right(times, t_last, 0, stop - start)
-        else:
             times, kinds, idx, marks = base.lists(hi)
+            # the feed's events through t_end are the table's events lo..hi-1
+            lo = bisect_left(times, True, 0, hi, key=lambda u: anchor - u <= t_end)
+            order = reversed(_arrows_and_recoveries(base, lo, hi, 0))
             stop = hi
-        if use_path:
-            bg_path._grow(stop, (times, kinds, idx, marks), start)
-            arrow_open = bg_path.arrow_open[start:stop] if start else bg_path.arrow_open
-        for i in _arrows_and_recoveries(base, rev, kinds, start, stop):
+        else:
+            if chunked:
+                # slabs are drawn as far as this chunk reaches, and none past t_last's;
+                # the last chunk's lists go first, as they would add to the peak memory
+                times = kinds = idx = marks = None
+                times, kinds, idx, marks = base.chunk(start, start + _CHUNK, t_last)
+                stop = min(start + _CHUNK, base.n_generated)
+                hi = stop if stop < start + _CHUNK else math.inf
+                if stop > start and times[stop - start - 1] > t_last:
+                    stop = hi = start + bisect_right(times, t_last, 0, stop - start)
+            else:
+                times, kinds, idx, marks = base.lists(hi)
+                stop = hi
+            if path is not None:
+                path._grow(stop, (times, kinds, idx, marks), start)
+                arrow_open = path.arrow_open[start:stop] if start else path.arrow_open
+            order = _arrows_and_recoveries(base, start, stop, start)
+        for i in order:
             if kinds[i] == 0:  # arrow
                 j = idx[i]
                 s = dsrc[j]
@@ -412,14 +425,13 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit,
                 d2 = ddst[j]
                 if C[d2]:
                     continue
-                t = times[i]
+                t = anchor - times[i] if rev else times[i]
                 if suppress_arrows and t <= no_arrows_until:
                     continue
-                if check_bg:
-                    if not (arrow_open[i] if use_path else B[dedge[j]]):
-                        if not (free_phase and t <= free_infection_until):
-                            continue
-                if mask is not None and not (mask(s, t) and mask(d2, t)):
+                if not (arrow_open[i] if use_flags else B[dedge[j]]):
+                    if not (free_phase and t <= free_infection_until):
+                        continue
+                if ninf[d2] >= entry_limit:
                     continue
                 C[d2] = 1
                 n_inf += 1
@@ -428,14 +440,12 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit,
                 if want_deltas:
                     sapp((t, d2, 1))
             else:  # recovery
-                if ignore_recoveries:
-                    continue
                 if thin_recs and marks[i] >= r_frac:
                     continue
                 s = idx[i]
                 if not C[s]:
                     continue
-                t = times[i]
+                t = anchor - times[i] if rev else times[i]
                 if suppress_recs and t <= no_recoveries_until:
                     continue
                 C[s] = 0
@@ -454,8 +464,8 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit,
         break                   # stopped at extinction or the horizon: read no further
 
     c_final = frozenset(np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)).tolist())
-    if use_path:
-        edge_deltas, b_final = bg_path.until(t_stop, want_deltas)
+    if path is not None:
+        edge_deltas, b_final = path.until(t_stop, want_deltas)
     else:
         edge_deltas, b_final = [], b0
     return site_deltas, edge_deltas, c_final, b_final, tau, btouch
@@ -495,12 +505,12 @@ def _evolve(params, c0, b0, tl, shared_bg, **kw) -> Trajectory:
         # _bg_tables rejects a table with flips under a frozen environment
         path = (_bg_tables(None, tl) if params.spec is None
                 else _path(params.spec, b0, tl))
-    out = _run(params.graph, tl, c0, b0, t_end=params.horizon, bg_path=path, **kw)
+    out = _run(params.graph, tl, c0, b0, t_end=params.horizon, env=path, **kw)
     return _traj(params.graph, params.horizon, c0, b0, out)
 
 
 def evolve(params: RunParams, c0, b0, tl, *, stop_on_extinct=False,
-           want_deltas=True, mask=None, shared_bg: BackgroundPath | None = None) -> Trajectory:
+           want_deltas=True, shared_bg: BackgroundPath | None = None) -> Trajectory:
     """Run the pair process: arrows infect across open edges, recoveries heal,
     flip candidates drive the environment.  Arrows emanate from the open
     interior of the box only.  Pass shared_bg (from background_path) to reuse
@@ -511,11 +521,11 @@ def evolve(params: RunParams, c0, b0, tl, *, stop_on_extinct=False,
     empty set is absorbing, so nothing about survival is lost); edge queries
     past that moment return the environment as of the stop."""
     return _evolve(params, c0, b0, tl, shared_bg, eman_limit=params.graph.half_width,
-                   stop_on_extinct=stop_on_extinct, want_deltas=want_deltas, mask=mask)
+                   stop_on_extinct=stop_on_extinct, want_deltas=want_deltas)
 
 
 def evolve_truncated(l_inner: int, params: RunParams, c0, b0, tl, *,
-                     stop_on_extinct=False, want_deltas=True, mask=None,
+                     stop_on_extinct=False, want_deltas=True,
                      shared_bg: BackgroundPath | None = None) -> Trajectory:
     """Like evolve, but arrows emanate only from the open inner box
     (-l_inner, l_inner)^d.  Pathwise contained in the untruncated run."""
@@ -523,15 +533,15 @@ def evolve_truncated(l_inner: int, params: RunParams, c0, b0, tl, *,
         raise ValueError(f"inner scale {l_inner} exceeds the box half-width "
                          f"{params.graph.half_width}")
     return _evolve(params, c0, b0, tl, shared_bg, eman_limit=l_inner,
-                   stop_on_extinct=stop_on_extinct, want_deltas=want_deltas, mask=mask)
+                   stop_on_extinct=stop_on_extinct, want_deltas=want_deltas)
 
 
 def richardson(c0, tl, t_end: float, *, want_deltas=True) -> Trajectory:
-    """Growth-only upper bound: recoveries and the environment are ignored, so
-    the site set is nondecreasing and dominates every run on the same timeline."""
+    """Growth-only upper bound: every edge is open and no recovery acts through
+    t_end, so the site set is nondecreasing and dominates every run on tl."""
     g = tl.graph
     out = _run(g, tl, c0, frozenset(), t_end=t_end, eman_limit=g.half_width,
-               ignore_background=True, ignore_recoveries=True,
+               free_infection_until=t_end, no_recoveries_until=t_end,
                want_deltas=want_deltas)
     return _traj(g, t_end, c0, frozenset(), out)
 
@@ -542,6 +552,8 @@ def evolve_released(params: RunParams, c0, b0, tl, release: float, *,
     [0, release] while the environment runs; full dynamics afterwards.
     This is the burn-in mechanism the estimators use for near-stationary
     starts of environments without a closed-form invariant law."""
+    if not 0 <= release <= params.horizon:
+        raise ValueError(f"release {release} outside [0, {params.horizon}]")
     return _evolve(params, c0, b0, tl, None, eman_limit=params.graph.half_width,
                    no_arrows_until=release, no_recoveries_until=release,
                    stop_on_extinct=stop_on_extinct, want_deltas=want_deltas)
@@ -557,7 +569,7 @@ def delayed_variant(mode: str, s: float, params: RunParams, c0, b0, tl, *,
     edge as open on [0, s] (upper bound, agrees with richardson there).
     The environment itself evolves unmodified in both modes.
     """
-    if s < 0 or s > params.horizon:
+    if not 0 <= s <= params.horizon:
         raise ValueError(f"delay {s} outside [0, {params.horizon}]")
     distort = {SUPPRESS_ARROWS: dict(no_arrows_until=s),
                SUPPRESS_RECOVERIES_AND_BACKGROUND: dict(no_recoveries_until=s,
@@ -591,11 +603,13 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
                 *, want_deltas=True) -> Trajectory:
     """Time-reversed infection run against the frozen forward environment.
 
-    The dual starts from A at reversed time 0 (= forward time t*), crosses
-    each arrow in the opposite direction at the reversed timestamp, and uses
-    the forward environment's state just before the arrow's original time,
-    read from the path of (params.spec, b0) stored on the base timeline,
-    which this run extends through t* if no run has yet.
+    The dual starts from A at reversed time 0 (= forward time t*) and is the
+    run of _run on reverse_view(tl, t*): it crosses each arrow in the
+    opposite direction at the reversed timestamp, and reads the arrow
+    against the forward environment's state just before the arrow's
+    original time, the flags of the path of (params.spec, b0) stored on the
+    base timeline, which this run extends through t* if no run has yet.  It
+    may not enter a site that the forward arrow could not have left.
     On every realization the indicator identity
 
         1{forward sites at t* meet A}  ==  1{dual sites at t* meet C0}
@@ -605,70 +619,18 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     g = params.graph
     if _unpack(tl)[4]:
         raise ValueError("pass the forward timeline; dual_evolve reverses internally")
-    base, lam, r, _, _ = _unpack(_at_rates(params, tl))
-    lam_frac = lam / base.lam_max if lam < base.lam_max else 1.0
-    r_frac = r / base.r_max if r < base.r_max else 1.0
-    if t_star <= 0 or t_star > base.t_max + 1e-9:
-        raise ValueError(f"t_star={t_star} outside (0, {base.t_max}]")
-
+    rv = reverse_view(_at_rates(params, tl), t_star)
+    base = rv.base
     b0 = frozenset(map(int, b0))
     path = _path(params.spec, b0, base)
-    hi = base.count_through(t_star)
-    times, kinds, idx, marks = lists = base.lists(hi)
-    path._grow(hi, lists)
-    arrow_open = path.arrow_open
-
-    dsrc = g.dir_src
-    ddst = g.dir_dst
-    ninf = g.norm_inf
-    eman = g.half_width
-    thin_arrows = lam_frac < 1.0
-    thin_recs = r_frac < 1.0
-
-    C, n_inf, btouch = _initial_sites(g, a_sites)
-    site_deltas = []
-    app = site_deltas.append
-    tau = 0.0 if n_inf == 0 else math.inf
-
-    for i in reversed(_arrows_and_recoveries(base, False, kinds, 0, hi)):
-        k = kinds[i]
-        if k == 0:
-            j = idx[i]
-            src = ddst[j]           # the dual crosses the arrow backwards
-            if not C[src]:
-                continue
-            if thin_arrows and marks[i] >= lam_frac:
-                continue
-            orig_src = dsrc[j]
-            if ninf[orig_src] >= eman:   # same emanation rule as forward
-                continue
-            if C[orig_src]:
-                continue
-            if not arrow_open[i]:
-                continue
-            C[orig_src] = 1
-            n_inf += 1
-            if ninf[orig_src] >= eman:
-                btouch = True
-            if want_deltas:
-                app((t_star - times[i], orig_src, 1))
-        elif k == 1:
-            if thin_recs and marks[i] >= r_frac:
-                continue
-            s = idx[i]
-            if C[s]:
-                C[s] = 0
-                n_inf -= 1
-                if want_deltas:
-                    app((t_star - times[i], s, -1))
-                if not n_inf:
-                    tau = t_star - times[i]
-
-    c_final = frozenset(np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)).tolist())
-    return Trajectory(graph=g, t_end=float(t_star), c0=frozenset(int(s) for s in a_sites),
-                      b0=b0, site_deltas=site_deltas,
-                      edge_deltas=[], c_final=c_final, b_final=frozenset(),
-                      tau_ex=tau, boundary_touched=btouch)
+    hi = base.count_through(rv.anchor)
+    path._grow(hi, base.lists(hi))
+    site_deltas, _, c_final, _, tau, btouch = _run(
+        g, rv, a_sites, b0, t_end=rv.anchor, entry_limit=g.half_width,
+        env=path.arrow_open, want_deltas=want_deltas)
+    # the dual records no environment of its own
+    return _traj(g, rv.anchor, a_sites, b0,
+                 (site_deltas, [], c_final, frozenset(), tau, btouch))
 
 
 def duality_indicators(params: RunParams, c0, b0, a_sites, tl, t_star: float):

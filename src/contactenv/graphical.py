@@ -369,7 +369,7 @@ def reverse_view(tl, t_star: float) -> TimelineView:
     with arrow directions flipped.  Reversing twice at the same anchor replays
     the original order on [0, t*]."""
     base, lam, r, anchor, rev = _unpack(tl)
-    if t_star <= 0 or t_star > base.t_max + 1e-12:
+    if not 0 < t_star <= base.t_max + 1e-12:
         raise ValueError(f"reversal anchor {t_star} outside (0, {base.t_max}]")
     if anchor is not None and abs(anchor - t_star) > 1e-12:
         raise ValueError("re-reversal must use the same anchor")
@@ -400,30 +400,23 @@ def event_feed(tl):
     Forward lists come from the base table's cached prefix (Timeline.lists),
     which this converts through the end of the feed; an anchored view gets a
     copy cut at its anchor, as the prefix may later grow past it.  For
-    reversed views the arrays are materialized with times mapped to t* - u,
-    order reversed, and arrow pair ids flipped to the opposite orientation;
-    recovery and flip events keep their type and target.
+    reversed views new lists are built from the arrays, with times mapped to
+    t* - u, order reversed, and arrow pair ids flipped to the opposite
+    orientation; recovery and flip events keep their type and target.
     """
     base, lam, r, anchor, rev = _unpack(tl)
     lam_frac = 1.0 if base.lam_max <= 0 else lam / base.lam_max
     r_frac = 1.0 if base.r_max <= 0 else r / base.r_max
     hi = feed_size(tl)
-    times_l, kinds_l, idx_l, marks_l = base.lists(hi)
     if not rev:
+        lists = base.lists(hi)
         if anchor is not None:
-            times_l, kinds_l, idx_l, marks_l = (times_l[:hi], kinds_l[:hi],
-                                                idx_l[:hi], marks_l[:hi])
-        return times_l, kinds_l, idx_l, marks_l, lam_frac, r_frac, tl.t_max
-    t_star = anchor
-    rtimes, rkinds, ridx, rmarks = [], [], [], []
-    for i in range(hi - 1, -1, -1):
-        rtimes.append(t_star - times_l[i])
-        k = kinds_l[i]
-        rkinds.append(k)
-        j = idx_l[i]
-        ridx.append(j ^ 1 if k == KIND_ARROW else j)
-        rmarks.append(marks_l[i])
-    return rtimes, rkinds, ridx, rmarks, lam_frac, r_frac, t_star
+            lists = tuple(lst[:hi] for lst in lists)
+        return (*lists, lam_frac, r_frac, tl.t_max)
+    # newest first, at t* - u, each arrow's pair id flipped to the other orientation
+    times, kinds, idx, marks = (a[:hi][::-1] for a in base._buf)
+    return ((anchor - times).tolist(), kinds.tolist(),
+            (idx ^ (kinds == KIND_ARROW)).tolist(), marks.tolist(), lam_frac, r_frac, anchor)
 
 
 def to_ndjson(tl: Timeline) -> str:

@@ -11,6 +11,7 @@ from contactenv import (background_path, build_box, build_timeline,
                         evolve_released, evolve_truncated, is_contained_pathwise,
                         make_spec, phi_set, reverse_view, richardson, thin_view,
                         union_matches_pathwise)
+from contactenv import engine, graphical
 from contactenv.engine import _CHUNK, SUPPRESS_ARROWS, RunParams
 from contactenv.graphical import KEPT_PREFIX, KIND_ARROW, KIND_RECOVERY, derive_seed
 
@@ -757,3 +758,60 @@ def test_a_spec_for_another_dimension_is_rejected():
             background_path(spec, (), tl)
         with pytest.raises(ValueError, match="background spec for d="):
             decided_times(spec, tl)
+
+
+def _dp_table_and_params():
+    g = build_box(1, 8)
+    return g, build_timeline(g, 2.0, 1.0, DP.flip_rate, 5.0, seed=3), RunParams(g, 2.0, 1.0, DP, 5.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, tl, P: evolve_released(P, (g.origin(),), (), tl, math.nan),
+    lambda g, tl, P: evolve_released(P, (g.origin(),), (), tl, 99.0),
+    lambda g, tl, P: delayed_variant(SUPPRESS_ARROWS, math.nan, P, (g.origin(),), (), tl),
+    lambda g, tl, P: delayed_variant("suppress-recoveries-and-background", math.nan, P,
+                                     (g.origin(),), (), tl),
+    lambda g, tl, P: richardson((g.origin(),), tl, math.nan),
+    lambda g, tl, P: dual_evolve((g.origin(),), P, (), tl, math.nan),
+    lambda g, tl, P: reverse_view(tl, math.nan),
+], ids=["release-nan", "release-past-horizon", "delay-lo-nan", "delay-hi-nan",
+        "richardson-nan", "dual-nan", "reverse-nan"])
+def test_times_outside_the_window_are_rejected(call):
+    # a NaN time fails every comparison, so each range check must be
+    # written to fail on it rather than to pass
+    with pytest.raises(ValueError, match="outside|beyond"):
+        call(*_dp_table_and_params())
+
+
+def test_the_dual_and_reversed_runs_read_the_table_in_place(monkeypatch):
+    # W3-shaped tables (2-d, L=12, T=10, ising): the dual and a reversed
+    # frozen run read the base table from the anchor back and build no
+    # reversed copy of it, which for such a table is megabytes of lists
+    g = build_box(2, 12)
+    spec = make_spec("ising", beta_inv=0.12, d=2)
+    rng = random.Random(12)
+    b0 = [e for e in range(g.n_edges) if rng.random() < 0.5]
+    a = [s for s in range(g.n_sites) if rng.random() < 0.2]
+    P = RunParams(g, 0.7, 1.0, spec, 10.0)
+    frozen = RunParams(g, 0.7, 1.0, None, 7.0)
+
+    def dual(tl):
+        return dual_evolve(a, P, b0, tl, 10.0)
+
+    def reversed_frozen(tl):
+        return evolve(frozen, a, b0, reverse_view(tl, 7.0))
+
+    for i in range(2):
+        seed = derive_seed(1212, i)
+        for run, q in ((dual, spec.flip_rate), (reversed_frozen, 0.0)):
+            want = run(build_timeline(g, 0.7, 1.0, q, 10.0, seed))
+            with monkeypatch.context() as m:
+                for mod in (engine, graphical):
+                    m.setattr(mod, "event_feed", _no_reversed_copy)
+                got = run(build_timeline(g, 0.7, 1.0, q, 10.0, seed))
+            assert _fields(got) == _fields(want)
+            assert len(got.site_deltas) > 0
+
+
+def _no_reversed_copy(tl):
+    raise AssertionError("event_feed called")

@@ -262,9 +262,25 @@ def calls(draw, g, spec, gen, b0=None):
     which = draw(st.sampled_from(["evolve", "stored", "truncated", "released", "delay-lo",
                                   "delay-hi", "richardson", "reversed", "anchored",
                                   "dual"]))
+    # these entry points are also drawn on a reversed or re-reversed view,
+    # which the engine reads in place from the anchor back
+    turn = None
+    if which in ("truncated", "released", "delay-lo", "delay-hi", "richardson"):
+        turn = draw(st.sampled_from([None, "reversed", "anchored"]))
+    turned = {}
+    if turn is not None:
+        t_end = t_star * (0.6 if t_end < T else 1.0)
+        P = replace(P, horizon=t_end)
+        turned = dict(anchor=t_star, reverse=turn == "reversed")
+
+    def thin_and_turn(tl):
+        v = thin_view(tl, lam, r)
+        if turn is not None:
+            v = reverse_view(v, t_star)
+        return reverse_view(v, t_star) if turn == "anchored" else v
 
     def feed(tl):
-        return thin_view(tl, lam, r) if as_view else tl
+        return thin_and_turn(tl) if turn is not None or as_view else tl
 
     if which == "evolve":
         return which, (lambda tl: evolve(P, c0, b0, feed(tl), stop_on_extinct=stop,
@@ -282,14 +298,15 @@ def calls(draw, g, spec, gen, b0=None):
         return which, (lambda tl: evolve_truncated(inner, P, c0, b0, feed(tl),
                                                    stop_on_extinct=stop, want_deltas=want),
                        lambda tw: reference(tw, c0, b0, spec, t_end, eman=inner,
-                                            stop_on_extinct=stop, want_deltas=want, **fr))
+                                            stop_on_extinct=stop, want_deltas=want,
+                                            **turned, **fr))
     if which == "released":
         rel = draw(st.sampled_from([0.0, T / 4]))
         return which, (lambda tl: evolve_released(P, c0, b0, feed(tl), rel,
                                                   stop_on_extinct=stop, want_deltas=want),
                        lambda tw: reference(tw, c0, b0, spec, t_end, no_arrows_until=rel,
                                             no_rec_until=rel, stop_on_extinct=stop,
-                                            want_deltas=want, **fr))
+                                            want_deltas=want, **turned, **fr))
     if which in ("delay-lo", "delay-hi"):
         s = draw(st.sampled_from([0.0, t_end / 3]))
         mode = SUPPRESS_ARROWS if which == "delay-lo" else SUPPRESS_RECOVERIES_AND_BACKGROUND
@@ -298,11 +315,12 @@ def calls(draw, g, spec, gen, b0=None):
         return which, (lambda tl: delayed_variant(mode, s, P, c0, b0, feed(tl),
                                                   stop_on_extinct=stop, want_deltas=want),
                        lambda tw: reference(tw, c0, b0, spec, t_end, stop_on_extinct=stop,
-                                            want_deltas=want, **distort, **fr))
+                                            want_deltas=want, **distort, **turned, **fr))
     if which == "richardson":
-        return which, (lambda tl: richardson(c0, thin_view(tl, lam, r), t_end, want_deltas=want),
+        return which, (lambda tl: richardson(c0, thin_and_turn(tl), t_end, want_deltas=want),
                        lambda tw: reference(tw, c0, (), spec, t_end, env=False,
-                                            recoveries=False, want_deltas=want, **fr))
+                                            recoveries=False, want_deltas=want, **turned,
+                                            **fr))
     if which in ("reversed", "anchored"):
         rev = which == "reversed"
         h = t_star * (0.6 if t_end < T else 1.0)
