@@ -24,7 +24,7 @@ from .background import (BackgroundSpec, decided_times, make_spec,
                          min_max_rates, sample_stationary_dp,
                          UnsupportedOperationError)
 from .engine import RunParams, evolve, evolve_released, richardson
-from .graphical import build_timeline, derive_seed, thin_view
+from .graphical import build_timeline, derive_seed
 from .lattice import build_box, l1_ball_sites
 
 Z95 = 1.959963984540054
@@ -117,20 +117,26 @@ def _c1_bisect(lam, degree, rho):
     return 0.5 * (lo + hi)
 
 
-def _lambert_w_principal(z: float) -> float:
-    """Principal branch on (-1/e, 0] by Halley iteration."""
+def _lambert_w_principal(z: float, gap: float) -> float:
+    """Principal branch on (-1/e, 0] by Halley iteration.
+
+    gap is 1 + e*z, computed by the caller without forming z: near the
+    branch point W moves with sqrt(gap), so the rounding of z would move it
+    by sqrt(eps), and there W is the branch-point series in gap alone.
+    """
     if z == 0.0:
         return 0.0
     e_inv = math.exp(-1.0)
     if z < -e_inv:
         raise ValueError(f"argument {z} below the branch point -1/e")
-    if abs(z + e_inv) < 1e-15:
-        return -1.0
     # branch-point series seed near -1/e, w ~ z elsewhere on (-1/e, 0)
-    p2 = 2.0 * (math.e * z + 1.0)
+    p2 = 2.0 * gap
     if p2 < 0.5:
         p = math.sqrt(max(p2, 0.0))
         w = -1.0 + p - p * p / 3.0 + 11.0 * p * p * p / 72.0
+        if p < 1e-3:
+            # within 1e-13 of W; a Halley step would add z's rounding / p
+            return w
     else:
         w = z * math.exp(-z)
     for _ in range(100):
@@ -156,7 +162,7 @@ def solve_c1(lam: float, degree: int, rho: float = 0.0, *,
         raise ValueError("need lam > 0, degree >= 1, rho >= 0")
     z = -math.exp(-(1.0 + rho)) / degree
     assert z >= -math.exp(-1.0), "argument cannot fall below the branch point"
-    c_w = -_lambert_w_principal(z) / lam
+    c_w = -_lambert_w_principal(z, (degree - 1 - math.expm1(-rho)) / degree) / lam
     c_b = _c1_bisect(lam, degree, rho)
     if abs(c_w - c_b) > cross_check_tol:
         raise ArithmeticError(
@@ -263,14 +269,13 @@ def _survival_runs(params, c0, *, start_mode="fixed-B0", b0=None, reps, seed=Non
     for i in range(reps):
         rep_seed = derive_seed(root, i)
         tl = build_timeline(g, lam_gen, r_gen, _q_rate(params.spec), horizon, rep_seed, **kw)
-        view = thin_view(tl, params.lam, params.r)
         b0_i = _replica_b0(params, start_mode, b0, rep_seed)
         run_params = RunParams(g, params.lam, params.r, params.spec, horizon, rep_seed)
         if burn > 0.0:
-            traj = evolve_released(run_params, c0, b0_i, view, burn,
+            traj = evolve_released(run_params, c0, b0_i, tl, burn,
                                    stop_on_extinct=True, want_deltas=False)
         else:
-            traj = evolve(run_params, c0, b0_i, view, stop_on_extinct=True,
+            traj = evolve(run_params, c0, b0_i, tl, stop_on_extinct=True,
                           want_deltas=False)
         ext_times.append(traj.tau_ex - burn)
         if traj.boundary_touched:
@@ -728,19 +733,21 @@ class PhaseScan:
 
 
 def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
-               *, max_events: int | None = None,
-               flip_ceiling: float | None = None) -> PhaseScan:
-    """Survival estimates over a 2-d parameter grid.
+               *, proceed=None) -> PhaseScan:
+    """Survival estimates over a 2-d parameter grid, one axis-2 column at a
+    time.
 
     axis1/axis2 are (name, values) with names among lambda, r, alpha, beta.
-    Replicas share seeds across the whole grid and the infection/recovery
-    rates are realized by thinning from the grid maxima, so rows and columns
-    along lambda (and r) are exactly monotone, not just statistically.
+    Replicas share seeds across the whole grid, and every replica's table
+    is drawn at the grid's ceilings (the largest lambda, r and flip
+    candidate rate of any cell) and thinned to each cell's rates, so rows
+    and columns along lambda (and r) are exactly monotone, not just
+    statistically.
 
-    flip_ceiling forces the candidate-clock rate of the generated timelines
-    (it must dominate every cell's natural rate); passing the global grid
-    ceiling makes column-by-column evaluation byte-identical to a one-shot
-    scan of the full grid.
+    Before each column, proceed(column_events), if given, is called with
+    the column's expected event count reps * (lam*2|E| + r|V| + q|E|) * T
+    at the ceilings; a false return ends the scan, and the result holds
+    only the columns that ran.
     """
     name1, vals1 = axis1
     name2, vals2 = axis2
@@ -760,46 +767,40 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
             return v2
         return fixed.get(name, default)
 
-    lam_ceiling = max(vals1) if name1 == "lambda" else (max(vals2) if name2 == "lambda" else fixed["lambda"])
-    r_ceiling = max(vals1) if name1 == "r" else (max(vals2) if name2 == "r" else fixed["r"])
-    alphas = set(vals1 if name1 == "alpha" else (vals2 if name2 == "alpha" else [fixed.get("alpha")]))
-    betas = set(vals1 if name1 == "beta" else (vals2 if name2 == "beta" else [fixed.get("beta")]))
-    q_ceiling = 0.0
-    specs = {}
-    for a in alphas:
-        for b in betas:
-            if a is None or b is None:
-                continue
-            specs[(a, b)] = make_spec("dynamical-percolation", alpha=a, beta=b, d=d)
-            q_ceiling = max(q_ceiling, specs[(a, b)].flip_rate)
-    if flip_ceiling is not None:
-        if flip_ceiling + 1e-12 < q_ceiling:
-            raise ValueError(f"flip_ceiling {flip_ceiling} below the grid's natural "
-                             f"candidate rate {q_ceiling}")
-        q_ceiling = flip_ceiling
+    def values(name):
+        return vals1 if name1 == name else (vals2 if name2 == name else (fixed.get(name),))
 
-    counts = {(v1, v2): [0, 0] for v1 in vals1 for v2 in vals2}
-    kw = {} if max_events is None else {"max_events": max_events}
-    for i in range(reps):
-        rep_seed = derive_seed(seed, i)
-        tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T, rep_seed, **kw)
-        for v2 in vals2:
+    lam_ceiling = max(values("lambda"))
+    r_ceiling = max(values("r"))
+    specs = {(a, b): make_spec("dynamical-percolation", alpha=a, beta=b, d=d)
+             for a in set(values("alpha")) for b in set(values("beta"))
+             if a is not None and b is not None}
+    q_ceiling = max((spec.flip_rate for spec in specs.values()), default=0.0)
+    column_events = (lam_ceiling * 2 * g.n_edges + r_ceiling * g.n_sites
+                     + q_ceiling * g.n_edges) * T * reps
+
+    done = []
+    estimates = {}
+    for v2 in vals2:
+        if proceed is not None and not proceed(column_events):
+            break
+        counts = {v1: [0, 0] for v1 in vals1}
+        for i in range(reps):
+            rep_seed = derive_seed(seed, i)
+            tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T, rep_seed)
             for v1 in vals1:
                 lam = float(setting("lambda", v1, v2))
                 r = float(setting("r", v1, v2))
-                a = setting("alpha", v1, v2)
-                b = setting("beta", v1, v2)
-                spec = specs.get((a, b)) if a is not None and b is not None else None
-                view = thin_view(tl, lam, r)
+                spec = specs.get((setting("alpha", v1, v2), setting("beta", v1, v2)))
                 traj = evolve(RunParams(g, lam, r, spec, T, rep_seed), (origin,), (),
-                              view, stop_on_extinct=True, want_deltas=False)
-                cell = counts[(v1, v2)]
+                              tl, stop_on_extinct=True, want_deltas=False)
+                cell = counts[v1]
                 if traj.tau_ex == math.inf:
                     cell[0] += 1
                 if traj.boundary_touched:
                     cell[1] += 1
-    estimates = {}
-    for key, (alive, btouch) in counts.items():
-        estimates[key] = _estimate(alive, reps, seed, boundary=btouch)
-    return PhaseScan(axis1=name1, axis2=name2, values1=vals1, values2=vals2,
+        for v1, (alive, btouch) in counts.items():
+            estimates[(v1, v2)] = _estimate(alive, reps, seed, boundary=btouch)
+        done.append(v2)
+    return PhaseScan(axis1=name1, axis2=name2, values1=vals1, values2=tuple(done),
                      fixed=dict(fixed), estimates=estimates)

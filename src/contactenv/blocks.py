@@ -21,7 +21,7 @@ from itertools import product
 
 from .analysis import Estimate, _estimate, wilson_bounds
 from .engine import RunParams, evolve_truncated
-from .graphical import build_timeline, derive_seed, mix64, thin_view, uniform_from
+from .graphical import build_timeline, derive_seed, mix64, uniform_from
 
 A1, A2, A3 = "A1", "A2", "A3"
 
@@ -157,9 +157,8 @@ def estimate_block_event(which: str, n: int, L: int, T: float,
     for i in range(reps):
         rep_seed = derive_seed(seed, i)
         tl = build_timeline(g, lam_gen, params.r, q_gen, horizon, rep_seed)
-        view = thin_view(tl, params.lam)
         run = RunParams(g, params.lam, params.r, spec, horizon, rep_seed)
-        traj = evolve_truncated(trunc, run, c0, (), view)
+        traj = evolve_truncated(trunc, run, c0, (), tl)
         if which == A1:
             ok = _cube_event_occurred(traj, g, anchors, n, None, at_time=T + 1.0)
         elif which == A2:

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -370,24 +369,6 @@ def _est_row(est):
     return [est.p_hat, est.n_reps, est.half_width, est.censored_frac, est.boundary_frac]
 
 
-def _split_reps(reps: int, threads: int, chunk: int = 64):
-    """Deterministic chunking: results do not depend on the pool size."""
-    if threads <= 1:
-        return [(0, reps)]
-    chunks = []
-    start = 0
-    while start < reps:
-        chunks.append((start, min(chunk, reps - start)))
-        start += chunk
-    return chunks
-
-
-def _pooled_estimate(parts, reps, seed):
-    alive = sum(round(p.p_hat * p.n_reps) for p in parts)
-    boundary = sum(round(p.boundary_frac * p.n_reps) for p in parts)
-    return analysis._estimate(alive, reps, seed, boundary=boundary)
-
-
 def _run_survival(cfg: RunConfig):
     p = cfg.params
     if p["reps"] > cfg.max_replicas:
@@ -401,28 +382,13 @@ def _run_survival(cfg: RunConfig):
     else:
         c0 = tuple(g.site_index(tuple(x)) for x in c0_doc)
     params = RunParams(g, p["lambda"], p["r"], spec, p["T"], cfg.seed)
-    chunks = _split_reps(p["reps"], cfg.threads)
-    seeds = [derive_seed(cfg.seed, 1_000_003 + i) for i in range(len(chunks))]
-
-    def one(chunk_seed_count):
-        (offset, count), s = chunk_seed_count
-        return analysis.estimate_survival(params, c0, start_mode=p["start_mode"],
-                                          reps=count, seed=s,
-                                          max_events=cfg.max_events)
-
-    if cfg.threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(one, zip(chunks, seeds)))
-        est = _pooled_estimate(parts, p["reps"], cfg.seed)
-        seeds_used = seeds
-    else:
-        est = analysis.estimate_survival(params, c0, start_mode=p["start_mode"],
-                                         reps=p["reps"], seed=cfg.seed,
-                                         max_events=cfg.max_events)
-        seeds_used = [derive_seed(cfg.seed, i) for i in range(p["reps"])]
+    est = analysis.estimate_survival(params, c0, start_mode=p["start_mode"],
+                                     reps=p["reps"], seed=cfg.seed,
+                                     max_events=cfg.max_events)
+    seeds = [derive_seed(cfg.seed, i) for i in range(p["reps"])]
     header = ["lambda", "r", "T", "L", "d"] + _est_cols()
     rows = [[p["lambda"], p["r"], p["T"], p["L"], d] + _est_row(est)]
-    return _csv(header, rows), seeds_used, {}
+    return _csv(header, rows), seeds, {}
 
 
 def _run_critical(cfg: RunConfig):
@@ -448,58 +414,39 @@ def _run_critical(cfg: RunConfig):
 
 
 def _run_phase_scan(cfg: RunConfig):
-    """Column-by-column scan so a budget stop still leaves a partial CSV.
-
-    Columns share the global grid ceilings, so the assembled matrix is
-    byte-identical to a one-shot scan when the budget suffices.
-    """
+    """One analysis.phase_scan call, asked before each axis-2 column whether
+    to go on: it stops before a column whose expected events would take the
+    scan past max_events, or once wall_clock_hint_s has passed, and the CSV
+    then holds the columns that ran."""
     p = cfg.params
     if p["reps"] > cfg.max_replicas:
         raise BudgetError(f"reps {p['reps']} exceed max_replicas {cfg.max_replicas}")
     fixed = dict(p["fixed"])
     fixed.setdefault("d", p["d"])
     fixed.setdefault("L", p["L"])
-    name1, vals1 = p["axis1"]
-    name2, vals2 = p["axis2"]
-    g = build_box(int(fixed["d"]), int(fixed["L"]))
-
-    def grid_max(name):
-        if name1 == name:
-            return max(vals1)
-        if name2 == name:
-            return max(vals2)
-        return fixed.get(name, 0.0)
-
-    lam_ceil = grid_max("lambda")
-    r_ceil = grid_max("r")
-    q_ceil = 0.0
-    if fixed.get("alpha") is not None or name1 == "alpha" or name2 == "alpha":
-        q_ceil = grid_max("alpha") + grid_max("beta")
-    per_rep_events = (lam_ceil * 2 * g.n_edges + r_ceil * g.n_sites
-                      + q_ceil * g.n_edges) * p["T"]
-    per_column_events = per_rep_events * p["reps"]
-
-    header = [name1, name2] + _est_cols() + ["fixed"]
-    fixed_str = json.dumps({**fixed}, sort_keys=True).replace(",", ";")
-    rows = []
-    flags = {}
     spent = 0.0
+    stop = {}
     started = time.time()
-    for v2 in vals2:
-        over_budget = spent + per_column_events > cfg.max_events
-        over_clock = (cfg.wall_clock_hint_s is not None
-                      and time.time() - started > cfg.wall_clock_hint_s)
-        if over_budget or over_clock:
-            flags = {"budget_exceeded": True,
-                     "completed_columns": len(rows) // max(len(vals1), 1),
-                     "reason": "event budget" if over_budget else "wall clock"}
-            break
-        scan = analysis.phase_scan((name1, vals1), (name2, [v2]), fixed,
-                                   p["T"], p["reps"], cfg.seed,
-                                   flip_ceiling=q_ceil if q_ceil > 0 else None)
-        spent += per_column_events
-        for v1, vv2, est in scan.rows():
-            rows.append([v1, vv2] + _est_row(est) + [fixed_str])
+
+    def proceed(column_events):
+        nonlocal spent
+        if spent + column_events > cfg.max_events:
+            stop["reason"] = "event budget"
+        elif (cfg.wall_clock_hint_s is not None
+              and time.time() - started > cfg.wall_clock_hint_s):
+            stop["reason"] = "wall clock"
+        else:
+            spent += column_events
+        return not stop
+
+    scan = analysis.phase_scan(p["axis1"], p["axis2"], fixed, p["T"], p["reps"],
+                               cfg.seed, proceed=proceed)
+    header = [scan.axis1, scan.axis2] + _est_cols() + ["fixed"]
+    fixed_str = json.dumps(fixed, sort_keys=True).replace(",", ";")
+    rows = [[v1, v2] + _est_row(est) + [fixed_str] for v1, v2, est in scan.rows()]
+    flags = {}
+    if stop:
+        flags = {"budget_exceeded": True, "completed_columns": len(scan.values2), **stop}
     seeds = [derive_seed(cfg.seed, i) for i in range(p["reps"])]
     return _csv(header, rows), seeds, flags
 
@@ -635,7 +582,8 @@ def main(argv=None) -> int:
                     help="path to a JSON config, or an inline JSON object")
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
     ap.add_argument("--out", default=None, help="override the output directory")
-    ap.add_argument("--threads", type=int, default=None, help="replica pool size")
+    ap.add_argument("--threads", type=int, default=None,
+                    help="recorded in the manifest; results do not depend on it")
     ap.add_argument("--dry-run", action="store_true", help="validate only")
     args = ap.parse_args(argv)
 

@@ -608,8 +608,10 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     opposite direction at the reversed timestamp, and reads the arrow
     against the forward environment's state just before the arrow's
     original time, the flags of the path of (params.spec, b0) stored on the
-    base timeline, which this run extends through t* if no run has yet.  It
-    may not enter a site that the forward arrow could not have left.
+    base timeline, which this run extends through t* if no run has yet; in a
+    frozen environment (spec None) it reads b0 throughout and stores no
+    path.  It may not enter a site that the forward arrow could not have
+    left.
     On every realization the indicator identity
 
         1{forward sites at t* meet A}  ==  1{dual sites at t* meet C0}
@@ -622,12 +624,17 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     rv = reverse_view(_at_rates(params, tl), t_star)
     base = rv.base
     b0 = frozenset(map(int, b0))
-    path = _path(params.spec, b0, base)
-    hi = base.count_through(rv.anchor)
-    path._grow(hi, base.lists(hi))
+    if params.spec is None:
+        # b0 throughout; _bg_tables rejects a table with flips
+        env = _bg_tables(None, base)
+    else:
+        path = _path(params.spec, b0, base)
+        hi = base.count_through(rv.anchor)
+        path._grow(hi, base.lists(hi))
+        env = path.arrow_open
     site_deltas, _, c_final, _, tau, btouch = _run(
         g, rv, a_sites, b0, t_end=rv.anchor, entry_limit=g.half_width,
-        env=path.arrow_open, want_deltas=want_deltas)
+        env=env, want_deltas=want_deltas)
     # the dual records no environment of its own
     return _traj(g, rv.anchor, a_sites, b0,
                  (site_deltas, [], c_final, frozenset(), tau, btouch))

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contactenv import (build_box, estimate_critical_lambda, estimate_survival,
                         condition_block_curve, coupling_speed_report,
@@ -65,6 +65,9 @@ class TestGrowthConstant:
 
     @given(st.floats(0.1, 10.0), st.integers(1, 8), st.floats(0.0, 2.0))
     @settings(max_examples=60, deadline=None)
+    # degree 1 near rho = 0, where the root is close to a double root
+    @example(lam=1.0, deg=1, rho=2.220446049250313e-16)
+    @example(lam=0.1, deg=1, rho=1e-10)
     def test_root_property(self, lam, deg, rho):
         c = solve_c1(lam, deg, rho)
         assert abs(growth_gap(c, lam, deg, rho)) <= 1e-9

@@ -111,21 +111,50 @@ class TestRun:
         manifest = json.loads((tmp_path / "phase_scan_manifest.json").read_text())
         assert manifest["flags"]["budget_exceeded"]
 
-    def test_phase_scan_columnwise_matches_library(self, tmp_path):
+    @pytest.mark.parametrize("axis1,axis2,fixed", [
+        (["lambda", [0.5, 1.5]], ["beta", [0.5, 2.0]], {"alpha": 1.0, "r": 1.0}),
+        (["beta", [0.5, 2.0]], ["lambda", [0.5, 1.5, 2.5]], {"alpha": 1.0, "r": 1.0}),
+        (["beta", [0.5, 2.0]], ["r", [0.5, 1.0, 2.0]], {"alpha": 1.0, "lambda": 2.0}),
+    ], ids=["lambda-beta", "beta-lambda", "beta-r"])
+    def test_phase_scan_columnwise_matches_library(self, tmp_path, axis1, axis2, fixed):
         from contactenv import phase_scan
         doc = {"subcommand": "phase-scan", "seed": 4, "d": 1, "L": 15,
-               "axis1": ["lambda", [0.5, 1.5]], "axis2": ["beta", [0.5, 2.0]],
-               "fixed": {"alpha": 1.0, "r": 1.0}, "T": 5.0, "reps": 30,
+               "axis1": axis1, "axis2": axis2, "fixed": fixed, "T": 5.0, "reps": 30,
                "out_dir": str(tmp_path)}
         assert cli.run(cli.parse_config(json.dumps(doc))) == 0
         rows = (tmp_path / "phase_scan.csv").read_text().strip().split("\n")[1:]
-        scan = phase_scan(("lambda", [0.5, 1.5]), ("beta", [0.5, 2.0]),
-                          {"d": 1, "L": 15, "alpha": 1.0, "r": 1.0},
-                          T=5.0, reps=30, seed=4)
-        lib = {(v1, v2): est.p_hat for v1, v2, est in scan.rows()}
+        scan = phase_scan(axis1, axis2, {"d": 1, "L": 15, **fixed}, T=5.0, reps=30, seed=4)
+        lib = {(v1, v2): cli._est_row(est) for v1, v2, est in scan.rows()}
+        cells = {}
         for row in rows:
             parts = row.split(",")
-            assert float(parts[2]) == lib[(float(parts[0]), float(parts[1]))]
+            key = (float(parts[0]), float(parts[1]))
+            cells[key] = float(parts[2])
+            assert [float(x) for x in parts[2:7]] == lib[key]
+        assert len(cells) == len(lib)
+        # along lambda survival rises and along r it falls, replica by replica
+        for axis, other, vals, others in ((0, 1, axis1[1], axis2[1]),
+                                          (1, 0, axis2[1], axis1[1])):
+            name = (axis1, axis2)[axis][0]
+            if name not in ("lambda", "r"):
+                continue
+            for w in others:
+                line = [cells[(v, w) if axis == 0 else (w, v)] for v in sorted(vals)]
+                if name == "r":
+                    line.reverse()
+                assert line == sorted(line), (name, w, line)
+
+    def test_phase_scan_stops_on_the_wall_clock_hint(self, tmp_path):
+        doc = {"subcommand": "phase-scan", "seed": 4, "d": 1, "L": 15,
+               "axis1": ["lambda", [0.5, 1.5]], "axis2": ["beta", [0.5, 1.0, 2.0]],
+               "fixed": {"alpha": 1.0, "r": 1.0}, "T": 5.0, "reps": 30,
+               "out_dir": str(tmp_path), "wall_clock_hint_s": 0}
+        assert cli.run(cli.parse_config(json.dumps(doc))) == cli.EXIT_BUDGET
+        flags = json.loads((tmp_path / "phase_scan_manifest.json").read_text())["flags"]
+        assert flags["reason"] == "wall clock"
+        assert flags["completed_columns"] <= 1
+        rows = (tmp_path / "phase_scan.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 2 * flags["completed_columns"]
 
     def test_percolation_and_blocks(self, tmp_path):
         doc = {"subcommand": "percolation", "q": [0.3, 0.9], "k_max": 30,

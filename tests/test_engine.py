@@ -497,6 +497,26 @@ def test_frozen_timeline_keeps_every_event_index():
                                for k, j in zip(tl.kinds.tolist(), tl.idx.tolist())]
 
 
+def test_a_frozen_dual_reads_b0_and_stores_no_path():
+    # the dual in a frozen environment reads its initial edges directly, as
+    # a frozen forward run does, and equals the dual that reads the flags
+    # of a path of constant edges
+    g = build_box(1, 8)
+    P = RunParams(g, 2.0, 1.0, None, 5.0)
+    b0 = range(0, g.n_edges, 2)
+    a = (g.origin(), g.origin() + 1)
+    tl = build_timeline(g, 2.0, 1.0, 0.0, 5.0, seed=3)
+    dual = dual_evolve(a, P, b0, tl, 4.0)
+    assert tl.bg_paths == {}
+    fresh = build_timeline(g, 2.0, 1.0, 0.0, 5.0, seed=3)
+    flags = background_path(None, b0, fresh).arrow_open
+    out = engine._run(g, reverse_view(fresh, 4.0), a, frozenset(b0), t_end=4.0,
+                      entry_limit=g.half_width, env=flags)
+    assert (dual.site_deltas, dual.c_final, dual.tau_ex, dual.boundary_touched) == \
+        (out[0], out[2], out[4], out[5])
+    assert dual.site_deltas
+
+
 # ---------------------------------------------------------------------------
 # list views converted as far as a run reads
 
