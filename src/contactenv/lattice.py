@@ -136,22 +136,15 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
     n_edges = len(edge_ends)
     assert n_edges == d * side ** (d - 1) * 2 * L
 
-    # one pass over the edges as plain ints fills the per-site and per-edge
-    # tables; line neighbours need the finished incidence lists
-    nbrs = [[] for _ in range(n_sites)]
-    incident = [[] for _ in range(n_sites)]
-    dir_src, dir_dst, dir_edge = [], [], []
-    lookup = {}
-    ends_l = edge_ends.tolist()
-    for e, (a, b) in enumerate(ends_l):
-        nbrs[a].append(b); incident[a].append(e)
-        nbrs[b].append(a); incident[b].append(e)
-        dir_src += (a, b)
-        dir_dst += (b, a)
-        dir_edge += (e, e)
-        lookup[a, b] = e
-    line_nbrs = [tuple(sorted({*incident[a], *incident[b]} - {e}))
-                 for e, (a, b) in enumerate(ends_l)]
+    # incidence k is edge k // 2 at its site site[k]; sorted by (site, edge),
+    # each site's edges come ascending, with the neighbour across each
+    site = edge_ends.ravel()
+    order = np.argsort(site, kind="stable")
+    degree = np.bincount(site, minlength=n_sites).astype(np.int32)
+    cuts = np.concatenate(([0], np.cumsum(degree))).tolist()
+    incident = (order // 2).tolist()
+    nbrs = edge_ends[:, ::-1].ravel()[order].tolist()
+    rows, counts = line_graph(edge_ends, n_sites, d)
 
     g = GraphView(
         dimension=d,
@@ -160,19 +153,38 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
         n_edges=n_edges,
         coords=coords,
         edge_ends=edge_ends,
-        degree=np.array([len(v) for v in nbrs], dtype=np.int32),
-        site_nbrs=tuple(tuple(v) for v in nbrs),
-        site_edges=tuple(tuple(v) for v in incident),
-        dir_src=tuple(dir_src),
-        dir_dst=tuple(dir_dst),
-        dir_edge=tuple(dir_edge),
-        line_nbrs=tuple(line_nbrs),
+        degree=degree,
+        site_nbrs=tuple(tuple(nbrs[a:b]) for a, b in zip(cuts, cuts[1:])),
+        site_edges=tuple(tuple(incident[a:b]) for a, b in zip(cuts, cuts[1:])),
+        dir_src=tuple(site.tolist()),
+        dir_dst=tuple(edge_ends[:, ::-1].ravel().tolist()),
+        dir_edge=tuple(np.repeat(np.arange(n_edges), 2).tolist()),
+        line_nbrs=tuple(tuple(row[:c]) for row, c in zip(rows.tolist(), counts.tolist())),
         norm_inf=tuple(np.abs(coords).max(axis=1).tolist()),
-        _edge_lookup=lookup,
+        _edge_lookup=dict(zip(map(tuple, edge_ends.tolist()), range(n_edges))),
         _shape=shape,
         _strides=strides,
     )
     return g
+
+
+def line_graph(edge_ends: np.ndarray, n_sites: int, d: int):
+    """Line-graph neighbours of every edge: the other edges at either end.
+    Returns an (n_edges, 4d) int32 matrix whose row e holds them ascending,
+    padded at the end with n_edges, and the count of each row."""
+    n_edges = len(edge_ends)
+    site = edge_ends.ravel()
+    order = np.argsort(site, kind="stable")       # incidences by (site, edge)
+    degree = np.bincount(site, minlength=n_sites)
+    starts = np.cumsum(degree) - degree
+    # per site, its incident edges ascending, padded with n_edges
+    incidence = np.full((n_sites, 2 * d), n_edges, dtype=np.int32)
+    ranked = site[order]
+    incidence[ranked, np.arange(2 * n_edges) - starts[ranked]] = order // 2
+    rows = np.concatenate([incidence[edge_ends[:, 0]], incidence[edge_ends[:, 1]]], axis=1)
+    rows[rows == np.arange(n_edges)[:, None]] = n_edges     # an edge is not its own neighbour
+    rows.sort(axis=1)
+    return rows, degree[edge_ends[:, 0]] + degree[edge_ends[:, 1]] - 2
 
 
 def graph_distance(g: GraphView, x: int, y: int) -> int:

@@ -134,3 +134,55 @@ def test_cube_sites():
     assert len(cube) == 9
     with pytest.raises(ValueError):
         g.cube_sites((3, 0), 1)
+
+
+def _reference_box(d, L):
+    """build_box's tables from a loop over the edges as plain ints."""
+    g = build_box(d, L)
+    n_sites, edge_ends = g.n_sites, g.edge_ends
+    nbrs = [[] for _ in range(n_sites)]
+    incident = [[] for _ in range(n_sites)]
+    dir_src, dir_dst, dir_edge = [], [], []
+    lookup = {}
+    ends_l = edge_ends.tolist()
+    for e, (a, b) in enumerate(ends_l):
+        nbrs[a].append(b); incident[a].append(e)
+        nbrs[b].append(a); incident[b].append(e)
+        dir_src += (a, b)
+        dir_dst += (b, a)
+        dir_edge += (e, e)
+        lookup[a, b] = e
+    line_nbrs = [tuple(sorted({*incident[a], *incident[b]} - {e}))
+                 for e, (a, b) in enumerate(ends_l)]
+    return dict(
+        degree=np.array([len(v) for v in nbrs], dtype=np.int32),
+        site_nbrs=tuple(tuple(v) for v in nbrs),
+        site_edges=tuple(tuple(v) for v in incident),
+        dir_src=tuple(dir_src), dir_dst=tuple(dir_dst), dir_edge=tuple(dir_edge),
+        line_nbrs=tuple(line_nbrs),
+        norm_inf=tuple(np.abs(g.coords).max(axis=1).tolist()),
+        _edge_lookup=lookup)
+
+
+def _flat(x):
+    """Every scalar in nested tuples and dict items, with its type."""
+    if isinstance(x, dict):
+        return [(_flat(k), _flat(v)) for k, v in x.items()]
+    if isinstance(x, tuple):
+        return [_flat(v) for v in x]
+    return type(x), x
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 5])
+def test_box_tables_match_a_loop_over_the_edges(d, L):
+    g = build_box(d, L)
+    for name, want in _reference_box(d, L).items():
+        got = getattr(g, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        else:
+            assert type(got) is type(want) and _flat(got) == _flat(want), name
+    side = 2 * L + 1
+    assert g.coords.dtype == np.int32 and g.edge_ends.dtype == np.int32
+    assert g.coords.shape == (side ** d, d) and g.edge_ends.shape == (g.n_edges, 2)
