@@ -3,7 +3,8 @@
 Every run validates its whole config up front (all errors reported at once,
 each with a path into the document), executes one subcommand, and writes a
 CSV of results next to a manifest recording the config echo, code version,
-derived replica seeds, wall-clock interval, and a sha256 of the CSV bytes.
+derived replica seeds, wall-clock interval, a sha256 of the CSV bytes and,
+among its flags, which event kernel ran.
 Identical (config, seed, code version) produce byte-identical CSVs; the
 manifests differ only in their timestamps.
 
@@ -22,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from . import analysis, background, blocks
+from . import analysis, background, blocks, engine
 from .engine import RunParams
 from .graphical import derive_seed
 from .lattice import SizingError, build_box
@@ -525,6 +526,14 @@ _RUNNERS = {
 }
 
 
+def kernel_flags() -> dict:
+    """Which event kernel runs: "c", with the compiler that built it, or
+    "python" when the compiled kernel did not load."""
+    lib = engine._lib
+    return {"kernel": "python"} if lib is None else {"kernel": "c",
+                                                     "kernel_compiler": lib.compiler}
+
+
 def _atomic_write(path: str, data: bytes):
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -544,6 +553,7 @@ def run(cfg: RunConfig) -> int:
         flags = {"budget_exceeded": True, "error": str(exc)}
         csv_text, seeds = "", []
         code = EXIT_BUDGET
+    flags.update(kernel_flags())
     csv_name = f"{cfg.label()}.csv"
     csv_bytes = csv_text.encode()
     if csv_text:

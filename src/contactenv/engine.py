@@ -9,33 +9,39 @@ comparison helpers at the bottom of this module check exactly that.
 
 _run is the one infection loop: every entry point, the dual included, is a
 call to it with its own windows, emanation and entry limits and
-environment.  It visits only arrows and recoveries, through the table's
-index of them (grown as runs read), and is flat: plain lists, bytearray
-state, no attribute lookups.
+environment.  The environment is autonomous, so its path depends only on
+(feed, spec, initial edges).  BackgroundPath holds it and alone applies the
+flip rule, sweeping on through each chunk of the feed before a run reads
+the chunk.  Paths on forward, un-anchored feeds are stored on the base
+Timeline, so every run with that spec and those initial edges reads and
+extends one: a run that dies early sweeps a prefix, and the next reuses it.
+A frozen environment (spec None) reads no path.
 
-The environment is autonomous, so its path depends only on (feed, spec,
-initial edges).  BackgroundPath holds it and alone applies the flip rule,
-sweeping on through each chunk of the feed before a run reads the chunk.
-Paths on forward, un-anchored feeds are stored on the base Timeline, so
-every run with that spec and those initial edges reads and extends one: a
-run that dies early sweeps a prefix, and the next reuses it.  A frozen
-environment (spec None) reads no path.
+Both loops, the run and the sweep, exist twice.  The compiled kernel
+(_kernel.c, loaded by kernel.load() into _lib when this module is
+imported) reads the base Timeline's four buffers in place and converts no
+list.  When no C compiler is found, _lib is None and the Python loops run:
+they read the table's list views (Timeline.lists and Timeline.chunk),
+visit only arrows and recoveries through the table's index of them, and are
+flat: plain lists, bytearray state, no attribute lookups.  The two make the
+same comparisons in the same order, so their outputs are bit-identical, and
+they share their state between calls: the infection bytearray, a path's
+edge states, open-neighbour counts and arrow flags (a bytearray by feed
+offset).
 
-A run reads its feed through the base Timeline's list views, which are
-converted on demand from a table that is itself drawn and sorted on demand,
-slab by slab.  A run that stops at extinction reads fixed-size chunks
-(Timeline.chunk) and never asks for the table's length: it draws slabs as
-far as its chunks reach and none past the one that holds its horizon,
-finds the horizon in the chunk that holds it and stops when the infection
-dies.  So an early death draws, sorts and converts a small prefix of the
-table, which later runs share, and the lists a long run adds past
-Timeline.chunk's kept prefix are dropped chunk by chunk, so its memory
-does not grow with its length.  Every other run draws and converts
-through its horizon (Timeline.count_through) in one chunk and keeps it in
-the cached prefix (Timeline.lists); background_path reads the whole feed.
-A reversed feed is read in place, walked from its anchor back through that
-prefix; only its own environment path, if it has one, is swept over a
-reversed copy (graphical.event_feed).
+The table is itself drawn and sorted on demand, slab by slab.  A run that
+stops at extinction reads fixed-size chunks of _CHUNK events and never asks
+for the table's length: it draws slabs as far as its chunks reach and none
+past the one that holds its horizon, finds the horizon in the chunk that
+holds it and stops when the infection dies.  So an early death draws and
+sorts a small prefix of the table, which later runs share.  In the Python
+loops the lists a long run adds past Timeline.chunk's kept prefix are
+dropped chunk by chunk, so its memory does not grow with its length.  Every
+other run draws through its horizon (Timeline.count_through) in one chunk;
+background_path sweeps the whole feed.  A reversed feed is read in place,
+walked from its anchor back; only its own environment path, if it has one,
+is swept over the reversed feed (in the Python loops a reversed copy,
+graphical.event_feed).
 
 Every entry point that takes RunParams runs at (params.lam, params.r): a
 Timeline is thinned to them here, and a view must already be at them.
@@ -51,9 +57,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kernel
 from .background import BackgroundSpec, coupled_region, make_spec, min_max_rates
 from .graphical import TimelineView, _unpack, event_feed, feed_size, reverse_view, thin_view
 from .lattice import GraphView
+
+# the compiled kernel, or None: the Python loops below run instead
+_lib = kernel.load()
 
 SUPPRESS_ARROWS = "suppress-arrows"
 SUPPRESS_RECOVERIES_AND_BACKGROUND = "suppress-recoveries-and-background"
@@ -159,25 +169,27 @@ class Trajectory:
 class BackgroundPath:
     """Realized environment on one feed from one starting edge set, swept
     through its first n_events events, and the only code that applies the
-    flip rule.  arrow_open flags each swept arrow whose edge is open just
-    before it fires; edge_deltas lists the flips, and _flip_at their feed
-    offsets (a reversed feed's times can tie).  _grow() sweeps on from the
-    state kept here: edge states, open line-graph neighbour counts and the
-    flip rule (None: no flips).  feed records the event order the flags are
-    indexed by: (weak reference to the base Timeline, reversal anchor,
-    reversed); a run on another feed is rejected.
+    flip rule.  _open flags, by feed offset, each swept arrow whose edge is
+    open just before it fires (arrow_open reads and sets it as a list);
+    edge_deltas lists the flips, and _flip_at their feed offsets (a reversed
+    feed's times can tie).  _grow() sweeps on from the state kept here: edge
+    states, open line-graph neighbour counts and the flip rule (None: no
+    flips).  feed records the event order the flags are indexed by: (weak
+    reference to the base Timeline, reversal anchor, reversed); a run on
+    another feed is rejected.
     """
 
     b0: frozenset
     feed: tuple
     _rule: tuple | None         # (up table, down table, candidate rate)
     _graph: GraphView
-    arrow_open: list = field(default_factory=list, init=False)
+    _open: bytearray = field(default_factory=bytearray, init=False)
     edge_deltas: list = field(default_factory=list, init=False)
     _flip_at: array = field(default_factory=lambda: array("i"), init=False)  # int32
     _edges: bytearray = field(init=False)
     _open_nbrs: bytearray = field(init=False)
     _b_final: frozenset | None = field(init=False)
+    _rule_arrays: tuple | None = field(default=None, init=False)    # the kernel's copy
 
     def __post_init__(self):
         self._edges = bytearray(self._graph.n_edges)
@@ -190,7 +202,16 @@ class BackgroundPath:
 
     @property
     def n_events(self) -> int:
-        return len(self.arrow_open)
+        return len(self._open)
+
+    @property
+    def arrow_open(self) -> list:
+        """The arrow flags as a list of bools."""
+        return list(map(bool, self._open))
+
+    @arrow_open.setter
+    def arrow_open(self, flags):
+        self._open = bytearray(map(bool, flags))
 
     @property
     def b_final(self) -> frozenset:
@@ -200,28 +221,52 @@ class BackgroundPath:
                 np.flatnonzero(np.frombuffer(bytes(self._edges), dtype=np.uint8)).tolist())
         return self._b_final
 
-    def _grow(self, hi, lists, start=0):
-        """Sweep on through event hi - 1; item i of lists (times, kinds,
-        idx, marks) is event start + i, and start <= n_events."""
-        lo = len(self.arrow_open)
+    def _grow(self, hi, lists=None, start=0):
+        """Sweep on through feed offset hi - 1: in the compiled kernel,
+        which reads the base table, drawn that far, in place, without
+        lists; else in Python over lists, whose item i (times, kinds, idx,
+        marks) is feed offset start + i, where start <= n_events."""
+        lo = len(self._open)
         if hi <= lo:
             return
+        self._open.extend(bytes(hi - lo))
+        n_deltas = len(self.edge_deltas)
+        if lists is None:
+            self._grow_compiled(lo, hi)
+        else:
+            self._grow_python(lo, hi, lists, start)
+        if len(self.edge_deltas) != n_deltas:
+            self._b_final = None
+
+    def _grow_compiled(self, lo, hi):
+        base, anchor, rev = self.feed[0](), self.feed[1], self.feed[2]
+        # a reversed feed is the table's events through the anchor, newest first
+        top = base.count_through(anchor) - 1 if rev else -1
+        if self._rule is not None and self._rule_arrays is None:
+            up, down, q = self._rule
+            self._rule_arrays = (np.array(up, dtype=np.float64),
+                                 np.array(down, dtype=np.float64), q)
+        deltas, at = _lib.grow(base._buf, base.n_generated, lo, hi, top,
+                               0.0 if anchor is None else anchor, self._graph,
+                               self._rule_arrays, self._edges, self._open_nbrs, self._open)
+        self.edge_deltas += deltas
+        self._flip_at.frombytes(at.tobytes())
+
+    def _grow_python(self, lo, hi, lists, start):
         times, kinds, idx, marks = lists
         B = self._edges
         N = self._open_nbrs      # line-graph neighbours are mutual
         dedge = self._graph.dir_edge
         lnbrs = self._graph.line_nbrs
         up_tab, down_tab, q_rate = self._rule or ((), (), 0.0)
-        flags = self.arrow_open
-        flags.extend([False] * (hi - lo))
+        flags = self._open
         app = self.edge_deltas.append
         at = self._flip_at.append
-        n_deltas = len(self.edge_deltas)
         for i in range(lo, hi):
             j = i - start
             k = kinds[j]
             if k == 0:
-                flags[i] = B[dedge[idx[j]]] == 1
+                flags[i] = B[dedge[idx[j]]]
             elif k == 2:
                 x = idx[j]
                 u = marks[j]
@@ -238,8 +283,6 @@ class BackgroundPath:
                         N[a] += 1
                     app((times[j], x, 1))
                     at(i)
-        if len(self.edge_deltas) != n_deltas:
-            self._b_final = None
 
     def until(self, t, want_deltas=True):
         """(edge deltas, edge set) of the path through time t, which the
@@ -300,7 +343,7 @@ def background_path(spec, b0, tl) -> BackgroundPath:
     path = _path(spec, frozenset(map(int, b0)), tl)
     n = feed_size(tl)
     if path.n_events < n:
-        path._grow(n, event_feed(tl)[:4])
+        path._grow(n, None if _lib is not None else event_feed(tl)[:4])
     return path
 
 
@@ -326,9 +369,10 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
     """One infection run on tl's feed.  Arrows leave only sites of norm
     below eman_limit and enter only sites of norm below entry_limit.  Its
     environment env is a BackgroundPath on tl's feed, grown through each
-    chunk before the chunk is read; or a list of arrow flags by table offset
-    (the dual's forward environment); or, if None, the edge set b0 (a
-    frozenset of ints) throughout.
+    chunk before the chunk is read; or arrow flags by table offset, a
+    bytearray or a list (the dual's forward environment); or, if None, the
+    edge set b0 (a frozenset of ints) throughout.  The compiled kernel runs
+    the loop when it is loaded (_run_compiled), else the Python loop below.
 
     A reversed feed is read in place: the base table's events from the
     anchor back, at time anchor - times[i], each arrow crossed from its
@@ -342,6 +386,7 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
     chunked = stop_on_extinct and not rev
     # a forward feed ends at its anchor; a chunked run finds the end in the chunk holding it
     t_last = t_end if anchor is None else min(t_end, anchor)
+    hi = None
     if rev:
         hi = base.count_through(anchor)
     elif not chunked:   # pulled from the base table's list views in one chunk
@@ -370,10 +415,17 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
             B[e] = 1
     elif path is None:
         arrow_open = env
-    elif rev:   # swept over the reversed lists, and read from the anchor back
+    if _lib is not None:
+        site_deltas, tau, btouch, t_stop = _run_compiled(
+            g, base, anchor, rev, hi, t_last, t_end, C, n_inf, btouch, path, arrow_open, B,
+            (lam_frac, r_frac), (eman_limit, entry_limit),
+            (no_arrows_until, free_infection_until, no_recoveries_until), stop_on_extinct,
+            want_deltas)
+        return _result(site_deltas, C, tau, btouch, path, t_stop, b0, want_deltas)
+    if path is not None and rev:    # swept over the reversed lists, read from the anchor back
         if path.n_events < hi:
             path._grow(hi, event_feed(tl)[:4])
-        arrow_open = path.arrow_open[::-1]
+        arrow_open = path._open[::-1]
 
     thin_arrows = lam_frac < 1.0
     thin_recs = r_frac < 1.0
@@ -410,7 +462,7 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
                 stop = hi
             if path is not None:
                 path._grow(stop, (times, kinds, idx, marks), start)
-                arrow_open = path.arrow_open[start:stop] if start else path.arrow_open
+                arrow_open = path._open[start:stop] if start else path._open
             order = _arrows_and_recoveries(base, start, stop, start)
         for i in order:
             if kinds[i] == 0:  # arrow
@@ -462,7 +514,53 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
             if stop < hi:
                 continue
         break                   # stopped at extinction or the horizon: read no further
+    return _result(site_deltas, C, tau, btouch, path, t_stop, b0, want_deltas)
 
+
+def _run_compiled(g, base, anchor, rev, hi, t_last, t_end, C, n_inf, btouch, path, flags, B,
+                  fracs, limits, windows, stop_on_extinct, want_deltas):
+    """_run's loop in the compiled kernel: the same chunks, read from the
+    base table's buffers in place.  hi is None for a chunked run.  Returns
+    (site deltas, tau, boundary touched, time the run stopped)."""
+    flag_top = -1
+    if path is not None:
+        if rev:     # swept over the reversed feed, read from the anchor back
+            path._grow(hi)
+            flag_top = path.n_events - 1
+        flags = path._open
+    elif flags is not None and not isinstance(flags, bytearray):
+        flags = bytearray(flags)
+    state = array("q", [n_inf, btouch, 0])      # infected count, boundary touched, extinct
+    tau = array("d", [0.0 if n_inf == 0 else math.inf])
+    # a reversed feed is cut at t_end inside the kernel
+    anchor, t_cut = (anchor, t_end) if rev else (0.0, math.inf)
+    site_deltas = []
+    chunked = hi is None
+    start = 0
+    while True:
+        if chunked:     # slabs are drawn as far as this chunk reaches
+            base._fill(start + _CHUNK, t_last)
+            stop = min(start + _CHUNK, base.n_generated)
+            hi = stop if stop < start + _CHUNK else math.inf
+            times = base._buf[0]
+            if stop > start and times[stop - 1] > t_last:
+                stop = hi = start + int(np.searchsorted(times[start:stop], t_last, "right"))
+        else:
+            stop = hi
+        if path is not None and not rev:
+            path._grow(stop)
+        # _buf is read after the last _fill, as _draw_slab replaces it when it grows
+        site_deltas += _lib.run(base._buf, base.n_generated, start, stop, rev, anchor, t_cut,
+                                g, fracs, limits, windows, flags, flag_top, B, C, state, tau,
+                                want_deltas)
+        if state[2]:
+            return site_deltas, tau[0], bool(state[1]), tau[0] if stop_on_extinct else t_end
+        if stop >= hi:
+            return site_deltas, tau[0], bool(state[1]), t_end
+        start = stop
+
+
+def _result(site_deltas, C, tau, btouch, path, t_stop, b0, want_deltas):
     c_final = frozenset(np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)).tolist())
     if path is not None:
         edge_deltas, b_final = path.until(t_stop, want_deltas)
@@ -630,8 +728,8 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     else:
         path = _path(params.spec, b0, base)
         hi = base.count_through(rv.anchor)
-        path._grow(hi, base.lists(hi))
-        env = path.arrow_open
+        path._grow(hi, None if _lib is not None else base.lists(hi))
+        env = path._open
     site_deltas, _, c_final, _, tau, btouch = _run(
         g, rv, a_sites, b0, t_end=rv.anchor, entry_limit=g.half_width,
         env=env, want_deltas=want_deltas)

@@ -11,8 +11,10 @@ Generation is lazy and deterministic: equal (seed, box, rates, horizon)
 give a bit-identical event table, drawn in time slabs of doubling size,
 each from its own generator on its first read, and sorted slab by slab, so
 a replica that dies early draws and sorts a prefix of its table; the table
-is the same however far and in whatever order it is read.  The plain-list
-views the event loops read are converted lazily too: as one cached prefix
+is the same however far and in whatever order it is read.  The compiled
+event kernel reads the four buffers in place.  The plain-list views that
+the Python event loops and event_feed read are converted lazily too: as
+one cached prefix
 per table that grows only as far as a run reads (Timeline.lists), and past
 the first KEPT_PREFIX events also as chunks that are converted, read and
 dropped (Timeline.chunk), so a replica that dies early converts a fraction

@@ -145,6 +145,8 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
     incident = (order // 2).tolist()
     nbrs = edge_ends[:, ::-1].ravel()[order].tolist()
     rows, counts = line_graph(edge_ends, n_sites, d)
+    line = rows[rows < n_edges].tolist()        # the rows' entries, padding dropped
+    line_cuts = np.concatenate(([0], np.cumsum(counts))).tolist()
 
     g = GraphView(
         dimension=d,
@@ -159,7 +161,7 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
         dir_src=tuple(site.tolist()),
         dir_dst=tuple(edge_ends[:, ::-1].ravel().tolist()),
         dir_edge=tuple(np.repeat(np.arange(n_edges), 2).tolist()),
-        line_nbrs=tuple(tuple(row[:c]) for row, c in zip(rows.tolist(), counts.tolist())),
+        line_nbrs=tuple(tuple(line[a:b]) for a, b in zip(line_cuts, line_cuts[1:])),
         norm_inf=tuple(np.abs(coords).max(axis=1).tolist()),
         _edge_lookup=dict(zip(map(tuple, edge_ends.tolist()), range(n_edges))),
         _shape=shape,

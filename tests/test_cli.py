@@ -1,9 +1,10 @@
 import json
 import math
+import os
 
 import pytest
 
-from contactenv import cli
+from contactenv import cli, engine, kernel
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -75,6 +76,19 @@ class TestRun:
         assert abs(c1 - 0.231961) < 1e-5
         manifest = json.loads((tmp_path / "c1_manifest.json").read_text())
         assert manifest["outputs"]["c1.csv"]
+
+    def test_manifest_names_the_kernel(self, tmp_path, monkeypatch):
+        doc = {"subcommand": "c1", "lambda": 1.0, "degree": 2, "rho": 0.0,
+               "out_dir": str(tmp_path)}
+        for lib in (engine._lib, None):
+            assert cli.run(cli.parse_config(json.dumps(doc))) == 0
+            flags = json.loads((tmp_path / "c1_manifest.json").read_text())["flags"]
+            if lib is None:
+                assert flags == {"kernel": "python"}
+            else:
+                assert flags == {"kernel": "c", "kernel_compiler": lib.compiler}
+                assert lib.compiler.split()[0] == os.path.basename(kernel.compiler()[0])
+            monkeypatch.setattr(engine, "_lib", None)
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from contactenv import (background_path, build_box, build_timeline, cli,
+from contactenv import (background_path, build_box, build_timeline, cli, engine,
                         coupled_bounds_cpdp, delayed_variant, dual_evolve, evolve,
                         evolve_released, evolve_truncated, make_spec, reverse_view,
                         richardson, thin_view)
@@ -60,9 +60,9 @@ def test_survival_csv_does_not_depend_on_threads(threads, tmp_path):
 # Every entry point on fixed tables of the four kinds (frozen, dynamical
 # percolation, noisy voter, ising), on forward, thinned, reversed and
 # re-reversed views, with and without stop_on_extinct, in d = 1 and 2, and on
-# one table longer than graphical.KEPT_PREFIX.  Each group's hash covers every
-# Trajectory field, serialised with repr (so floats are written exactly), and
-# the flags and edge deltas of the background paths.
+# one table longer than graphical.KEPT_PREFIX, under each kernel.  Each
+# group's hash covers every Trajectory field, serialised with repr (so floats
+# are written exactly), and the flags and edge deltas of the background paths.
 
 def _traj_key(x):
     return repr((x.t_end, sorted(x.c0), sorted(x.b0), x.site_deltas, x.edge_deltas,
@@ -271,7 +271,12 @@ GOLDEN_RUNS = {
 }
 
 
-def test_engine_run_corpus_matches_its_golden_hashes():
+@pytest.mark.parametrize("kernel", ["c", "python"])
+def test_engine_run_corpus_matches_its_golden_hashes(kernel, monkeypatch):
+    if kernel == "python":
+        monkeypatch.setattr(engine, "_lib", None)
+    elif engine._lib is None:
+        pytest.skip("the compiled kernel did not load: no C compiler")
     got = {name: [hashlib.sha256(k.encode()).hexdigest() for k in keys]
            for name, keys in _corpus().items()}
     assert got == GOLDEN_RUNS

@@ -9,6 +9,9 @@ built fresh), while the engine reads a table whose slabs, list views and
 stored paths are filled in whatever order the drawn calls leave them, so
 the comparison also checks that the order of reads changes nothing.
 
+Every case runs under the compiled kernel, when it is loaded, and under
+the Python kernel, selected by patching engine._lib.
+
 Small tables would hold one slab and one chunk, so each case also draws the
 slab, chunk and kept-prefix sizes (graphical.SLAB_EVENTS, engine._CHUNK,
 graphical.KEPT_PREFIX) from values small enough to put many boundaries in
@@ -35,6 +38,9 @@ from contactenv.engine import (SUPPRESS_ARROWS, SUPPRESS_RECOVERIES_AND_BACKGROU
 from contactenv.graphical import (KIND_ARROW, KIND_RECOVERY, build_timeline,
                                   reverse_view, thin_view)
 from contactenv.lattice import build_box
+
+# the compiled kernel (when it loaded) and the Python loops (None)
+KERNELS = [engine._lib, None] if engine._lib is not None else [None]
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -354,13 +360,15 @@ def cases(draw):
 @given(cases())
 def test_entry_points_match_the_reference(case):
     g, (lam_max, r_max, q, T, seed), sizes, runs = case
-    with ExitStack() as stack:
-        _sizes(stack, sizes)
-        tl = build_timeline(g, lam_max, r_max, q, T, seed)
-        twin = build_timeline(g, lam_max, r_max, q, T, seed)
-        twin.times      # sorted whole, before any read
-        for which, (run, ref) in runs:
-            assert _fields(run(tl)) == ref(twin), which
+    for lib in KERNELS:
+        with ExitStack() as stack:
+            stack.enter_context(mock.patch.object(engine, "_lib", lib))
+            _sizes(stack, sizes)
+            tl = build_timeline(g, lam_max, r_max, q, T, seed)
+            twin = build_timeline(g, lam_max, r_max, q, T, seed)
+            twin.times      # sorted whole, before any read
+            for which, (run, ref) in runs:
+                assert _fields(run(tl)) == ref(twin), (which, lib)
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +384,31 @@ def test_long_runs_across_slabs_match_the_reference(seed, lam, horizon, second):
     g = build_box(1, 100)
     spec = make_spec("dynamical-percolation", alpha=1.0, beta=0.5)
     T = 40.0
-    tl = build_timeline(g, 2.2, 1.0, spec.flip_rate, T, seed)
     twin = build_timeline(g, 2.2, 1.0, spec.flip_rate, T, seed)
     twin.times
     fr = dict(lam_frac=lam / 2.2)
     P = RunParams(g, lam, 1.0, spec, horizon)
     c0, b0 = (g.origin(),), range(0, g.n_edges, 3)
-    got = evolve(P, c0, b0, tl, stop_on_extinct=True)
-    assert _fields(got) == reference(twin, c0, b0, spec, horizon, stop_on_extinct=True, **fr)
-    assert tl.n_generated < twin.n_events or got.tau_ex > T / 4
+    first = reference(twin, c0, b0, spec, horizon, stop_on_extinct=True, **fr)
     if second == "full":
-        got = evolve(replace(P, lam=2.2), c0, b0, tl)
         want = reference(twin, c0, b0, spec, horizon)
     elif second == "dual":
-        got = dual_evolve((g.origin() + 1,), P, b0, tl, horizon)
         want = reference_dual(twin, (g.origin() + 1,), b0, spec, horizon, **fr, r_frac=1.0)
     else:
-        got = evolve(replace(P, horizon=horizon / 8), c0, b0, thin_view(tl, lam))
         want = reference(twin, c0, b0, spec, horizon / 8, **fr)
-    assert _fields(got) == want
+    for lib in KERNELS:
+        with mock.patch.object(engine, "_lib", lib):
+            tl = build_timeline(g, 2.2, 1.0, spec.flip_rate, T, seed)
+            got = evolve(P, c0, b0, tl, stop_on_extinct=True)
+            assert _fields(got) == first
+            assert tl.n_generated < twin.n_events or got.tau_ex > T / 4
+            if second == "full":
+                got = evolve(replace(P, lam=2.2), c0, b0, tl)
+            elif second == "dual":
+                got = dual_evolve((g.origin() + 1,), P, b0, tl, horizon)
+            else:
+                got = evolve(replace(P, horizon=horizon / 8), c0, b0, thin_view(tl, lam))
+            assert _fields(got) == want, lib
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +419,21 @@ def test_long_runs_across_slabs_match_the_reference(seed, lam, horizon, second):
        grown=st.booleans(), t_star=st.sampled_from([1.0, 0.7]))
 def test_decided_times_match_the_reference(table, view, grown, t_star):
     g, spec, (lam_max, r_max, q, T, seed), sizes = table
-    with ExitStack() as stack:
-        _sizes(stack, sizes)
-        tl = build_timeline(g, lam_max, r_max, q, T, seed)
-        twin = build_timeline(g, lam_max, r_max, q, T, seed)
-        twin.times
-        if grown:       # the path from no open edge, swept partway by a run
-            evolve(RunParams(g, lam_max, r_max, spec, T), (g.origin(),), (), tl,
-                   stop_on_extinct=True)
-        if view == "forward":
-            got = decided_times(spec, tl)
-        elif view == "thinned":
-            got = decided_times(spec, thin_view(tl, lam_max / 3, r_max / 2))
-        else:
-            got = decided_times(spec, reverse_view(tl, T * t_star))
-        anchor = T * t_star if view == "reversed" else None
-        assert got == reference_decided(twin, spec, anchor, view == "reversed")
+    for lib in KERNELS:
+        with ExitStack() as stack:
+            stack.enter_context(mock.patch.object(engine, "_lib", lib))
+            _sizes(stack, sizes)
+            tl = build_timeline(g, lam_max, r_max, q, T, seed)
+            twin = build_timeline(g, lam_max, r_max, q, T, seed)
+            twin.times
+            if grown:       # the path from no open edge, swept partway by a run
+                evolve(RunParams(g, lam_max, r_max, spec, T), (g.origin(),), (), tl,
+                       stop_on_extinct=True)
+            if view == "forward":
+                got = decided_times(spec, tl)
+            elif view == "thinned":
+                got = decided_times(spec, thin_view(tl, lam_max / 3, r_max / 2))
+            else:
+                got = decided_times(spec, reverse_view(tl, T * t_star))
+            anchor = T * t_star if view == "reversed" else None
+            assert got == reference_decided(twin, spec, anchor, view == "reversed"), lib
