@@ -115,8 +115,10 @@ def _check_table(table, n_valid, lo, hi):
     if len(table) != 4:
         raise ValueError("a table is four arrays: times, kinds, idx, marks")
     for arr, dtype in zip(table, _TABLE_DTYPES):
-        if not isinstance(arr, np.ndarray) or arr.dtype != dtype or arr.ndim != 1:
-            raise ValueError(f"table arrays must be 1-d {[str(d) for d in _TABLE_DTYPES]}")
+        if not isinstance(arr, np.ndarray) or arr.dtype != dtype or arr.ndim != 1 or \
+                not arr.flags.c_contiguous:
+            raise ValueError(f"table arrays must be contiguous 1-d "
+                             f"{[str(d) for d in _TABLE_DTYPES]}")
         if len(arr) < n_valid:
             raise ValueError(f"table array of {len(arr)} entries, {n_valid} drawn")
     if not 0 <= lo <= hi <= n_valid:
@@ -161,6 +163,7 @@ class Kernel:
 
     def __init__(self, lib, path, cc_name):
         self.path = path
+        lib.cek_compiler.argtypes = []
         lib.cek_compiler.restype = ctypes.c_char_p
         # the compiler's name and the version it wrote into the library
         self.compiler = f"{cc_name} {lib.cek_compiler().decode()}"
@@ -197,6 +200,7 @@ class Kernel:
             up, down, q_rate = rule
             for tab in (up, down):
                 if not isinstance(tab, np.ndarray) or tab.dtype != np.float64 or \
+                        tab.ndim != 1 or not tab.flags.c_contiguous or \
                         len(tab) <= gt.max_line_degree:
                     raise ValueError("rule tables must be float64 arrays, one entry per "
                                      "open-neighbour count")

@@ -66,6 +66,7 @@ def _bad_runs(run):
     yield dict(table=(t.astype(np.float32), k, i, m))
     yield dict(table=(t, k.astype(np.int32), i, m))
     yield dict(table=(t, k, i, list(m)))
+    yield dict(table=(t, k, i, np.repeat(m, 2)[::2]))
     yield dict(table=(t, k, i))
     yield dict(table=(t, k, i[:n - 1], m))
     yield dict(n_valid=len(t) + 1)
@@ -97,6 +98,7 @@ def _bad_grows(grow):
     yield dict(rev_top=grow["n_valid"])
     yield dict(rule=(np.zeros(2), np.zeros(2), 1.0))
     yield dict(rule=(np.zeros(3, np.float32), np.zeros(3), 1.0))
+    yield dict(rule=(np.zeros(3), np.zeros(6)[::2], 1.0))
 
 
 @needs_kernel
