@@ -378,6 +378,8 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
     anchor back, at time anchor - times[i], each arrow crossed from its
     target to its source."""
     base, lam, r, anchor, rev = _unpack(tl)
+    if (base.graph.n_sites, base.graph.n_edges) != (g.n_sites, g.n_edges):
+        raise ValueError("the timeline was drawn on a box of another size")
     lam_frac = lam / base.lam_max if lam < base.lam_max else 1.0
     r_frac = r / base.r_max if r < base.r_max else 1.0
     horizon = tl.t_max

@@ -138,6 +138,7 @@ class _Out:
 
     def __init__(self):
         self.cap = 0
+        self.ensure(1024)
 
     def ensure(self, n):
         if n > self.cap:

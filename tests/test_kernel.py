@@ -40,6 +40,28 @@ def test_compiled_runs_convert_no_list_views():
         assert "_lists" not in vars(tl)
 
 
+@pytest.mark.parametrize("lib", [engine._lib, None], ids=["c", "python"])
+def test_a_run_on_another_box_is_rejected(lib, monkeypatch):
+    # the table's targets index the box it was drawn on; a smaller box
+    # would be read past its end
+    monkeypatch.setattr(engine, "_lib", lib)
+    small, big = build_box(1, 4), build_box(1, 9)
+    tl = build_timeline(big, 2.0, 1.0, 0.0, 3.0, seed=1)
+    for g in (small, build_box(2, 2)):
+        with pytest.raises(ValueError, match="another size"):
+            evolve(RunParams(g, 2.0, 1.0, None, 3.0), (0,), (), tl)
+        with pytest.raises(ValueError, match="another size"):
+            engine.dual_evolve((0,), RunParams(g, 2.0, 1.0, None, 3.0), (), tl, 2.0)
+    # a box of the same size is accepted
+    assert evolve(RunParams(build_box(1, 9), 2.0, 1.0, None, 3.0), (9,), (), tl).t_end == 3.0
+
+
+@needs_kernel
+def test_a_fresh_kernel_runs_an_empty_stretch():
+    run, _ = _call_args()
+    assert kernel.load().run(**{**run, "hi": 0}) == []
+
+
 # ---------------------------------------------------------------------------
 # the wrapper's checks
 
@@ -63,7 +85,7 @@ def _call_args():
 def _bad_runs(run):
     t, k, i, m = run["table"]
     n = run["n_valid"]
-    yield dict(table=(t.astype(np.float32), k, i, m))
+    yield dict(table=(np.zeros(len(t), np.float32), k, i, m))
     yield dict(table=(t, k.astype(np.int32), i, m))
     yield dict(table=(t, k, i, list(m)))
     yield dict(table=(t, k, i, np.repeat(m, 2)[::2]))
