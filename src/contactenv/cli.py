@@ -526,7 +526,7 @@ _RUNNERS = {
 }
 
 
-def kernel_flags() -> dict:
+def _kernel_flags() -> dict:
     """Which event kernel runs: "c", with the compiler that built it, or
     "python" when the compiled kernel did not load."""
     lib = engine._lib
@@ -553,7 +553,7 @@ def run(cfg: RunConfig) -> int:
         flags = {"budget_exceeded": True, "error": str(exc)}
         csv_text, seeds = "", []
         code = EXIT_BUDGET
-    flags.update(kernel_flags())
+    flags.update(_kernel_flags())
     csv_name = f"{cfg.label()}.csv"
     csv_bytes = csv_text.encode()
     if csv_text:

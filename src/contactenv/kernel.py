@@ -148,14 +148,15 @@ class _Out:
             self.addresses = [_address(a) for a in self.arrays]
         return self.addresses
 
-    def deltas(self, n, step=4096):
-        """The first n (time, index, sign) as tuples, converted a slice at a
-        time to bound the temporary lists."""
+    def deltas(self, n, ids, step=4096):
+        """The first n (time, index, sign) as tuples, each index the int
+        object ids holds for it, converted a slice at a time to bound the
+        temporary lists."""
         t, x, s = self.arrays[:3]
         out = []
         for a in range(0, n, step):
             b = min(a + step, n)
-            out += zip(t[a:b].tolist(), x[a:b].tolist(), s[a:b].tolist())
+            out += zip(t[a:b].tolist(), ids.take(x[a:b]).tolist(), s[a:b].tolist())
         return out
 
 
@@ -213,7 +214,7 @@ class Kernel:
         out = self._out.ensure(hi - lo)
         n = self._grow(*ptrs, lo, hi, rev_top, anchor, gt.dir_edge, gt.lptr, gt.lnbr,
                        up, down, q_rate, rule is not None, b, nb, _address(flags), *out)
-        return self._out.deltas(n), self._out.arrays[3][:n]
+        return self._out.deltas(n, gt.ids), self._out.arrays[3][:n]
 
     def run(self, table, n_valid, lo, hi, rev, anchor, t_cut, g, fracs, limits, windows,
             flags, flag_top, edges, infected, state, tau, want_deltas):
@@ -244,27 +245,28 @@ class Kernel:
         n = self._run(*ptrs, lo, hi, rev, anchor, t_cut, src, dst, gt.dir_edge, gt.norm_inf,
                       g.half_width, *fracs, *limits, *windows, fl, flag_top, ed, inf,
                       state.buffer_info()[0], tau.buffer_info()[0], want_deltas, *out[:3])
-        return self._out.deltas(n)
+        return self._out.deltas(n, gt.ids)
 
 
 class _GraphTables:
     """A box's int32 tables for the kernel, derived from edge_ends and
     coords: directed pairs 2e + o (source, target, edge), each site's norm
-    and the line graph in CSR form; the fields hold their addresses."""
+    and the line graph in CSR form; the fields hold their addresses.  ids
+    holds one int object per site or edge index, which every delta shares."""
 
     def __init__(self, g):
         ends = g.edge_ends
-        rows, counts = line_graph(ends, g.n_sites, g.dimension)
+        lptr, lnbr = line_graph(ends, g.n_sites, g.dimension)
         self.arrays = dict(
             dir_src=np.ascontiguousarray(ends.ravel(), dtype=np.int32),
             dir_dst=np.ascontiguousarray(ends[:, ::-1].ravel(), dtype=np.int32),
             dir_edge=np.repeat(np.arange(g.n_edges, dtype=np.int32), 2),
             norm_inf=np.abs(g.coords).max(axis=1).astype(np.int32),
-            lptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int32),
-            lnbr=np.ascontiguousarray(rows[rows < g.n_edges], dtype=np.int32))
+            lptr=lptr, lnbr=lnbr)
         for name, arr in self.arrays.items():
             setattr(self, name, _address(arr))
-        self.max_line_degree = int(counts.max())
+        self.max_line_degree = int(np.diff(lptr).max())
+        self.ids = np.array(range(max(g.n_sites, g.n_edges)), dtype=object)
 
 
 def graph_tables(g) -> _GraphTables:

@@ -136,17 +136,19 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
     n_edges = len(edge_ends)
     assert n_edges == d * side ** (d - 1) * 2 * L
 
+    # one int object per index, which every table below shares
+    ids = np.array(range(max(n_sites, n_edges)), dtype=object)
     # incidence k is edge k // 2 at its site site[k]; sorted by (site, edge),
     # each site's edges come ascending, with the neighbour across each
     site = edge_ends.ravel()
+    other = edge_ends[:, ::-1].ravel()
     order = np.argsort(site, kind="stable")
     degree = np.bincount(site, minlength=n_sites).astype(np.int32)
     cuts = np.concatenate(([0], np.cumsum(degree))).tolist()
-    incident = (order // 2).tolist()
-    nbrs = edge_ends[:, ::-1].ravel()[order].tolist()
-    rows, counts = line_graph(edge_ends, n_sites, d)
-    line = rows[rows < n_edges].tolist()        # the rows' entries, padding dropped
-    line_cuts = np.concatenate(([0], np.cumsum(counts))).tolist()
+    incident = ids.take(order // 2).tolist()
+    nbrs = ids.take(other[order]).tolist()
+    line_cuts, line = line_graph(edge_ends, n_sites, d)
+    line_cuts, line = line_cuts.tolist(), ids.take(line).tolist()
 
     g = GraphView(
         dimension=d,
@@ -158,12 +160,12 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
         degree=degree,
         site_nbrs=tuple(tuple(nbrs[a:b]) for a, b in zip(cuts, cuts[1:])),
         site_edges=tuple(tuple(incident[a:b]) for a, b in zip(cuts, cuts[1:])),
-        dir_src=tuple(site.tolist()),
-        dir_dst=tuple(edge_ends[:, ::-1].ravel().tolist()),
-        dir_edge=tuple(np.repeat(np.arange(n_edges), 2).tolist()),
+        dir_src=tuple(ids.take(site).tolist()),
+        dir_dst=tuple(ids.take(other).tolist()),
+        dir_edge=tuple(ids.take(np.arange(2 * n_edges) // 2).tolist()),
         line_nbrs=tuple(tuple(line[a:b]) for a, b in zip(line_cuts, line_cuts[1:])),
         norm_inf=tuple(np.abs(coords).max(axis=1).tolist()),
-        _edge_lookup=dict(zip(map(tuple, edge_ends.tolist()), range(n_edges))),
+        _edge_lookup=dict(zip(zip(*ids.take(edge_ends.T).tolist()), ids[:n_edges].tolist())),
         _shape=shape,
         _strides=strides,
     )
@@ -171,9 +173,8 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
 
 
 def line_graph(edge_ends: np.ndarray, n_sites: int, d: int):
-    """Line-graph neighbours of every edge: the other edges at either end.
-    Returns an (n_edges, 4d) int32 matrix whose row e holds them ascending,
-    padded at the end with n_edges, and the count of each row."""
+    """Line-graph neighbours of every edge, the other edges at either end,
+    as int32 arrays (ptr, nbr): edge e's, ascending, are nbr[ptr[e]:ptr[e+1]]."""
     n_edges = len(edge_ends)
     site = edge_ends.ravel()
     order = np.argsort(site, kind="stable")       # incidences by (site, edge)
@@ -185,8 +186,9 @@ def line_graph(edge_ends: np.ndarray, n_sites: int, d: int):
     incidence[ranked, np.arange(2 * n_edges) - starts[ranked]] = order // 2
     rows = np.concatenate([incidence[edge_ends[:, 0]], incidence[edge_ends[:, 1]]], axis=1)
     rows[rows == np.arange(n_edges)[:, None]] = n_edges     # an edge is not its own neighbour
-    rows.sort(axis=1)
-    return rows, degree[edge_ends[:, 0]] + degree[edge_ends[:, 1]] - 2
+    rows.sort(axis=1)       # the padding goes last
+    counts = degree[edge_ends[:, 0]] + degree[edge_ends[:, 1]] - 2
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int32), rows[rows < n_edges]
 
 
 def graph_distance(g: GraphView, x: int, y: int) -> int:
