@@ -391,7 +391,7 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
     hi = None
     if rev:
         hi = base.count_through(anchor)
-    elif not chunked:   # pulled from the base table's list views in one chunk
+    elif not chunked:   # read in one chunk
         hi = base.count_through(t_last)
 
     dsrc, ddst = (g.dir_dst, g.dir_src) if rev else (g.dir_src, g.dir_dst)

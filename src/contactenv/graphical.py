@@ -14,14 +14,14 @@ a replica that dies early draws and sorts a prefix of its table; the table
 is the same however far and in whatever order it is read.  The compiled
 event kernel reads the four buffers in place.  The plain-list views that
 the Python event loops and event_feed read are converted lazily too: as
-one cached prefix
-per table that grows only as far as a run reads (Timeline.lists), and past
-the first KEPT_PREFIX events also as chunks that are converted, read and
-dropped (Timeline.chunk), so a replica that dies early converts a fraction
-of its table and one that lives long holds a bounded part of it.  Every event
-carries an independent uniform mark; marks drive thinning (a view at a
-smaller rate keeps an event iff its mark falls below the rate ratio) and
-the accept/reject step of the edge-flip dynamics.
+one cached prefix per table that grows only as far as a run reads
+(Timeline.lists), and past the first KEPT_PREFIX events also as chunks
+that are converted, read and dropped (Timeline.chunk), so a replica that
+dies early converts a fraction of its table and one that lives long holds
+a bounded part of it.  Every event carries an independent uniform mark;
+marks drive thinning (a view at a smaller rate keeps an event iff its mark
+falls below the rate ratio) and the accept/reject step of the edge-flip
+dynamics.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import pytest
 
 from contactenv import engine, kernel
 from contactenv.engine import RunParams, evolve
-from contactenv.graphical import build_timeline, derive_seed, thin_view
+from contactenv.graphical import build_timeline, derive_seed
 from contactenv.lattice import build_box
 
 needs_kernel = pytest.mark.skipif(engine._lib is None, reason="no C compiler on PATH")
