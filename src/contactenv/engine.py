@@ -250,7 +250,7 @@ class BackgroundPath:
                                0.0 if anchor is None else anchor, self._graph,
                                self._rule_arrays, self._edges, self._open_nbrs, self._open)
         self.edge_deltas += deltas
-        self._flip_at.frombytes(at.tobytes())
+        self._flip_at.frombytes(at)
 
     def _grow_python(self, lo, hi, lists, start):
         times, kinds, idx, marks = lists

@@ -24,6 +24,7 @@ import os
 import shlex
 import shutil
 import sysconfig
+import threading
 from array import array
 
 import numpy as np
@@ -134,7 +135,8 @@ def _check_bytes(name, buf, n):
 
 class _Out:
     """Scratch outputs of one call, grown as needed: times, indices, signs
-    and offsets."""
+    and offsets.  Each thread has its own, as a call releases the
+    interpreter lock while C writes them."""
 
     def __init__(self):
         self.cap = 0
@@ -146,7 +148,6 @@ class _Out:
             self.arrays = (np.empty(self.cap), np.empty(self.cap, np.int32),
                            np.empty(self.cap, np.int8), np.empty(self.cap, np.int32))
             self.addresses = [_address(a) for a in self.arrays]
-        return self.addresses
 
     def deltas(self, n, ids, step=4096):
         """The first n (time, index, sign) as tuples, each index the int
@@ -177,7 +178,14 @@ class Kernel:
         self._run.argtypes = ([_P] * 4 + [_I64, _I64, _INT, _D, _D] + [_P] * 4
                               + [ctypes.c_int32] + [_D] * 7 + [_P, _I64] + [_P] * 4
                               + [_INT] + [_P] * 3)
-        self._out = _Out()
+        self._local = threading.local()
+
+    def _scratch(self, n) -> _Out:
+        out = getattr(self._local, "out", None)
+        if out is None:
+            out = self._local.out = _Out()
+        out.ensure(n)
+        return out
 
     def grow(self, table, n_valid, lo, hi, rev_top, anchor, g, rule, edges, open_nbrs,
              flags):
@@ -186,7 +194,7 @@ class Kernel:
         rev_top >= 0.  rule is (up, down, candidate rate) as float64 arrays
         and a float, or None.  Writes flags[lo:hi] and the edge states and
         open-neighbour counts; returns the flips as a list of (time, edge,
-        sign) and an int32 array of their feed offsets."""
+        sign) and the bytes of their feed offsets as int32."""
         if rev_top >= 0:
             if not 0 <= lo <= hi <= rev_top + 1 <= n_valid:
                 raise ValueError(f"reversed offsets {lo}..{hi} from {rev_top} outside "
@@ -211,10 +219,11 @@ class Kernel:
         b, nb = _check_bytes("edges", edges, e), _check_bytes("open_nbrs", open_nbrs, e)
         if not isinstance(flags, bytearray) or len(flags) < hi:
             raise ValueError(f"flags must be a bytearray of at least {hi} entries")
-        out = self._out.ensure(hi - lo)
+        out = self._scratch(hi - lo)
         n = self._grow(*ptrs, lo, hi, rev_top, anchor, gt.dir_edge, gt.lptr, gt.lnbr,
-                       up, down, q_rate, rule is not None, b, nb, _address(flags), *out)
-        return self._out.deltas(n, gt.ids), self._out.arrays[3][:n]
+                       up, down, q_rate, rule is not None, b, nb, _address(flags),
+                       *out.addresses)
+        return out.deltas(n, gt.ids), out.arrays[3][:n].tobytes()
 
     def run(self, table, n_valid, lo, hi, rev, anchor, t_cut, g, fracs, limits, windows,
             flags, flag_top, edges, infected, state, tau, want_deltas):
@@ -241,11 +250,12 @@ class Kernel:
                 and isinstance(tau, array) and tau.typecode == "d" and len(tau) == 1):
             raise ValueError("state must be array('q') of 3 and tau array('d') of 1")
         src, dst = (gt.dir_dst, gt.dir_src) if rev else (gt.dir_src, gt.dir_dst)
-        out = self._out.ensure(hi - lo)
+        out = self._scratch(hi - lo)
         n = self._run(*ptrs, lo, hi, rev, anchor, t_cut, src, dst, gt.dir_edge, gt.norm_inf,
                       g.half_width, *fracs, *limits, *windows, fl, flag_top, ed, inf,
-                      state.buffer_info()[0], tau.buffer_info()[0], want_deltas, *out[:3])
-        return self._out.deltas(n, gt.ids)
+                      state.buffer_info()[0], tau.buffer_info()[0], want_deltas,
+                      *out.addresses[:3])
+        return out.deltas(n, gt.ids)
 
 
 class _GraphTables:

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -60,6 +61,35 @@ def test_a_run_on_another_box_is_rejected(lib, monkeypatch):
 def test_a_fresh_kernel_runs_an_empty_stretch():
     run, _ = _call_args()
     assert kernel.load().run(**{**run, "hi": 0}) == []
+
+
+@needs_kernel
+def test_threads_run_the_kernel_at_once():
+    # a call releases the interpreter lock while C writes its outputs, so
+    # threads on their own tables must not share them; more threads than
+    # cores, each on W3-shaped runs, against the same runs made one by one
+    g = build_box(2, 6)
+    spec = engine.make_spec("ising", beta_inv=0.12, d=2)
+    P = RunParams(g, 1.0, 1.0, spec, 6.0)
+    seeds = [derive_seed(77, i) for i in range(8)]
+
+    def runs(seed):
+        tl = build_timeline(g, 1.0, 1.0, spec.flip_rate, 6.0, seed)
+        b0 = range(0, g.n_edges, 2)
+        return [_fields(evolve(P, range(0, g.n_sites, 3), b0, tl)),
+                _fields(engine.dual_evolve((g.origin(),), P, b0, tl, 5.0)),
+                _fields(engine.background_path(spec, (), tl))]
+
+    want = [runs(s) for s in seeds]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        for _ in range(3):
+            assert list(pool.map(runs, seeds, timeout=120)) == want
+
+
+def _fields(x):
+    if isinstance(x, engine.BackgroundPath):
+        return bytes(x._open), x.edge_deltas, bytes(x._flip_at)
+    return (x.site_deltas, x.edge_deltas, x.c_final, x.b_final, x.tau_ex, x.boundary_touched)
 
 
 # ---------------------------------------------------------------------------
