@@ -142,12 +142,11 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
     # each site's edges come ascending, with the neighbour across each
     site = edge_ends.ravel()
     other = edge_ends[:, ::-1].ravel()
-    order = np.argsort(site, kind="stable")
-    degree = np.bincount(site, minlength=n_sites).astype(np.int32)
+    order, degree, inc = _incidence(edge_ends, n_sites, d)
     cuts = np.concatenate(([0], np.cumsum(degree))).tolist()
     incident = ids.take(order // 2).tolist()
     nbrs = ids.take(other[order]).tolist()
-    line_cuts, line = line_graph(edge_ends, n_sites, d)
+    line_cuts, line = _line_graph(edge_ends, degree, inc)
     line_cuts, line = line_cuts.tolist(), ids.take(line).tolist()
 
     g = GraphView(
@@ -157,7 +156,7 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
         n_edges=n_edges,
         coords=coords,
         edge_ends=edge_ends,
-        degree=degree,
+        degree=degree.astype(np.int32),
         site_nbrs=tuple(tuple(nbrs[a:b]) for a, b in zip(cuts, cuts[1:])),
         site_edges=tuple(tuple(incident[a:b]) for a, b in zip(cuts, cuts[1:])),
         dir_src=tuple(ids.take(site).tolist()),
@@ -175,16 +174,28 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
 def line_graph(edge_ends: np.ndarray, n_sites: int, d: int):
     """Line-graph neighbours of every edge, the other edges at either end,
     as int32 arrays (ptr, nbr): edge e's, ascending, are nbr[ptr[e]:ptr[e+1]]."""
+    _, degree, inc = _incidence(edge_ends, n_sites, d)
+    return _line_graph(edge_ends, degree, inc)
+
+
+def _incidence(edge_ends, n_sites, d):
+    """The incidences sorted by (site, edge), as the order of
+    edge_ends.ravel(); each site's degree; and per site its incident edges
+    ascending, an (n_sites, 2d) int32 matrix padded at the end with
+    n_edges."""
     n_edges = len(edge_ends)
     site = edge_ends.ravel()
-    order = np.argsort(site, kind="stable")       # incidences by (site, edge)
+    order = np.argsort(site, kind="stable")
     degree = np.bincount(site, minlength=n_sites)
-    starts = np.cumsum(degree) - degree
-    # per site, its incident edges ascending, padded with n_edges
-    incidence = np.full((n_sites, 2 * d), n_edges, dtype=np.int32)
     ranked = site[order]
-    incidence[ranked, np.arange(2 * n_edges) - starts[ranked]] = order // 2
-    rows = np.concatenate([incidence[edge_ends[:, 0]], incidence[edge_ends[:, 1]]], axis=1)
+    inc = np.full((n_sites, 2 * d), n_edges, dtype=np.int32)
+    inc[ranked, np.arange(2 * n_edges) - (np.cumsum(degree) - degree)[ranked]] = order // 2
+    return order, degree, inc
+
+
+def _line_graph(edge_ends, degree, inc):
+    n_edges = len(edge_ends)
+    rows = np.concatenate([inc[edge_ends[:, 0]], inc[edge_ends[:, 1]]], axis=1)
     rows[rows == np.arange(n_edges)[:, None]] = n_edges     # an edge is not its own neighbour
     rows.sort(axis=1)       # the padding goes last
     counts = degree[edge_ends[:, 0]] + degree[edge_ends[:, 1]] - 2
