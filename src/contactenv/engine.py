@@ -394,8 +394,6 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
     elif not chunked:   # read in one chunk
         hi = base.count_through(t_last)
 
-    dsrc, ddst = (g.dir_dst, g.dir_src) if rev else (g.dir_src, g.dir_dst)
-    dedge = g.dir_edge
     ninf = g.norm_inf
     bdry = g.half_width
 
@@ -428,6 +426,8 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
         if path.n_events < hi:
             path._grow(hi, event_feed(tl)[:4])
         arrow_open = path._open[::-1]
+    dsrc, ddst = (g.dir_dst, g.dir_src) if rev else (g.dir_src, g.dir_dst)
+    dedge = g.dir_edge
 
     thin_arrows = lam_frac < 1.0
     thin_recs = r_frac < 1.0
