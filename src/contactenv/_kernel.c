@@ -2,8 +2,8 @@
  * loop (cek_run) of contactenv.engine, reading a Timeline's four buffers
  * (times float64, kinds int8, idx int32, marks float64) in place.
  *
- * Both make the same double comparisons, in the same order, as the Python
- * loops in engine.py, so their outputs are bit-identical to them: build with
+ * Both make the same double comparisons as the plain-Python kernel in
+ * reference.py, so their outputs are bit-identical to its: build with
  * -ffp-contract=off and without -ffast-math.  Every buffer is owned by the
  * caller, which checks lengths and offsets before each call (kernel.py).
  */

@@ -220,8 +220,8 @@ def evolve_background(spec: BackgroundSpec, b0, tl, t: float) -> np.ndarray:
     (engine.background_path, stored on forward timelines) replayed through t.
     A timeline without flip candidates leaves b0 as it is."""
     from .engine import background_path     # engine imports this module
-    if t > tl.t_max + 1e-9:
-        raise ValueError(f"t={t} beyond the timeline horizon {tl.t_max}")
+    if not 0 <= t <= tl.t_max + 1e-9:
+        raise ValueError(f"t={t} outside the timeline window [0, {tl.t_max}]")
     if _unpack(tl)[0].flip_rate == 0:
         edges = frozenset(int(e) for e in b0)
     else:
@@ -277,8 +277,8 @@ def coupled_region(spec: BackgroundSpec, tl, t: float) -> CoupledRegion:
     exact for dynamical percolation, horizon-approximate (and flagged so)
     otherwise.  See decided_times."""
     couple_time, horizon = decided_times(spec, tl)
-    if t > horizon + 1e-9:
-        raise ValueError(f"t={t} beyond the timeline horizon {horizon}")
+    if not 0 <= t <= horizon + 1e-9:
+        raise ValueError(f"t={t} outside the timeline window [0, {horizon}]")
     n = len(couple_time)
     edges = np.array([e for e in range(n) if couple_time[e] <= t], dtype=np.int32)
     return CoupledRegion(edges=edges, exact=spec.is_dp, horizon=horizon, t=t)

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from . import analysis, background, blocks, engine
+from . import analysis, background, blocks, engine, reference
 from .engine import RunParams
 from .graphical import derive_seed
 from .lattice import SizingError, build_box
@@ -530,8 +530,8 @@ def _kernel_flags() -> dict:
     """Which event kernel runs: "c", with the compiler that built it, or
     "python" when the compiled kernel did not load."""
     lib = engine._lib
-    return {"kernel": "python"} if lib is None else {"kernel": "c",
-                                                     "kernel_compiler": lib.compiler}
+    return {"kernel": "python"} if lib is reference else {"kernel": "c",
+                                                          "kernel_compiler": lib.compiler}
 
 
 def _atomic_write(path: str, data: bytes):

@@ -17,31 +17,25 @@ Timeline, so every run with that spec and those initial edges reads and
 extends one: a run that dies early sweeps a prefix, and the next reuses it.
 A frozen environment (spec None) reads no path.
 
-Both loops, the run and the sweep, exist twice.  The compiled kernel
-(_kernel.c, loaded by kernel.load() into _lib when this module is
-imported) reads the base Timeline's four buffers in place and converts no
-list.  When no C compiler is found, _lib is None and the Python loops run:
-they read the table's list views (Timeline.lists and Timeline.chunk),
-visit only arrows and recoveries through the table's index of them, and are
-flat: plain lists, bytearray state, no attribute lookups.  The two make the
-same comparisons in the same order, so their outputs are bit-identical, and
-they share their state between calls: the infection bytearray, a path's
-edge states, open-neighbour counts and arrow flags (a bytearray by feed
-offset).
+Both loops, the run and the sweep, are the event kernel's: _lib is the
+compiled kernel (_kernel.c, loaded by kernel.load() when this module is
+imported), or, when no C compiler is found, the plain-Python one
+(reference.py), which takes the same arguments and gives bit-identical
+outputs.  Either reads the base Timeline's four buffers a stretch at a
+time and keeps its state between calls in buffers owned here: the
+infection bytearray, a path's edge states, open-neighbour counts and arrow
+flags (a bytearray by feed offset).
 
 The table is itself drawn and sorted on demand, slab by slab.  A run that
 stops at extinction reads fixed-size chunks of _CHUNK events and never asks
 for the table's length: it draws slabs as far as its chunks reach and none
 past the one that holds its horizon, finds the horizon in the chunk that
 holds it and stops when the infection dies.  So an early death draws and
-sorts a small prefix of the table, which later runs share.  In the Python
-loops the lists a long run adds past Timeline.chunk's kept prefix are
-dropped chunk by chunk, so its memory does not grow with its length.  Every
-other run draws through its horizon (Timeline.count_through) in one chunk;
+sorts a small prefix of the table, which later runs share.  Every other
+run draws through its horizon (Timeline.count_through) in one chunk;
 background_path sweeps the whole feed.  A reversed feed is read in place,
 walked from its anchor back; only its own environment path, if it has one,
-is swept over the reversed feed (in the Python loops a reversed copy,
-graphical.event_feed).
+is swept over the reversed feed.
 
 Every entry point that takes RunParams runs at (params.lam, params.r): a
 Timeline is thinned to them here, and a view must already be at them.
@@ -52,18 +46,18 @@ from __future__ import annotations
 import math
 import weakref
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import kernel
+from . import kernel, reference
 from .background import BackgroundSpec, coupled_region, make_spec, min_max_rates
-from .graphical import TimelineView, _unpack, event_feed, feed_size, reverse_view, thin_view
+from .graphical import TimelineView, _unpack, feed_size, reverse_view, thin_view
 from .lattice import GraphView
 
-# the compiled kernel, or None: the Python loops below run instead
-_lib = kernel.load()
+# the compiled kernel, or the plain-Python one when no C compiler is found
+_lib = kernel.load() or reference
 
 SUPPRESS_ARROWS = "suppress-arrows"
 SUPPRESS_RECOVERIES_AND_BACKGROUND = "suppress-recoveries-and-background"
@@ -130,7 +124,7 @@ class Trajectory:
         return frozenset(self._apply(set(self.b0), self.edge_deltas, t))
 
     def _check(self, t):
-        if t < 0 or t > self.t_end + 1e-9:
+        if not 0 <= t <= self.t_end + 1e-9:
             raise ValueError(f"query time {t} outside [0, {self.t_end}]")
 
     def alive_at(self, t: float) -> bool:
@@ -221,24 +215,13 @@ class BackgroundPath:
                 np.flatnonzero(np.frombuffer(bytes(self._edges), dtype=np.uint8)).tolist())
         return self._b_final
 
-    def _grow(self, hi, lists=None, start=0):
-        """Sweep on through feed offset hi - 1: in the compiled kernel,
-        which reads the base table, drawn that far, in place, without
-        lists; else in Python over lists, whose item i (times, kinds, idx,
-        marks) is feed offset start + i, where start <= n_events."""
+    def _grow(self, hi):
+        """Sweep on through feed offset hi - 1, reading the base table,
+        drawn that far, in place."""
         lo = len(self._open)
         if hi <= lo:
             return
         self._open.extend(bytes(hi - lo))
-        n_deltas = len(self.edge_deltas)
-        if lists is None:
-            self._grow_compiled(lo, hi)
-        else:
-            self._grow_python(lo, hi, lists, start)
-        if len(self.edge_deltas) != n_deltas:
-            self._b_final = None
-
-    def _grow_compiled(self, lo, hi):
         base, anchor, rev = self.feed[0](), self.feed[1], self.feed[2]
         # a reversed feed is the table's events through the anchor, newest first
         top = base.count_through(anchor) - 1 if rev else -1
@@ -249,40 +232,10 @@ class BackgroundPath:
         deltas, at = _lib.grow(base._buf, base.n_generated, lo, hi, top,
                                0.0 if anchor is None else anchor, self._graph,
                                self._rule_arrays, self._edges, self._open_nbrs, self._open)
-        self.edge_deltas += deltas
+        if deltas:
+            self.edge_deltas += deltas
+            self._b_final = None
         self._flip_at.frombytes(at)
-
-    def _grow_python(self, lo, hi, lists, start):
-        times, kinds, idx, marks = lists
-        B = self._edges
-        N = self._open_nbrs      # line-graph neighbours are mutual
-        dedge = self._graph.dir_edge
-        lnbrs = self._graph.line_nbrs
-        up_tab, down_tab, q_rate = self._rule or ((), (), 0.0)
-        flags = self._open
-        app = self.edge_deltas.append
-        at = self._flip_at.append
-        for i in range(lo, hi):
-            j = i - start
-            k = kinds[j]
-            if k == 0:
-                flags[i] = B[dedge[idx[j]]]
-            elif k == 2:
-                x = idx[j]
-                u = marks[j]
-                if B[x]:
-                    if (1.0 - u) * q_rate <= down_tab[N[x]]:
-                        B[x] = 0
-                        for a in lnbrs[x]:
-                            N[a] -= 1
-                        app((times[j], x, -1))
-                        at(i)
-                elif u * q_rate < up_tab[N[x]]:
-                    B[x] = 1
-                    for a in lnbrs[x]:
-                        N[a] += 1
-                    app((times[j], x, 1))
-                    at(i)
 
     def until(self, t, want_deltas=True):
         """(edge deltas, edge set) of the path through time t, which the
@@ -343,21 +296,8 @@ def background_path(spec, b0, tl) -> BackgroundPath:
     path = _path(spec, frozenset(map(int, b0)), tl)
     n = feed_size(tl)
     if path.n_events < n:
-        path._grow(n, None if _lib is not None else event_feed(tl)[:4])
+        path._grow(n)
     return path
-
-
-def _arrows_and_recoveries(base, start, stop, origin):
-    """Offsets from origin <= start of the arrows and recoveries among the
-    table's events start..stop-1: every event when the table has no flip
-    candidates, else from the table's index of them."""
-    if base.flip_rate == 0:
-        return range(start - origin, stop - origin)
-    order = base._visits_through(stop)
-    if start == 0 and (not order or order[-1] < stop):
-        return order
-    sel = order[bisect_left(order, start):bisect_left(order, stop)]
-    return [i - origin for i in sel] if origin else sel
 
 
 _CHUNK = 4096     # events a run that stops at extinction reads at a time
@@ -366,13 +306,13 @@ _CHUNK = 4096     # events a run that stops at extinction reads at a time
 def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=math.inf,
          env=None, no_arrows_until=-1.0, free_infection_until=-1.0,
          no_recoveries_until=-1.0, stop_on_extinct=False, want_deltas=True):
-    """One infection run on tl's feed.  Arrows leave only sites of norm
-    below eman_limit and enter only sites of norm below entry_limit.  Its
-    environment env is a BackgroundPath on tl's feed, grown through each
-    chunk before the chunk is read; or arrow flags by table offset, a
-    bytearray or a list (the dual's forward environment); or, if None, the
-    edge set b0 (a frozenset of ints) throughout.  The compiled kernel runs
-    the loop when it is loaded (_run_compiled), else the Python loop below.
+    """One infection run on tl's feed, in the kernel's stretches.  Arrows
+    leave only sites of norm below eman_limit and enter only sites of norm
+    below entry_limit.  Its environment env is a BackgroundPath on tl's
+    feed, grown through each stretch before the stretch is read; or arrow
+    flags by table offset, a bytearray or a list (the dual's forward
+    environment); or, if None, the edge set b0 (a frozenset of ints)
+    throughout.
 
     A reversed feed is read in place: the base table's events from the
     anchor back, at time anchor - times[i], each arrow crossed from its
@@ -394,150 +334,37 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
     elif not chunked:   # read in one chunk
         hi = base.count_through(t_last)
 
-    ninf = g.norm_inf
-    bdry = g.half_width
-
     C = bytearray(g.n_sites)
     for s in c0:
         C[int(s)] = 1
     n_inf = C.count(1)
-    btouch = any(ninf[int(s)] >= bdry for s in c0)
+    btouch = any(g.norm_inf[int(s)] >= g.half_width for s in c0)
 
     path = env if isinstance(env, BackgroundPath) else None
     # weak references compare by their referents, so this matches the base by identity
     if path is not None and path.feed != (weakref.ref(base), anchor, rev):
         raise ValueError("background path was computed for a different feed")
-    use_flags = env is not None
-    arrow_open = B = None
+    flags = B = None
+    flag_top = -1
     if env is None:
         B = bytearray(g.n_edges)
         for e in b0:
             B[e] = 1
     elif path is None:
-        arrow_open = env
-    if _lib is not None:
-        site_deltas, tau, btouch, t_stop = _run_compiled(
-            g, base, anchor, rev, hi, t_last, t_end, C, n_inf, btouch, path, arrow_open, B,
-            (lam_frac, r_frac), (eman_limit, entry_limit),
-            (no_arrows_until, free_infection_until, no_recoveries_until), stop_on_extinct,
-            want_deltas)
-        return _result(site_deltas, C, tau, btouch, path, t_stop, b0, want_deltas)
-    if path is not None and rev:    # swept over the reversed lists, read from the anchor back
-        if path.n_events < hi:
-            path._grow(hi, event_feed(tl)[:4])
-        arrow_open = path._open[::-1]
-    dsrc, ddst = (g.dir_dst, g.dir_src) if rev else (g.dir_src, g.dir_dst)
-    dedge = g.dir_edge
-
-    thin_arrows = lam_frac < 1.0
-    thin_recs = r_frac < 1.0
-    suppress_arrows = no_arrows_until > 0.0
-    suppress_recs = no_recoveries_until > 0.0
-    free_phase = free_infection_until > 0.0
-
-    site_deltas = []
-    sapp = site_deltas.append
-    tau = 0.0 if n_inf == 0 else math.inf
-    t_stop = t_end
-
-    # i below is an event's offset from the chunk's start (from the table's, reversed)
-    start = 0
-    while True:
-        if rev:
-            times, kinds, idx, marks = base.lists(hi)
-            # the feed's events through t_end are the table's events lo..hi-1
-            lo = bisect_left(times, True, 0, hi, key=lambda u: anchor - u <= t_end)
-            order = reversed(_arrows_and_recoveries(base, lo, hi, 0))
-            stop = hi
-        else:
-            if chunked:
-                # slabs are drawn as far as this chunk reaches, and none past t_last's;
-                # the last chunk's lists go first, as they would add to the peak memory
-                times = kinds = idx = marks = None
-                times, kinds, idx, marks = base.chunk(start, start + _CHUNK, t_last)
-                stop = min(start + _CHUNK, base.n_generated)
-                hi = stop if stop < start + _CHUNK else math.inf
-                if stop > start and times[stop - start - 1] > t_last:
-                    stop = hi = start + bisect_right(times, t_last, 0, stop - start)
-            else:
-                times, kinds, idx, marks = base.lists(hi)
-                stop = hi
-            if path is not None:
-                path._grow(stop, (times, kinds, idx, marks), start)
-                arrow_open = path._open[start:stop] if start else path._open
-            order = _arrows_and_recoveries(base, start, stop, start)
-        for i in order:
-            if kinds[i] == 0:  # arrow
-                j = idx[i]
-                s = dsrc[j]
-                if not C[s]:
-                    continue
-                if thin_arrows and marks[i] >= lam_frac:
-                    continue
-                if ninf[s] >= eman_limit:
-                    continue
-                d2 = ddst[j]
-                if C[d2]:
-                    continue
-                t = anchor - times[i] if rev else times[i]
-                if suppress_arrows and t <= no_arrows_until:
-                    continue
-                if not (arrow_open[i] if use_flags else B[dedge[j]]):
-                    if not (free_phase and t <= free_infection_until):
-                        continue
-                if ninf[d2] >= entry_limit:
-                    continue
-                C[d2] = 1
-                n_inf += 1
-                if ninf[d2] >= bdry:
-                    btouch = True
-                if want_deltas:
-                    sapp((t, d2, 1))
-            else:  # recovery
-                if thin_recs and marks[i] >= r_frac:
-                    continue
-                s = idx[i]
-                if not C[s]:
-                    continue
-                t = anchor - times[i] if rev else times[i]
-                if suppress_recs and t <= no_recoveries_until:
-                    continue
-                C[s] = 0
-                n_inf -= 1
-                if want_deltas:
-                    sapp((t, s, -1))
-                if not n_inf:
-                    tau = t
-                    if stop_on_extinct:
-                        t_stop = t
-                        break
-        else:
-            start = stop        # chunk read through: read the next one
-            if stop < hi:
-                continue
-        break                   # stopped at extinction or the horizon: read no further
-    return _result(site_deltas, C, tau, btouch, path, t_stop, b0, want_deltas)
-
-
-def _run_compiled(g, base, anchor, rev, hi, t_last, t_end, C, n_inf, btouch, path, flags, B,
-                  fracs, limits, windows, stop_on_extinct, want_deltas):
-    """_run's loop in the compiled kernel: the same chunks, read from the
-    base table's buffers in place.  hi is None for a chunked run.  Returns
-    (site deltas, tau, boundary touched, time the run stopped)."""
-    flag_top = -1
-    if path is not None:
+        flags = env if isinstance(env, bytearray) else bytearray(env)
+    else:
         if rev:     # swept over the reversed feed, read from the anchor back
             path._grow(hi)
             flag_top = path.n_events - 1
         flags = path._open
-    elif flags is not None and not isinstance(flags, bytearray):
-        flags = bytearray(flags)
     state = array("q", [n_inf, btouch, 0])      # infected count, boundary touched, extinct
     tau = array("d", [0.0 if n_inf == 0 else math.inf])
+    fracs, limits = (lam_frac, r_frac), (eman_limit, entry_limit)
+    windows = (no_arrows_until, free_infection_until, no_recoveries_until)
     # a reversed feed is cut at t_end inside the kernel
     anchor, t_cut = (anchor, t_end) if rev else (0.0, math.inf)
     site_deltas = []
-    chunked = hi is None
+    t_stop = t_end
     start = 0
     while True:
         if chunked:     # slabs are drawn as far as this chunk reaches
@@ -556,19 +383,15 @@ def _run_compiled(g, base, anchor, rev, hi, t_last, t_end, C, n_inf, btouch, pat
                                 g, fracs, limits, windows, flags, flag_top, B, C, state, tau,
                                 want_deltas)
         if state[2]:
-            return site_deltas, tau[0], bool(state[1]), tau[0] if stop_on_extinct else t_end
+            if stop_on_extinct:
+                t_stop = tau[0]
+            break
         if stop >= hi:
-            return site_deltas, tau[0], bool(state[1]), t_end
+            break
         start = stop
-
-
-def _result(site_deltas, C, tau, btouch, path, t_stop, b0, want_deltas):
     c_final = frozenset(np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)).tolist())
-    if path is not None:
-        edge_deltas, b_final = path.until(t_stop, want_deltas)
-    else:
-        edge_deltas, b_final = [], b0
-    return site_deltas, edge_deltas, c_final, b_final, tau, btouch
+    edge_deltas, b_final = path.until(t_stop, want_deltas) if path is not None else ([], b0)
+    return site_deltas, edge_deltas, c_final, b_final, tau[0], bool(state[1])
 
 
 def _traj(g, t_end, c0, b0, out) -> Trajectory:
@@ -730,7 +553,7 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
     else:
         path = _path(params.spec, b0, base)
         hi = base.count_through(rv.anchor)
-        path._grow(hi, None if _lib is not None else base.lists(hi))
+        path._grow(hi)
         env = path._open
     site_deltas, _, c_final, _, tau, btouch = _run(
         g, rv, a_sites, b0, t_end=rv.anchor, entry_limit=g.half_width,

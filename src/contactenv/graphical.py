@@ -11,24 +11,18 @@ Generation is lazy and deterministic: equal (seed, box, rates, horizon)
 give a bit-identical event table, drawn in time slabs of doubling size,
 each from its own generator on its first read, and sorted slab by slab, so
 a replica that dies early draws and sorts a prefix of its table; the table
-is the same however far and in whatever order it is read.  The compiled
-event kernel reads the four buffers in place.  The plain-list views that
-the Python event loops and event_feed read are converted lazily too: as
-one cached prefix per table that grows only as far as a run reads
-(Timeline.lists), and past the first KEPT_PREFIX events also as chunks
-that are converted, read and dropped (Timeline.chunk), so a replica that
-dies early converts a fraction of its table and one that lives long holds
-a bounded part of it.  Every event carries an independent uniform mark;
-marks drive thinning (a view at a smaller rate keeps an event iff its mark
-falls below the rate ratio) and the accept/reject step of the edge-flip
-dynamics.
+is the same however far and in whatever order it is read.  The event
+kernel (engine._lib) reads the four buffers in place; event_feed converts
+a feed to plain lists for callers that want them.  Every event carries an
+independent uniform mark; marks drive thinning (a view at a smaller rate
+keeps an event iff its mark falls below the rate ratio) and the
+accept/reject step of the edge-flip dynamics.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,11 +41,6 @@ DEFAULT_EVENT_BUDGET = 20_000_000
 # A timeline's first time slab is sized to hold about this many events;
 # see Timeline.
 SLAB_EVENTS = 4096
-
-# Timeline.chunk grows the cached prefix through this many events and no
-# further: most runs that stop at extinction die inside it, and a long one
-# then holds one chunk of lists past it instead of the rest of the table.
-KEPT_PREFIX = 8192
 
 _M64 = (1 << 64) - 1
 _M32 = (1 << 32) - 1
@@ -84,9 +73,8 @@ def uniform_from(seed: int, *keys: int) -> float:
 @dataclass(eq=False)
 class Timeline:
     """One realized event table, generated lazily.  Treat the table as
-    immutable; its slabs, the list views, the index of arrows and
-    recoveries and bg_paths, the environment paths the engine grows as runs
-    read the table, are caches.
+    immutable; its slabs and bg_paths, the environment paths the engine
+    grows as runs read the table, are caches.
 
     The window [0, t_max] is cut into time slabs before any draw, from the
     expected event count: slab 0 is [0, t_max / 2^m) and slab k >= 1 is
@@ -109,11 +97,7 @@ class Timeline:
     n_generated counts the events generated so far.  n_events, times,
     kinds, idx and marks are the whole table: reading them generates every
     slab left.  count_through(t) generates only the slabs that can hold
-    events at or before t.  The plain-list views are converted on demand:
-    lists(hi) extends one cached prefix (kept in the instance attribute
-    _lists) through index hi and returns it, so indices into the prefix are
-    always indices into the table; chunk() reads a slice, which past
-    KEPT_PREFIX events it may convert without keeping it.
+    events at or before t.
     """
 
     graph: GraphView
@@ -141,8 +125,6 @@ class Timeline:
         self._buf = (np.empty(cap), np.empty(cap, dtype=np.int8),
                      np.empty(cap, dtype=np.int32), np.empty(cap))
         self.n_generated = 0
-        self._visits = array("i")   # offsets of the arrows and recoveries among ...
-        self._visited = 0           # ... the first _visited events
         self._slab = 0          # next slab to draw
         self._last = 0.0        # last time generated: the next slab's nudge starts from it
 
@@ -242,48 +224,6 @@ class Timeline:
     def marks(self) -> np.ndarray:
         """float64 in [0,1)."""
         return self._whole[3]
-
-    def lists(self, hi: int | None = None):
-        """(times, kinds, idx, marks) as plain lists holding at least the
-        events with index < hi (all of them by default).  The lists are the
-        cached prefix, which may run past hi; it only ever grows."""
-        n = math.inf if hi is None else hi
-        arrays = self._fill(n)
-        n = min(n, self.n_generated)
-        cur = self.__dict__.get("_lists")
-        if cur is None:
-            cur = self._lists = tuple(a[:n].tolist() for a in arrays)
-        elif len(cur[0]) < n:
-            done = len(cur[0])
-            for lst, a in zip(cur, arrays):
-                lst.extend(a[done:n].tolist())
-        return cur
-
-    def _visits_through(self, stop: int) -> array:
-        """Offsets of the arrows and recoveries among events 0..stop-1, which
-        are generated: one int32 array, extended from the kinds of the events
-        it does not cover yet, so it covers what runs have read and no more."""
-        if self._visited < stop:
-            new = np.flatnonzero(self._buf[1][self._visited:stop] != KIND_FLIP) + self._visited
-            self._visits.frombytes(new.astype(np.int32).tobytes())
-            self._visited = stop
-        return self._visits
-
-    def chunk(self, start: int, stop: int, t: float = math.inf):
-        """(times, kinds, idx, marks) of the events start..stop-1 as plain
-        lists indexed from start: item i holds event start + i (a list read
-        from index 0 may run past stop).  Slabs are drawn through event
-        stop, but none that starts after time t, so the chunk ends early
-        when the events at or before t run out; n_generated then bounds it.
-        They are read from the cached prefix, grown through stop if stop <=
-        KEPT_PREFIX; a chunk past both is converted here and not kept."""
-        self._fill(stop, t)
-        stop = min(stop, self.n_generated)
-        cur = self.__dict__.get("_lists")
-        if stop <= KEPT_PREFIX or cur is not None and len(cur[0]) >= stop:
-            cur = self.lists(stop)
-            return cur if start == 0 else tuple(lst[start:stop] for lst in cur)
-        return tuple(a[start:stop].tolist() for a in self._buf)
 
 
 @dataclass(frozen=True)
@@ -397,28 +337,21 @@ def feed_size(tl) -> int:
 
 def event_feed(tl):
     """Normalize a Timeline or view into (times, kinds, idx, marks, lam_frac,
-    r_frac, horizon) plain-list form, holding exactly the feed's events.
-
-    Forward lists come from the base table's cached prefix (Timeline.lists),
-    which this converts through the end of the feed; an anchored view gets a
-    copy cut at its anchor, as the prefix may later grow past it.  For
-    reversed views new lists are built from the arrays, with times mapped to
-    t* - u, order reversed, and arrow pair ids flipped to the opposite
-    orientation; recovery and flip events keep their type and target.
+    r_frac, horizon) plain-list form, holding exactly the feed's events,
+    converted from the base table's arrays.  For reversed views, times are
+    mapped to t* - u, order reversed, and arrow pair ids flipped to the
+    opposite orientation; recovery and flip events keep their type and
+    target.
     """
     base, lam, r, anchor, rev = _unpack(tl)
     lam_frac = 1.0 if base.lam_max <= 0 else lam / base.lam_max
     r_frac = 1.0 if base.r_max <= 0 else r / base.r_max
     hi = feed_size(tl)
-    if not rev:
-        lists = base.lists(hi)
-        if anchor is not None:
-            lists = tuple(lst[:hi] for lst in lists)
-        return (*lists, lam_frac, r_frac, tl.t_max)
-    # newest first, at t* - u, each arrow's pair id flipped to the other orientation
-    times, kinds, idx, marks = (a[:hi][::-1] for a in base._buf)
-    return ((anchor - times).tolist(), kinds.tolist(),
-            (idx ^ (kinds == KIND_ARROW)).tolist(), marks.tolist(), lam_frac, r_frac, anchor)
+    times, kinds, idx, marks = (a[:hi][::-1] if rev else a[:hi] for a in base._buf)
+    if rev:     # newest first, at t* - u, each arrow's pair id flipped to the other orientation
+        times, idx = anchor - times, idx ^ (kinds == KIND_ARROW)
+    return (times.tolist(), kinds.tolist(), idx.tolist(), marks.tolist(), lam_frac, r_frac,
+            tl.t_max)
 
 
 def to_ndjson(tl: Timeline) -> str:

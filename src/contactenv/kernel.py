@@ -3,13 +3,15 @@ with its buffers checked.
 
 load() compiles _kernel.c with the C compiler that sysconfig names, with
 -O2 -ffp-contract=off (no fused multiply-adds, no fast-math, no
--march=native), so the kernel's double arithmetic is the Python loops' to
-the bit.  The library is cached in _kernel_cache/ next to this module,
-under a name keyed by the sha256 of the source, the compile command and the
-platform.  It is written to a temporary file there and moved into place, so
-a process never loads a half-written library, and it ends with the sha256
-of its own bytes, so a damaged or truncated file is rebuilt, not loaded.  Without a compiler on PATH, or when the build fails,
-load() returns None and the engine runs its Python loops.
+-march=native), so the kernel's double arithmetic is that of the Python
+kernel (reference.py) to the bit.  The library is cached in _kernel_cache/
+next to this module, under a name keyed by the sha256 of the source, the
+compile command and the platform.  It is written to a temporary file there
+and moved into place, so a process never loads a half-written library, and
+it ends with the sha256 of its own bytes, so a damaged or truncated file is
+rebuilt, not loaded.  Without a compiler on PATH, or when the build fails,
+load() returns None and the engine runs the Python kernel, whose grow and
+run take the same arguments as Kernel's.
 
 Kernel.grow and Kernel.run check every buffer's type, dtype and length and
 every offset before the call, and raise ValueError where C would read or

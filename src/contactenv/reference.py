@@ -1,0 +1,150 @@
+"""The event kernel in plain Python: the flip rule (grow) and the infection
+loop (run), with the arguments and return values of kernel.Kernel.grow and
+kernel.Kernel.run.  The engine runs it when the compiled kernel does not
+load (no C compiler), and tests/test_oracle.py runs it once over a whole
+table to check the engine's runs, under either kernel, against it.
+
+It is written from the definitions, not for speed.  Each stretch of the
+table is read one event at a time, as (time, kind, target, mark), from
+plain values converted a block at a time, as a run may stop early.  A
+reversed stretch is read newest first, at anchor - t, with each arrow's
+directed pair id flipped to the other orientation (j ^ 1).  A flip is
+decided by recounting the edge's open line-graph neighbours; the counts
+in open_nbrs are still kept up to date, as the compiled kernel keeps them.
+The double comparisons are the compiled kernel's, so the two give
+bit-identical outputs.
+"""
+
+from __future__ import annotations
+
+from array import array
+from itertools import chain
+
+from .graphical import KIND_ARROW, KIND_FLIP, KIND_RECOVERY
+
+_BLOCK = 512      # events converted to plain values at a time
+
+
+def _events(table, lo, hi, rev, anchor):
+    """Table indices lo..hi-1 as (index, time, kind, target, mark), in
+    time order, or newest first at anchor - t with arrows reversed."""
+    cuts = [(a, min(a + _BLOCK, hi)) for a in range(lo, hi, _BLOCK)]
+    if rev:     # blocks from the top
+        cuts = [(lo + hi - b, lo + hi - a) for a, b in cuts]
+    return chain.from_iterable(_block(table, a, b, rev, anchor) for a, b in cuts)
+
+
+def _block(table, a, b, rev, anchor):
+    times, kinds, idx, marks = ((arr[a:b][::-1] if rev else arr[a:b]).tolist() for arr in table)
+    if not rev:
+        return zip(range(a, b), times, kinds, idx, marks)
+    return ((i, anchor - t, k, j ^ 1 if k == KIND_ARROW else j, u)
+            for i, t, k, j, u in zip(range(b - 1, a - 1, -1), times, kinds, idx, marks))
+
+
+def flip(g, edges, rule, x, u) -> int:
+    """The flip rule at a candidate with mark u on edge x: closes an open
+    edge if (1 - u) q <= down[n], opens a closed one if u q < up[n], where
+    n counts x's open line-graph neighbours and rule is (up, down, q).
+    Updates edges; returns the sign of the flip, 0 for none."""
+    up, down, q = rule
+    n = sum(map(edges.__getitem__, g.line_nbrs[x]))
+    if edges[x]:
+        if (1.0 - u) * q <= down[n]:
+            edges[x] = 0
+            return -1
+    elif u * q < up[n]:
+        edges[x] = 1
+        return 1
+    return 0
+
+
+def grow(table, n_valid, lo, hi, rev_top, anchor, g, rule, edges, open_nbrs, flags):
+    """Sweep feed offsets lo..hi-1 of table, whose first n_valid events are
+    drawn: feed offset k is table index k, or rev_top - k on a reversed
+    feed (rev_top >= 0).  flags[k] is set to the state of an arrow's edge
+    just before it.  rule is (up, down, candidate rate), or None for no
+    flips.  Returns the flips as a list of (time, edge, sign) and the bytes
+    of their feed offsets as int32."""
+    rev = rev_top >= 0
+    top = rev_top + 1 if rev else hi
+    if not 0 <= lo <= hi <= top <= n_valid:
+        raise ValueError(f"offsets {lo}..{hi} outside the {n_valid} drawn events")
+    if rule is not None:
+        rule = ([float(v) for v in rule[0]], [float(v) for v in rule[1]], rule[2])
+    dir_edge, line_nbrs = g.dir_edge, g.line_nbrs
+    deltas, at = [], array("i")
+    a, b = (top - hi, top - lo) if rev else (lo, hi)
+    for k, (_, t, kind, j, u) in enumerate(_events(table, a, b, rev, anchor), lo):
+        if kind == KIND_ARROW:
+            flags[k] = edges[dir_edge[j]]
+        elif kind == KIND_FLIP and rule is not None:
+            sign = flip(g, edges, rule, j, u)
+            if sign:
+                for e in line_nbrs[j]:
+                    open_nbrs[e] += sign
+                deltas.append((t, j, sign))
+                at.append(k)
+    return deltas, at.tobytes()
+
+
+def run(table, n_valid, lo, hi, rev, anchor, t_cut, g, fracs, limits, windows, flags,
+        flag_top, edges, infected, state, tau, want_deltas):
+    """One stretch of a run over table indices lo..hi-1, read forward or,
+    when rev, from the anchor back; it ends at the first event after t_cut.
+    fracs is (lam_frac, r_frac): an event is kept iff its mark is below
+    its kind's.  limits is (emanation, entry): arrows leave only sites of
+    norm below the first and enter only sites of norm below the second.
+    windows is (no arrows until, free infection until, no recoveries
+    until), each active when positive.  An arrow at table index i reads
+    its edge as flags[flag_top - i] (flag_top >= 0), flags[i], or, when
+    flags is None, edges.  infected, state (array('q') of infected count,
+    boundary touched, extinct) and tau (array('d') of one) carry the run:
+    when a recovery empties the infected set, tau[0] is set to its time,
+    state[2] to 1 and the run stops.  Returns the site deltas as a list of
+    (time, site, sign), empty unless want_deltas."""
+    if not 0 <= lo <= hi <= n_valid:
+        raise ValueError(f"offsets {lo}..{hi} outside the {n_valid} drawn events")
+    lam_frac, r_frac = fracs
+    eman_limit, entry_limit = limits
+    no_arrows_until, free_until, no_recs_until = windows
+    src, dst, dir_edge, norm = g.dir_src, g.dir_dst, g.dir_edge, g.norm_inf
+    n_inf, touched = state[0], state[1]
+    deltas = []
+    for i, t, kind, j, u in _events(table, lo, hi, rev, anchor):
+        if t > t_cut:
+            break
+        if kind == KIND_ARROW:
+            s, d = src[j], dst[j]
+            if not infected[s] or infected[d] or u >= lam_frac or norm[s] >= eman_limit:
+                continue
+            if no_arrows_until > 0.0 and t <= no_arrows_until:
+                continue
+            if flags is None:
+                is_open = edges[dir_edge[j]]
+            else:
+                is_open = flags[flag_top - i if flag_top >= 0 else i]
+            if not is_open and not (free_until > 0.0 and t <= free_until):
+                continue
+            if norm[d] >= entry_limit:
+                continue
+            infected[d] = 1
+            n_inf += 1
+            touched = touched or norm[d] >= g.half_width
+            if want_deltas:
+                deltas.append((t, d, 1))
+        elif kind == KIND_RECOVERY:
+            if not infected[j] or u >= r_frac:
+                continue
+            if no_recs_until > 0.0 and t <= no_recs_until:
+                continue
+            infected[j] = 0
+            n_inf -= 1
+            if want_deltas:
+                deltas.append((t, j, -1))
+            if not n_inf:
+                tau[0] = t
+                state[2] = 1
+                break
+    state[0], state[1] = n_inf, touched
+    return deltas

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from contactenv import cli, engine, kernel
+from contactenv import cli, engine, kernel, reference
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -80,15 +82,35 @@ class TestRun:
     def test_manifest_names_the_kernel(self, tmp_path, monkeypatch):
         doc = {"subcommand": "c1", "lambda": 1.0, "degree": 2, "rho": 0.0,
                "out_dir": str(tmp_path)}
-        for lib in (engine._lib, None):
+        for lib in (engine._lib, reference):
             assert cli.run(cli.parse_config(json.dumps(doc))) == 0
             flags = json.loads((tmp_path / "c1_manifest.json").read_text())["flags"]
-            if lib is None:
+            if lib is reference:
                 assert flags == {"kernel": "python"}
             else:
                 assert flags == {"kernel": "c", "kernel_compiler": lib.compiler}
                 assert lib.compiler.split()[0] == os.path.basename(kernel.compiler()[0])
-            monkeypatch.setattr(engine, "_lib", None)
+            monkeypatch.setattr(engine, "_lib", reference)
+
+    def test_without_a_compiler_the_python_kernel_runs(self, tmp_path):
+        # a fresh process with no C compiler on PATH selects the Python
+        # kernel when it imports the engine, and its CLI run writes the
+        # bytes of the same run in this process
+        doc = dict(MINIMAL_SURVIVAL, out_dir=str(tmp_path / "here"))
+        assert cli.run(cli.parse_config(json.dumps(doc))) == 0
+        code = ("import sys; from contactenv import cli, engine, kernel, reference; "
+                "assert kernel.compiler() is None and engine._lib is reference; "
+                "sys.exit(cli.main(['--config', sys.argv[1]]))")
+        env = {**os.environ, "PATH": "", "PYTHONPATH": os.pathsep.join(sys.path)}
+        child = json.dumps(dict(doc, out_dir=str(tmp_path / "child")))
+        done = subprocess.run([sys.executable, "-c", code, child], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "child" / "survival.csv").read_bytes() == \
+            (tmp_path / "here" / "survival.csv").read_bytes()
+        manifest = json.loads((tmp_path / "child" / "survival_manifest.json").read_text())
+        assert manifest["flags"]["kernel"] == "python"
+        assert "kernel_compiler" not in manifest["flags"]
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

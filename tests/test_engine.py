@@ -13,7 +13,7 @@ from contactenv import (background_path, build_box, build_timeline,
                         union_matches_pathwise)
 from contactenv import engine, graphical
 from contactenv.engine import _CHUNK, SUPPRESS_ARROWS, RunParams
-from contactenv.graphical import KEPT_PREFIX, KIND_ARROW, KIND_RECOVERY, derive_seed
+from contactenv.graphical import KIND_ARROW, KIND_RECOVERY, derive_seed
 
 
 DP = make_spec("dynamical-percolation", alpha=1.0, beta=1.0)
@@ -518,40 +518,7 @@ def test_a_frozen_dual_reads_b0_and_stores_no_path():
 
 
 # ---------------------------------------------------------------------------
-# list views converted as far as a run reads
-
-def _converted(tl):
-    return len(vars(tl)["_lists"][0]) if "_lists" in vars(tl) else 0
-
-
-@pytest.mark.parametrize("spec,lam", [(None, 1.6), (DP, 8.0)], ids=["frozen", "dp"])
-def test_runs_that_stop_at_extinction_keep_a_bounded_prefix(spec, lam, monkeypatch):
-    # such runs keep what they read of the first KEPT_PREFIX events and drop
-    # the chunks past it, dead early or alive at the horizon, and equal the
-    # same run on a fully converted twin.  Only the Python kernel reads the
-    # list views; the compiled kernel converts none (tests/test_kernel.py)
-    monkeypatch.setattr(engine, "_lib", None)
-    g = build_box(1, 100)
-    q = 0.0 if spec is None else spec.flip_rate
-    P = RunParams(g, lam, 1.0, spec, 30.0)
-    b0 = range(g.n_edges)
-    taus = []
-    for i in range(64):     # eight seeds, and more until both outcomes are seen
-        if i >= 8 and min(taus) < 1.0 and max(taus) == math.inf:
-            break
-        seed = derive_seed(505, i)
-        tl = build_timeline(g, lam, 1.0, q, 30.0, seed)
-        twin = build_timeline(g, lam, 1.0, q, 30.0, seed)
-        twin.lists()
-        traj = evolve(P, (g.origin(),), b0, tl, stop_on_extinct=True)
-        assert _fields(traj) == _fields(evolve(P, (g.origin(),), b0, twin,
-                                               stop_on_extinct=True))
-        read = int((tl.times <= traj.tau_ex).sum())
-        assert _converted(tl) == min(-(-read // _CHUNK) * _CHUNK, KEPT_PREFIX)
-        taus.append(traj.tau_ex)
-    assert min(taus) < 1.0 and max(taus) == math.inf
-    assert tl.n_events > 2 * KEPT_PREFIX
-
+# runs that read part of a table
 
 def test_a_phase_scan_column_sweeps_one_path_as_far_as_its_cells_read():
     # W2's shape: one phase-scan column, 8 lambda cells thinned from one DP
@@ -631,9 +598,6 @@ def test_runs_in_any_order_match_fresh_tables():
         tl = fresh()
         for call in calls:
             assert _fields(call(tl)) == _fields(call(fresh()))
-        # the Python kernel reads the list views through the end; the
-        # compiled kernel reads the table's buffers and converts none
-        assert _converted(tl) == (0 if engine._lib is not None else tl.n_events)
 
 
 def test_shared_path_from_another_feed_is_rejected():
@@ -798,8 +762,19 @@ def _dp_table_and_params():
     lambda g, tl, P: richardson((g.origin(),), tl, math.nan),
     lambda g, tl, P: dual_evolve((g.origin(),), P, (), tl, math.nan),
     lambda g, tl, P: reverse_view(tl, math.nan),
+    lambda g, tl, P: evolve(P, (g.origin(),), (), tl).sites_at(math.nan),
+    lambda g, tl, P: evolve(P, (g.origin(),), (), tl).sites_at(-1.0),
+    lambda g, tl, P: evolve(P, (g.origin(),), (), tl).edges_at(math.nan),
+    lambda g, tl, P: evolve(P, (g.origin(),), (), tl).edges_at(-1.0),
+    lambda g, tl, P: evolve_background(DP, (), tl, math.nan),
+    lambda g, tl, P: evolve_background(DP, (), tl, -1.0),
+    lambda g, tl, P: coupled_region(DP, tl, math.nan),
+    lambda g, tl, P: coupled_region(DP, tl, -1.0),
+    lambda g, tl, P: phi_set(DP, tl, math.nan),
 ], ids=["release-nan", "release-past-horizon", "delay-lo-nan", "delay-hi-nan",
-        "richardson-nan", "dual-nan", "reverse-nan"])
+        "richardson-nan", "dual-nan", "reverse-nan", "sites-at-nan", "sites-at-negative",
+        "edges-at-nan", "edges-at-negative", "background-nan", "background-negative",
+        "region-nan", "region-negative", "phi-nan"])
 def test_times_outside_the_window_are_rejected(call):
     # a NaN time fails every comparison, so each range check must be
     # written to fail on it rather than to pass
@@ -830,8 +805,7 @@ def test_the_dual_and_reversed_runs_read_the_table_in_place(monkeypatch):
         for run, q in ((dual, spec.flip_rate), (reversed_frozen, 0.0)):
             want = run(build_timeline(g, 0.7, 1.0, q, 10.0, seed))
             with monkeypatch.context() as m:
-                for mod in (engine, graphical):
-                    m.setattr(mod, "event_feed", _no_reversed_copy)
+                m.setattr(graphical, "event_feed", _no_reversed_copy)
                 got = run(build_timeline(g, 0.7, 1.0, q, 10.0, seed))
             assert _fields(got) == _fields(want)
             assert len(got.site_deltas) > 0

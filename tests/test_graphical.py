@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from contactenv import SizingError, build_box, build_timeline, reverse_view, thin_view, to_ndjson
 from contactenv import graphical
-from contactenv.graphical import (KEPT_PREFIX, KIND_ARROW, KIND_FLIP, KIND_RECOVERY, SLAB_EVENTS,
+from contactenv.graphical import (KIND_ARROW, KIND_FLIP, KIND_RECOVERY, SLAB_EVENTS,
                                   derive_seed, event_feed)
 
 
@@ -265,41 +265,6 @@ def test_tied_times_fall_back_to_the_three_key_order(monkeypatch, d, L, lam, r, 
         assert tl.times[0] > 0 and np.all(np.diff(tl.times) > 0)
 
 
-def test_list_views_grow_as_one_prefix():
-    g = build_box(1, 6)
-    tl = build_timeline(g, 2.0, 1.0, 1.0, 10.0, seed=4)
-    n = tl.n_events
-    assert "_lists" not in vars(tl)
-    first = tl.lists(10)
-    assert [len(v) for v in first] == [10] * 4
-    assert tl.lists(5) is first and len(first[0]) == 10     # never shrinks
-    assert tl.lists(n // 2) is first
-    full = tl.lists()
-    assert full is first and vars(tl)["_lists"] is first
-    for view, arr in zip(full, _arrays(tl)):
-        assert view == arr.tolist()
-
-
-def test_chunks_grow_the_prefix_only_through_the_kept_part():
-    g = build_box(1, 40)
-    tl = build_timeline(g, 2.0, 1.0, 1.0, 60.0, seed=4)
-    n, kept = tl.n_events, KEPT_PREFIX
-    assert n > 2 * kept
-    bounds = [(0, 7), (7, kept), (kept, kept + 100), (n - 50, n)]
-
-    def check():
-        for lo, hi in bounds:
-            for view, arr in zip(tl.chunk(lo, hi), _arrays(tl)):
-                assert view[:hi - lo] == arr[lo:hi].tolist()
-
-    check()
-    assert len(vars(tl)["_lists"][0]) == kept
-    assert tl.chunk(0, 7) is vars(tl)["_lists"]
-    tl.lists()          # a prefix that reaches a chunk serves it
-    check()
-    assert len(vars(tl)["_lists"][0]) == n
-
-
 def test_anchored_feed_is_exact_and_not_the_cache():
     g = build_box(1, 4)
     tl = build_timeline(g, 1.0, 1.0, 1.0, 6.0, seed=9)
@@ -307,7 +272,7 @@ def test_anchored_feed_is_exact_and_not_the_cache():
     hi = int(np.count_nonzero(tl.times <= 3.0))
     feed = event_feed(anchored)
     assert len(feed[0]) == hi
-    tl.lists()      # growing the prefix leaves the anchored feed as it was
+    event_feed(tl)      # reading the whole feed leaves the anchored feed as it was
     assert feed[0] == tl.times[:hi].tolist()
     assert feed[3] == tl.marks[:hi].tolist()
 
@@ -315,15 +280,15 @@ def test_anchored_feed_is_exact_and_not_the_cache():
 # ---------------------------------------------------------------------------
 # the slabs, each drawn and sorted on its first read
 
-def _read(tl, order, n):
-    """The four arrays, after reading tl's n events first in the given order."""
-    if order == "prefix":           # short reads first, then chunk by chunk
-        tl.lists(10)
+def _read(tl, order):
+    """The four arrays, after reading tl's events first in the given order."""
+    if order == "prefix":           # short reads first, then on through the window
+        tl.count_through(0.0)
         tl.count_through(tl.t_max / 5)
-        for start in range(0, n, 4096):
-            tl.chunk(start, min(start + 4096, n))
-    elif order == "late-chunk":
-        tl.chunk(n - 50, n)
+        for k in range(1, 9):
+            tl.count_through(tl.t_max * k / 8)
+    elif order == "late-chunk":     # one read late in the window
+        tl.count_through(tl.t_max * 0.99)
     return _arrays(tl)              # "full": the arrays are the first read
 
 
@@ -338,7 +303,7 @@ def test_slabs_read_in_any_order_match_the_reference(order, d, L, lam, r, q, T):
         assert tl.n_generated == 0
         ref, _ = _lexsort_table(g, lam, r, q, T, seed)
         assert len(ref[0]) > 4 * SLAB_EVENTS
-        for got, want in zip(_read(tl, order, len(ref[0])), ref):
+        for got, want in zip(_read(tl, order), ref):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -366,7 +331,7 @@ def test_the_nudge_carries_across_a_slab_edge(monkeypatch):
     g = build_box(1, 200)
     for seed in range(3):
         tl = build_timeline(g, 10.0, 1.0, 0.0, 1.0, seed)
-        tl.lists(10)
+        tl.count_through(0.0)
         first = tl.n_generated
         # 2 to 4 SLAB_EVENTS events: two slabs, split at t_max / 2
         assert 2 * SLAB_EVENTS <= tl.n_events < 4 * SLAB_EVENTS
@@ -387,12 +352,12 @@ def test_whole_reads_draw_every_slab():
     n = build_timeline(g, 2.0, 1.0, 1.0, 30.0, seed=3).n_events
     reads = {"arrays": lambda tl: tl.times,
              "length": lambda tl: tl.n_events,
-             "lists": lambda tl: tl.lists(),
-             "chunks": lambda tl: [tl.chunk(s, min(s + 4096, n)) for s in range(0, n, 4096)],
+             "feed": event_feed,
+             "counts": lambda tl: [tl.count_through(tl.t_max * k / 8) for k in range(1, 9)],
              "count": lambda tl: tl.count_through(tl.t_max)}
     for name, read in reads.items():
         tl = build_timeline(g, 2.0, 1.0, 1.0, 30.0, seed=3)
-        tl.lists(10)
+        tl.count_through(0.0)
         assert 0 < tl.n_generated < n, name
         read(tl)
         assert tl.n_generated == n, name
@@ -445,10 +410,10 @@ def test_more_events_than_expected_grow_the_table(monkeypatch):
     g = build_box(1, 30)
     tl = build_timeline(g, 2.0, 1.0, 1.0, 200.0, seed=8)
     ref, _ = _lexsort_table(g, 2.0, 1.0, 1.0, 200.0, 8)
-    tl.lists(100)
+    tl.count_through(0.0)
     for got, want in zip(_arrays(tl), ref):
         assert np.array_equal(got, want)
-    assert tl.lists()[0] == ref[0].tolist()
+    assert event_feed(tl)[0] == ref[0].tolist()
 
 
 def test_slab_edges_keep_the_poisson_law(monkeypatch):

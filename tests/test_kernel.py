@@ -1,7 +1,9 @@
-"""The compiled event kernel: that it loads, that its wrapper checks every
-buffer before C reads it, and that its library cache recovers from a bad
-file.  Its outputs are checked against the Python loops and a naive
-reference in tests/test_oracle.py and tests/test_fingerprint.py."""
+"""The event kernels: that the compiled one loads when a compiler is on
+PATH and the plain-Python one runs when none is, that the compiled
+kernel's wrapper checks every buffer before C reads it, and that its
+library cache recovers from a bad file.  Their outputs are checked against
+each other and against the Python kernel run over whole tables in
+tests/test_oracle.py and tests/test_fingerprint.py."""
 
 import os
 import shutil
@@ -13,35 +15,24 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from contactenv import engine, kernel
+from contactenv import engine, kernel, reference
 from contactenv.engine import RunParams, evolve
 from contactenv.graphical import build_timeline, derive_seed
 from contactenv.lattice import build_box
 
-needs_kernel = pytest.mark.skipif(engine._lib is None, reason="no C compiler on PATH")
+needs_kernel = pytest.mark.skipif(engine._lib is reference, reason="no C compiler on PATH")
 
 
 def test_the_kernel_loads_when_the_compiler_is_on_path():
-    # a silent fallback to the Python loops would lose the kernel's speed
-    # without failing anything else
+    # a silent fallback to the Python kernel would lose the compiled
+    # kernel's speed without failing anything else
     if kernel.compiler() is None:
-        assert engine._lib is None
+        assert engine._lib is reference
     else:
-        assert engine._lib is not None and engine._lib.compiler
+        assert engine._lib is not reference and engine._lib.compiler
 
 
-@needs_kernel
-def test_compiled_runs_convert_no_list_views():
-    g = build_box(1, 100)
-    P = RunParams(g, 1.6, 1.0, None, 30.0)
-    for i in range(4):
-        tl = build_timeline(g, 1.6, 1.0, 0.0, 30.0, derive_seed(505, i))
-        evolve(P, (g.origin(),), range(g.n_edges), tl, stop_on_extinct=True)
-        evolve(P, (g.origin(),), range(g.n_edges), tl)
-        assert "_lists" not in vars(tl)
-
-
-@pytest.mark.parametrize("lib", [engine._lib, None], ids=["c", "python"])
+@pytest.mark.parametrize("lib", [engine._lib, reference], ids=["c", "python"])
 def test_a_run_on_another_box_is_rejected(lib, monkeypatch):
     # the table's targets index the box it was drawn on; a smaller box
     # would be read past its end

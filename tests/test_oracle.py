@@ -1,26 +1,30 @@
-"""Differential tests of every engine entry point against a naive reference.
+"""Differential tests of every engine entry point against the plain-Python
+event kernel, run once over a whole table.
 
-The reference steps through a timeline's four arrays (times, kinds, idx,
-marks) one event at a time, holds the infection and the environment in
-Python sets and recounts line-graph neighbours on every flip with the same
-inequalities as the engine.  It has no stored paths, chunks, index lists,
-slabs or early stops.  It reads a fully sorted twin of the table (same seed,
-built fresh), while the engine reads a table whose slabs, list views and
-stored paths are filled in whatever order the drawn calls leave them, so
-the comparison also checks that the order of reads changes nothing.
+Each reference below is a thin driver: it sweeps contactenv.reference.grow
+over the whole feed of a fully sorted twin of the table (same seed, built
+fresh), then runs contactenv.reference.run over it in one stretch, with
+no chunks, stored paths or early stops.  The engine reads a table whose
+slabs and stored paths are filled in whatever order the drawn calls leave
+them, in chunks, so the comparison checks everything the engine adds
+around the kernel, and that the order of reads changes nothing.  The
+decided region is checked against two copies of the environment stepped
+through the feed with reference.flip.
 
 Every case runs under the compiled kernel, when it is loaded, and under
-the Python kernel, selected by patching engine._lib.
+the Python kernel, selected by patching engine._lib: on a host with a
+compiler this also checks the one against the other.
 
 Small tables would hold one slab and one chunk, so each case also draws the
-slab, chunk and kept-prefix sizes (graphical.SLAB_EVENTS, engine._CHUNK,
-graphical.KEPT_PREFIX) from values small enough to put many boundaries in
-the table, and whether the table's uniforms are rounded so that its times
-tie.  See McKeeman, "Differential testing for software", Digital
-Tech. J. 10 (1998); Claessen & Hughes, QuickCheck, ICFP 2000.
+slab and chunk sizes (graphical.SLAB_EVENTS, engine._CHUNK) from values
+small enough to put many boundaries in the table, and whether the table's
+uniforms are rounded so that its times tie.  See McKeeman, "Differential
+testing for software", Digital Tech. J. 10 (1998); Claessen & Hughes,
+QuickCheck, ICFP 2000.
 """
 
 import math
+from array import array
 from contextlib import ExitStack
 from dataclasses import replace
 from unittest import mock
@@ -29,18 +33,17 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from contactenv import engine, graphical
+from contactenv import engine, graphical, reference
 from contactenv.background import decided_times, make_spec
 from contactenv.engine import (SUPPRESS_ARROWS, SUPPRESS_RECOVERIES_AND_BACKGROUND,
                                RunParams, background_path, delayed_variant,
                                dual_evolve, evolve, evolve_released,
                                evolve_truncated, richardson)
-from contactenv.graphical import (KIND_ARROW, KIND_RECOVERY, build_timeline,
-                                  reverse_view, thin_view)
+from contactenv.graphical import KIND_ARROW, KIND_FLIP, build_timeline, reverse_view, thin_view
 from contactenv.lattice import build_box
 
-# the compiled kernel (when it loaded) and the Python loops (None)
-KERNELS = [engine._lib, None] if engine._lib is not None else [None]
+# the compiled kernel (when it loaded) and the Python one
+KERNELS = [engine._lib, reference] if engine._lib is not reference else [reference]
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -49,27 +52,11 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=
 # ---------------------------------------------------------------------------
 # the reference
 
-def _events(tl):
-    return list(zip(tl.times.tolist(), tl.kinds.tolist(), tl.idx.tolist(),
-                    tl.marks.tolist()))
-
-
-def _flip(g, b, spec, q, e, u):
-    cnt = sum(1 for a in g.line_nbrs[e] if a in b)
-    if e in b:
-        if (1.0 - u) * q <= spec.down_table[cnt]:
-            b.discard(e)
-            return -1
-    elif u * q < spec.up_table[cnt]:
-        b.add(e)
-        return 1
-    return 0
-
-
 def _feed(tl, anchor, reverse):
     """The events of [0, anchor] (all of them without an anchor), reversed
     at the anchor if reverse."""
-    events = _events(tl)
+    events = list(zip(tl.times.tolist(), tl.kinds.tolist(), tl.idx.tolist(),
+                      tl.marks.tolist()))
     if anchor is not None:
         events = [ev for ev in events if ev[0] <= anchor]
         if reverse:
@@ -78,83 +65,86 @@ def _feed(tl, anchor, reverse):
     return events
 
 
-def reference(tl, c0, b0, spec, t_end, *, lam_frac=1.0, r_frac=1.0, eman=None,
-              anchor=None, reverse=False, env=True, recoveries=True,
-              no_arrows_until=-1.0, free_until=-1.0, no_rec_until=-1.0,
-              stop_on_extinct=False, want_deltas=True):
-    """Trajectory fields of one forward run, from the definitions."""
+def _table(tl):
+    return tl.times, tl.kinds, tl.idx, tl.marks
+
+
+def _rule(spec, tl):
+    return (spec.up_table, spec.down_table, tl.flip_rate)
+
+
+def _environment(tl, b0, spec, hi, rev_top, anchor):
+    """(edge states from b0, arrow flags, flips) of spec's environment
+    swept over feed offsets 0..hi-1: no flags and no flips when spec is
+    None."""
     g = tl.graph
-    events = _feed(tl, anchor, reverse)
-    L = g.half_width
-    eman = L if eman is None else eman
-    c, b = set(c0), set(b0)
-    touched = any(g.norm_inf[s] >= L for s in c)
-    tau = math.inf if c else 0.0
-    sd, ed = [], []
-    for t, k, j, u in events:
-        if t > t_end:
-            break
-        if k == KIND_ARROW:
-            src, dst, e = g.dir_src[j], g.dir_dst[j], g.dir_edge[j]
-            is_open = not env or e in b or t <= free_until
-            if (src in c and dst not in c and u < lam_frac and g.norm_inf[src] < eman
-                    and t > no_arrows_until and is_open):
-                c.add(dst)
-                sd.append((t, dst, 1))
-                touched = touched or g.norm_inf[dst] >= L
-        elif k == KIND_RECOVERY:
-            if recoveries and j in c and u < r_frac and t > no_rec_until:
-                c.discard(j)
-                sd.append((t, j, -1))
-                if not c:
-                    tau = t
-                    if stop_on_extinct:
-                        break
-        elif spec is not None and env:
-            sign = _flip(g, b, spec, tl.flip_rate, j, u)
-            if sign:
-                ed.append((t, j, sign))
+    edges = bytearray(g.n_edges)
+    for e in b0:
+        edges[e] = 1
+    if spec is None:
+        return edges, None, []
+    open_nbrs = bytearray(sum(edges[a] for a in g.line_nbrs[e]) for e in range(g.n_edges))
+    flags = bytearray(hi)
+    flips, _ = reference.grow(_table(tl), tl.n_events, 0, hi, rev_top, anchor, g,
+                              _rule(spec, tl), bytearray(edges), open_nbrs, flags)
+    return edges, flags, flips
+
+
+def _infection(tl, c0, hi, rev, anchor, t_end, fracs, limits, windows, flags, flag_top,
+               edges, want_deltas):
+    """(site deltas, final sites, tau, boundary touched, extinct) of one
+    reference.run over table indices 0..hi-1."""
+    g = tl.graph
+    infected = bytearray(g.n_sites)
+    for s in c0:
+        infected[s] = 1
+    state = array("q", [infected.count(1), any(g.norm_inf[s] >= g.half_width for s in c0), 0])
+    tau = array("d", [math.inf if c0 else 0.0])
+    sd = reference.run(_table(tl), tl.n_events, 0, hi, rev, anchor, t_end, g, fracs, limits,
+                       windows, flags, flag_top, edges, infected, state, tau, want_deltas)
+    c = frozenset(s for s in range(g.n_sites) if infected[s])
+    return sd, c, tau[0], bool(state[1]), bool(state[2])
+
+
+def reference_run(tl, c0, b0, spec, t_end, *, lam_frac=1.0, r_frac=1.0, eman=None,
+                  anchor=None, reverse=False, env=True, recoveries=True,
+                  no_arrows_until=-1.0, free_until=-1.0, no_rec_until=-1.0,
+                  stop_on_extinct=False, want_deltas=True):
+    """Trajectory fields of one run on the feed of [0, anchor] (the whole
+    table without an anchor), reversed at the anchor if reverse.  Without
+    env every edge is open throughout; without recoveries none is kept."""
+    g = tl.graph
+    hi = tl.n_events if anchor is None else tl.count_through(anchor)
+    at = 0.0 if anchor is None else anchor
+    if env:
+        edges, flags, flips = _environment(tl, b0, spec, hi, hi - 1 if reverse else -1, at)
+    else:
+        edges, flags, flips = bytearray(b"\x01" * g.n_edges), None, []
+    sd, c, tau, touched, extinct = _infection(
+        tl, c0, hi, reverse, at, t_end, (lam_frac, r_frac if recoveries else 0.0),
+        (g.half_width if eman is None else eman, math.inf),
+        (no_arrows_until, free_until, no_rec_until), flags,
+        hi - 1 if reverse and flags is not None else -1, edges, want_deltas)
+    t_stop = tau if stop_on_extinct and extinct else t_end
+    ed = [d for d in flips if d[0] <= t_stop]
+    b = set(b0)
+    for _, e, sign in ed:
+        (b.add if sign > 0 else b.discard)(e)
     if not want_deltas:
-        sd, ed = [], []
-    return (t_end, frozenset(c0), frozenset(b0), sd, ed, frozenset(c), frozenset(b),
-            tau, touched)
+        ed = []
+    return (t_end, frozenset(c0), frozenset(b0), sd, ed, c, frozenset(b), tau, touched)
 
 
 def reference_dual(tl, a_sites, b0, spec, t_star, lam_frac, r_frac, want_deltas=True):
     """Trajectory fields of dual_evolve: the arrows of [0, t*] crossed
-    backwards against the forward environment from b0."""
+    backwards against the forward environment from b0, swept over the
+    whole table."""
     g = tl.graph
-    events = _events(tl)
-    b = set(b0)
-    open_before = []
-    for t, k, j, u in events:
-        open_before.append(k == KIND_ARROW and g.dir_edge[j] in b)
-        if k not in (KIND_ARROW, KIND_RECOVERY) and spec is not None:
-            _flip(g, b, spec, tl.flip_rate, j, u)
-    L = g.half_width
-    c = set(a_sites)
-    touched = any(g.norm_inf[s] >= L for s in c)
-    tau = math.inf if c else 0.0
-    sd = []
-    for i in reversed(range(len(events))):
-        t, k, j, u = events[i]
-        if t > t_star:
-            continue
-        if k == KIND_ARROW:
-            src, dst = g.dir_dst[j], g.dir_src[j]
-            if (src in c and dst not in c and u < lam_frac and g.norm_inf[dst] < L
-                    and open_before[i]):
-                c.add(dst)
-                sd.append((t_star - t, dst, 1))
-        elif k == KIND_RECOVERY and j in c and u < r_frac:
-            c.discard(j)
-            sd.append((t_star - t, j, -1))
-            if not c:
-                tau = t_star - t
-    if not want_deltas:
-        sd = []
-    return (t_star, frozenset(a_sites), frozenset(b0), sd, [], frozenset(c), frozenset(),
-            tau, touched)
+    edges, flags, _ = _environment(tl, b0, spec, tl.n_events, -1, 0.0)
+    sd, c, tau, touched, _ = _infection(
+        tl, a_sites, tl.count_through(t_star), True, t_star, t_star, (lam_frac, r_frac),
+        (math.inf, g.half_width), (-1.0, -1.0, -1.0), flags, -1, edges, want_deltas)
+    return (t_star, frozenset(a_sites), frozenset(b0), sd, [], c, frozenset(), tau, touched)
 
 
 def reference_decided(tl, spec, anchor=None, reverse=False):
@@ -162,14 +152,14 @@ def reference_decided(tl, spec, anchor=None, reverse=False):
     from no open edge and from all, and per edge the time from which they
     have agreed, reset whenever they disagree."""
     g = tl.graph
-    lo, hi = set(), set(range(g.n_edges))
+    lo, hi = bytearray(g.n_edges), bytearray(b"\x01" * g.n_edges)
     couple = [math.inf] * g.n_edges
     for t, k, j, u in _feed(tl, anchor, reverse):
-        if k in (KIND_ARROW, KIND_RECOVERY) or spec is None:
+        if k != KIND_FLIP or spec is None:
             continue
-        _flip(g, lo, spec, tl.flip_rate, j, u)
-        _flip(g, hi, spec, tl.flip_rate, j, u)
-        if (j in lo) != (j in hi):
+        reference.flip(g, lo, _rule(spec, tl), j, u)
+        reference.flip(g, hi, _rule(spec, tl), j, u)
+        if lo[j] != hi[j]:
             couple[j] = math.inf
         elif couple[j] == math.inf:
             couple[j] = t
@@ -207,7 +197,6 @@ def tables(draw):
     seed = draw(st.integers(0, 2 ** 40))
     sizes = dict(slab=draw(st.sampled_from([1, 4, 32, 4096])),
                  chunk=draw(st.sampled_from([3, 16, 4096])),
-                 kept=draw(st.sampled_from([0, 8, 8192])),
                  ties=draw(st.booleans()))
     g = build_box(d, L)
     return g, spec, (lam_max, r_max, q, T, seed), sizes
@@ -235,7 +224,6 @@ class _RoundedRng:
 def _sizes(stack, sizes):
     stack.enter_context(mock.patch.object(graphical, "SLAB_EVENTS", sizes["slab"]))
     stack.enter_context(mock.patch.object(engine, "_CHUNK", sizes["chunk"]))
-    stack.enter_context(mock.patch.object(graphical, "KEPT_PREFIX", sizes["kept"]))
     if sizes["ties"]:
         stack.enter_context(mock.patch.object(np.random, "default_rng", _RoundedRng))
 
@@ -291,28 +279,28 @@ def calls(draw, g, spec, gen, b0=None):
     if which == "evolve":
         return which, (lambda tl: evolve(P, c0, b0, feed(tl), stop_on_extinct=stop,
                                          want_deltas=want),
-                       lambda tw: reference(tw, c0, b0, spec, t_end, stop_on_extinct=stop,
-                                            want_deltas=want, **fr))
+                       lambda tw: reference_run(tw, c0, b0, spec, t_end, stop_on_extinct=stop,
+                                                want_deltas=want, **fr))
     if which == "stored":
         return which, (lambda tl: evolve(P, c0, b0, feed(tl), stop_on_extinct=stop,
                                          want_deltas=want,
                                          shared_bg=background_path(spec, b0, tl)),
-                       lambda tw: reference(tw, c0, b0, spec, t_end, stop_on_extinct=stop,
-                                            want_deltas=want, **fr))
+                       lambda tw: reference_run(tw, c0, b0, spec, t_end, stop_on_extinct=stop,
+                                                want_deltas=want, **fr))
     if which == "truncated":
         inner = draw(st.integers(0, g.half_width))
         return which, (lambda tl: evolve_truncated(inner, P, c0, b0, feed(tl),
                                                    stop_on_extinct=stop, want_deltas=want),
-                       lambda tw: reference(tw, c0, b0, spec, t_end, eman=inner,
-                                            stop_on_extinct=stop, want_deltas=want,
-                                            **turned, **fr))
+                       lambda tw: reference_run(tw, c0, b0, spec, t_end, eman=inner,
+                                                stop_on_extinct=stop, want_deltas=want,
+                                                **turned, **fr))
     if which == "released":
         rel = draw(st.sampled_from([0.0, T / 4]))
         return which, (lambda tl: evolve_released(P, c0, b0, feed(tl), rel,
                                                   stop_on_extinct=stop, want_deltas=want),
-                       lambda tw: reference(tw, c0, b0, spec, t_end, no_arrows_until=rel,
-                                            no_rec_until=rel, stop_on_extinct=stop,
-                                            want_deltas=want, **turned, **fr))
+                       lambda tw: reference_run(tw, c0, b0, spec, t_end, no_arrows_until=rel,
+                                                no_rec_until=rel, stop_on_extinct=stop,
+                                                want_deltas=want, **turned, **fr))
     if which in ("delay-lo", "delay-hi"):
         s = draw(st.sampled_from([0.0, t_end / 3]))
         mode = SUPPRESS_ARROWS if which == "delay-lo" else SUPPRESS_RECOVERIES_AND_BACKGROUND
@@ -320,13 +308,13 @@ def calls(draw, g, spec, gen, b0=None):
                    else dict(no_rec_until=s, free_until=s))
         return which, (lambda tl: delayed_variant(mode, s, P, c0, b0, feed(tl),
                                                   stop_on_extinct=stop, want_deltas=want),
-                       lambda tw: reference(tw, c0, b0, spec, t_end, stop_on_extinct=stop,
-                                            want_deltas=want, **distort, **turned, **fr))
+                       lambda tw: reference_run(tw, c0, b0, spec, t_end, stop_on_extinct=stop,
+                                                want_deltas=want, **distort, **turned, **fr))
     if which == "richardson":
         return which, (lambda tl: richardson(c0, thin_and_turn(tl), t_end, want_deltas=want),
-                       lambda tw: reference(tw, c0, (), spec, t_end, env=False,
-                                            recoveries=False, want_deltas=want, **turned,
-                                            **fr))
+                       lambda tw: reference_run(tw, c0, (), spec, t_end, env=False,
+                                                recoveries=False, want_deltas=want, **turned,
+                                                **fr))
     if which in ("reversed", "anchored"):
         rev = which == "reversed"
         h = t_star * (0.6 if t_end < T else 1.0)
@@ -337,8 +325,8 @@ def calls(draw, g, spec, gen, b0=None):
 
         return which, (lambda tl: evolve(replace(P, horizon=h), c0, b0, view(tl),
                                          stop_on_extinct=stop, want_deltas=want),
-                       lambda tw: reference(tw, c0, b0, spec, h, anchor=t_star, reverse=rev,
-                                            stop_on_extinct=stop, want_deltas=want, **fr))
+                       lambda tw: reference_run(tw, c0, b0, spec, h, anchor=t_star, reverse=rev,
+                                                stop_on_extinct=stop, want_deltas=want, **fr))
     return which, (lambda tl: dual_evolve(a_sites, P, b0, feed(tl), t_star,
                                           want_deltas=want),
                    lambda tw: reference_dual(tw, a_sites, b0, spec, t_star, want_deltas=want,
@@ -389,13 +377,13 @@ def test_long_runs_across_slabs_match_the_reference(seed, lam, horizon, second):
     fr = dict(lam_frac=lam / 2.2)
     P = RunParams(g, lam, 1.0, spec, horizon)
     c0, b0 = (g.origin(),), range(0, g.n_edges, 3)
-    first = reference(twin, c0, b0, spec, horizon, stop_on_extinct=True, **fr)
+    first = reference_run(twin, c0, b0, spec, horizon, stop_on_extinct=True, **fr)
     if second == "full":
-        want = reference(twin, c0, b0, spec, horizon)
+        want = reference_run(twin, c0, b0, spec, horizon)
     elif second == "dual":
         want = reference_dual(twin, (g.origin() + 1,), b0, spec, horizon, **fr, r_frac=1.0)
     else:
-        want = reference(twin, c0, b0, spec, horizon / 8, **fr)
+        want = reference_run(twin, c0, b0, spec, horizon / 8, **fr)
     for lib in KERNELS:
         with mock.patch.object(engine, "_lib", lib):
             tl = build_timeline(g, 2.2, 1.0, spec.flip_rate, T, seed)
