@@ -225,7 +225,7 @@ def evolve_background(spec: BackgroundSpec, b0, tl, t: float) -> np.ndarray:
     if _unpack(tl)[0].flip_rate == 0:
         edges = frozenset(int(e) for e in b0)
     else:
-        edges = background_path(spec, b0, tl).until(t)[1]
+        edges = background_path(spec, b0, tl).edges_at(t)
     return np.array(sorted(edges), dtype=np.int32)
 
 
@@ -258,7 +258,7 @@ def decided_times(spec: BackgroundSpec, tl):
     deltas = []
     for c, b0 in enumerate(((), range(n))):
         path = background_path(spec, b0, tl)
-        deltas += [(i, c, d) for i, d in zip(path._flip_at, path.edge_deltas)]
+        deltas += [(i, c, d) for i, d in zip(path._flip_at.tolist(), path.edge_deltas)]
     deltas.sort()
     couple_time = [math.inf] * n
     for k, (i, c, (t, e, sign)) in enumerate(deltas):

@@ -39,6 +39,12 @@ is swept over the reversed feed.
 
 Every entry point that takes RunParams runs at (params.lam, params.r): a
 Timeline is thinned to them here, and a view must already be at them.
+
+The kernel returns each stretch's deltas as arrays (times, indices, signs),
+and they stay arrays: a Trajectory keeps the concatenated site deltas and,
+for its edges, a slice of the arrays in which its BackgroundPath keeps its
+flips.  Lists of (time, index, sign) tuples and the final edge set are built
+only when read, and the comparison helpers read the arrays.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ from __future__ import annotations
 import math
 import weakref
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,45 +90,87 @@ class RunParams:
             raise ValueError("horizon must be positive")
 
 
+class Deltas(NamedTuple):
+    """One family's state changes in time order, as arrays: times
+    (float64), indices (int32) and signs (int8, +1 or -1)."""
+
+    t: np.ndarray
+    x: np.ndarray
+    s: np.ndarray
+
+    def as_list(self) -> list:
+        """The deltas as a list of (time, index, sign)."""
+        return list(zip(self.t.tolist(), self.x.tolist(), self.s.tolist()))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return Deltas(*arrays)
+
+
+_NO_DELTAS = _read_only(np.empty(0), np.empty(0, np.int32), np.empty(0, np.int8))
+
+
+def _replay(init, d: Deltas, k: int) -> frozenset:
+    """The set init with the first k deltas of d applied: an index that
+    they touch is in it iff its last sign among them is +1."""
+    if k == 0:
+        return frozenset(init)
+    idx, last = np.unique(d.x[k - 1::-1], return_index=True)
+    on = d.s[k - 1::-1][last] > 0
+    state = set(init)
+    state.difference_update(idx[~on].tolist())
+    state.update(idx[on].tolist())
+    return frozenset(state)
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Piecewise-constant path recorded as per-family state deltas.
 
-    site_deltas and edge_deltas are ordered lists of (time, index, +1|-1) at
-    state-changing events; queries at arbitrary t replay deltas up to and
-    including t.  The empty infection set is absorbing, so tau_ex is the
-    first time the site set emptied (inf if it never did).
+    site_arrays and edge_arrays hold the deltas at state-changing events as
+    Deltas arrays, in time order; queries at arbitrary t replay the deltas
+    up to and including t.  site_deltas and edge_deltas are the same
+    deltas as lists of (time, index, +1|-1), built on first read.  The
+    empty infection set is absorbing, so tau_ex is the first time the site
+    set emptied (inf if it never did).  b_final, the edge set at the run's
+    stop, is b0 with _flips (the environment's flips through the stop,
+    recorded or not) replayed, on first read.
     """
 
     graph: GraphView
     t_end: float
     c0: frozenset
     b0: frozenset
-    site_deltas: list
-    edge_deltas: list
+    site_arrays: Deltas
+    edge_arrays: Deltas
     c_final: frozenset
-    b_final: frozenset
     tau_ex: float
     boundary_touched: bool
+    _flips: Deltas = field(default=_NO_DELTAS, repr=False)
 
-    @staticmethod
-    def _apply(state, deltas, t):
-        for tt, j, sign in deltas:
-            if tt > t:
-                break
-            if sign > 0:
-                state.add(j)
-            else:
-                state.discard(j)
-        return state
+    @cached_property
+    def site_deltas(self) -> list:
+        return self.site_arrays.as_list()
+
+    @cached_property
+    def edge_deltas(self) -> list:
+        return self.edge_arrays.as_list()
+
+    @cached_property
+    def b_final(self) -> frozenset:
+        return _replay(self.b0, self._flips, len(self._flips.t))
 
     def sites_at(self, t: float) -> frozenset:
         self._check(t)
-        return frozenset(self._apply(set(self.c0), self.site_deltas, t))
+        d = self.site_arrays
+        return _replay(self.c0, d, int(np.searchsorted(d.t, t, "right")))
 
     def edges_at(self, t: float) -> frozenset:
         self._check(t)
-        return frozenset(self._apply(set(self.b0), self.edge_deltas, t))
+        d = self.edge_arrays
+        return _replay(self.b0, d, int(np.searchsorted(d.t, t, "right")))
 
     def _check(self, t):
         if not 0 <= t <= self.t_end + 1e-9:
@@ -130,31 +179,37 @@ class Trajectory:
     def alive_at(self, t: float) -> bool:
         return self.tau_ex > t
 
+    def _merged(self):
+        """Times, families, indices and signs of both families' deltas as
+        lists, in time order, sites before edges at equal times."""
+        sd, ed = self.site_arrays, self.edge_arrays
+        t = np.concatenate((sd.t, ed.t))
+        order = np.argsort(t, kind="stable")
+        return (t[order].tolist(), (order >= len(sd.t)).astype(np.int8).tolist(),
+                np.concatenate((sd.x, ed.x))[order].tolist(),
+                np.concatenate((sd.s, ed.s))[order].tolist())
+
     @property
     def deltas(self):
         """Merged (time, family, index, sign) stream; family 0 sites, 1 edges."""
-        out = [(t, 0, j, s) for t, j, s in self.site_deltas]
-        out += [(t, 1, j, s) for t, j, s in self.edge_deltas]
-        out.sort(key=lambda d: d[0])
-        return out
+        return list(zip(*self._merged()))
 
     def snapshots(self):
         """Yield (time, site set, edge set) after every state-changing event."""
         c = set(self.c0)
         b = set(self.b0)
         yield 0.0, frozenset(c), frozenset(b)
-        merged = self.deltas
+        times, fams, idx, signs = self._merged()
         i = 0
-        n = len(merged)
+        n = len(times)
         while i < n:
-            t = merged[i][0]
-            while i < n and merged[i][0] == t:
-                _, fam, j, sign = merged[i]
-                tgt = c if fam == 0 else b
-                if sign > 0:
-                    tgt.add(j)
+            t = times[i]
+            while i < n and times[i] == t:
+                tgt = c if fams[i] == 0 else b
+                if signs[i] > 0:
+                    tgt.add(idx[i])
                 else:
-                    tgt.discard(j)
+                    tgt.discard(idx[i])
                 i += 1
             yield t, frozenset(c), frozenset(b)
 
@@ -164,13 +219,15 @@ class BackgroundPath:
     """Realized environment on one feed from one starting edge set, swept
     through its first n_events events, and the only code that applies the
     flip rule.  _open flags, by feed offset, each swept arrow whose edge is
-    open just before it fires (arrow_open reads and sets it as a list);
-    edge_deltas lists the flips, and _flip_at their feed offsets (a reversed
-    feed's times can tie).  _grow() sweeps on from the state kept here: edge
-    states, open line-graph neighbour counts and the flip rule (None: no
-    flips).  feed records the event order the flags are indexed by: (weak
-    reference to the base Timeline, reversal anchor, reversed); a run on
-    another feed is rejected.
+    open just before it fires (arrow_open reads and sets it as a list).
+    The flips are kept in arrays that grow with the sweep, _flip_arrays:
+    times, edges, signs and feed offsets (a reversed feed's times can tie),
+    of which the first _n_flips are filled; edge_deltas and _flip_at read
+    them, and a run's edge deltas are a slice of them (until).  _grow() sweeps on
+    from the state kept here: edge states, open line-graph neighbour counts
+    and the flip rule (None: no flips).  feed records the event order the
+    flags are indexed by: (weak reference to the base Timeline, reversal
+    anchor, reversed); a run on another feed is rejected.
     """
 
     b0: frozenset
@@ -178,14 +235,16 @@ class BackgroundPath:
     _rule: tuple | None         # (up table, down table, candidate rate)
     _graph: GraphView
     _open: bytearray = field(default_factory=bytearray, init=False)
-    edge_deltas: list = field(default_factory=list, init=False)
-    _flip_at: array = field(default_factory=lambda: array("i"), init=False)  # int32
+    _flip_arrays: tuple = field(init=False)
+    _n_flips: int = field(default=0, init=False)
     _edges: bytearray = field(init=False)
     _open_nbrs: bytearray = field(init=False)
     _b_final: frozenset | None = field(init=False)
     _rule_arrays: tuple | None = field(default=None, init=False)    # the kernel's copy
 
     def __post_init__(self):
+        self._flip_arrays = (np.empty(0), np.empty(0, np.int32), np.empty(0, np.int8),
+                             np.empty(0, np.int32))
         self._edges = bytearray(self._graph.n_edges)
         self._open_nbrs = bytearray(self._graph.n_edges)
         for e in self.b0:
@@ -208,12 +267,26 @@ class BackgroundPath:
         self._open = bytearray(map(bool, flags))
 
     @property
+    def edge_deltas(self) -> list:
+        """The flips swept so far as a list of (time, edge, sign)."""
+        return self._through(self._n_flips).as_list()
+
+    @property
+    def _flip_at(self) -> np.ndarray:
+        """The flips' feed offsets (int32)."""
+        return self._flip_arrays[3][:self._n_flips]
+
+    @property
     def b_final(self) -> frozenset:
         """Edge set after the last event swept."""
         if self._b_final is None:
             self._b_final = frozenset(
                 np.flatnonzero(np.frombuffer(bytes(self._edges), dtype=np.uint8)).tolist())
         return self._b_final
+
+    def _through(self, k) -> Deltas:
+        # the first k flips are never written again, so views of them stay valid
+        return _read_only(*(a[:k] for a in self._flip_arrays[:3]))
 
     def _grow(self, hi):
         """Sweep on through feed offset hi - 1, reading the base table,
@@ -229,23 +302,34 @@ class BackgroundPath:
             up, down, q = self._rule
             self._rule_arrays = (np.array(up, dtype=np.float64),
                                  np.array(down, dtype=np.float64), q)
-        deltas, at = _lib.grow(base._buf, base.n_generated, lo, hi, top,
-                               0.0 if anchor is None else anchor, self._graph,
-                               self._rule_arrays, self._edges, self._open_nbrs, self._open)
-        if deltas:
-            self.edge_deltas += deltas
-            self._b_final = None
-        self._flip_at.frombytes(at)
+        new = _lib.grow(base._buf, base.n_generated, lo, hi, top,
+                        0.0 if anchor is None else anchor, self._graph,
+                        self._rule_arrays, self._edges, self._open_nbrs, self._open)
+        m = len(new[0])
+        if not m:
+            return
+        n = self._n_flips
+        if n + m > len(self._flip_arrays[0]):
+            # a new, larger buffer; views of the old one keep it alive
+            cap = max(n + m, 2 * n, 1024)
+            grown = tuple(np.empty(cap, a.dtype) for a in self._flip_arrays)
+            for old, g in zip(self._flip_arrays, grown):
+                g[:n] = old[:n]
+            self._flip_arrays = grown
+        for arr, part in zip(self._flip_arrays, new):
+            arr[n:n + m] = part
+        self._n_flips = n + m
+        self._b_final = None
 
-    def until(self, t, want_deltas=True):
-        """(edge deltas, edge set) of the path through time t, which the
-        sweep has reached."""
-        deltas = self.edge_deltas
-        if not deltas or deltas[-1][0] <= t:
-            return (deltas if want_deltas else []), self.b_final
-        k = bisect_right(deltas, t, key=lambda d: d[0])
-        return (deltas[:k] if want_deltas else []), frozenset(
-            Trajectory._apply(set(self.b0), deltas, t))
+    def until(self, t) -> Deltas:
+        """The flips of the path through time t, which the sweep has reached."""
+        times = self._flip_arrays[0][:self._n_flips]
+        return self._through(int(np.searchsorted(times, t, "right")))
+
+    def edges_at(self, t) -> frozenset:
+        """The edge set at time t, which the sweep has reached."""
+        d = self.until(t)
+        return _replay(self.b0, d, len(d.t))
 
 
 def _bg_tables(spec, tl):
@@ -363,7 +447,7 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
     windows = (no_arrows_until, free_infection_until, no_recoveries_until)
     # a reversed feed is cut at t_end inside the kernel
     anchor, t_cut = (anchor, t_end) if rev else (0.0, math.inf)
-    site_deltas = []
+    parts = []
     t_stop = t_end
     start = 0
     while True:
@@ -379,9 +463,11 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
         if path is not None and not rev:
             path._grow(stop)
         # _buf is read after the last _fill, as _draw_slab replaces it when it grows
-        site_deltas += _lib.run(base._buf, base.n_generated, start, stop, rev, anchor, t_cut,
-                                g, fracs, limits, windows, flags, flag_top, B, C, state, tau,
-                                want_deltas)
+        part = _lib.run(base._buf, base.n_generated, start, stop, rev, anchor, t_cut,
+                        g, fracs, limits, windows, flags, flag_top, B, C, state, tau,
+                        want_deltas)
+        if len(part[0]):
+            parts.append(part)
         if state[2]:
             if stop_on_extinct:
                 t_stop = tau[0]
@@ -390,16 +476,24 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
             break
         start = stop
     c_final = frozenset(np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)).tolist())
-    edge_deltas, b_final = path.until(t_stop, want_deltas) if path is not None else ([], b0)
-    return site_deltas, edge_deltas, c_final, b_final, tau[0], bool(state[1])
+    if not parts:
+        sites = _NO_DELTAS
+    elif len(parts) == 1:
+        sites = Deltas(*parts[0])
+    else:
+        sites = Deltas(*map(np.concatenate, zip(*parts)))
+    flips = path.until(t_stop) if path is not None else _NO_DELTAS
+    return sites, flips, c_final, tau[0], bool(state[1])
 
 
-def _traj(g, t_end, c0, b0, out) -> Trajectory:
-    site_deltas, edge_deltas, c_final, b_final, tau, btouch = out
+def _traj(g, t_end, c0, b0, out, want_deltas) -> Trajectory:
+    """The Trajectory of _run's output out; its edge deltas are the
+    environment's flips through the stop if want_deltas."""
+    sites, flips, c_final, tau, btouch = out
     return Trajectory(graph=g, t_end=float(t_end), c0=frozenset(int(s) for s in c0),
-                      b0=b0, site_deltas=site_deltas, edge_deltas=edge_deltas,
-                      c_final=c_final, b_final=b_final, tau_ex=tau,
-                      boundary_touched=btouch)
+                      b0=b0, site_arrays=sites,
+                      edge_arrays=flips if want_deltas else _NO_DELTAS, c_final=c_final,
+                      tau_ex=tau, boundary_touched=btouch, _flips=flips)
 
 
 def _at_rates(params, tl):
@@ -416,7 +510,7 @@ def _at_rates(params, tl):
     return thin_view(tl, params.lam, params.r)
 
 
-def _evolve(params, c0, b0, tl, shared_bg, **kw) -> Trajectory:
+def _evolve(params, c0, b0, tl, shared_bg, *, want_deltas, **kw) -> Trajectory:
     """A forward run of params on tl, at params' rates.  Its environment is
     shared_bg if given, else the path of (params.spec, b0) on tl's feed; a
     frozen environment reads none."""
@@ -428,8 +522,9 @@ def _evolve(params, c0, b0, tl, shared_bg, **kw) -> Trajectory:
         # _bg_tables rejects a table with flips under a frozen environment
         path = (_bg_tables(None, tl) if params.spec is None
                 else _path(params.spec, b0, tl))
-    out = _run(params.graph, tl, c0, b0, t_end=params.horizon, env=path, **kw)
-    return _traj(params.graph, params.horizon, c0, b0, out)
+    out = _run(params.graph, tl, c0, b0, t_end=params.horizon, env=path,
+               want_deltas=want_deltas, **kw)
+    return _traj(params.graph, params.horizon, c0, b0, out, want_deltas)
 
 
 def evolve(params: RunParams, c0, b0, tl, *, stop_on_extinct=False,
@@ -466,7 +561,7 @@ def richardson(c0, tl, t_end: float, *, want_deltas=True) -> Trajectory:
     out = _run(g, tl, c0, frozenset(), t_end=t_end, eman_limit=g.half_width,
                free_infection_until=t_end, no_recoveries_until=t_end,
                want_deltas=want_deltas)
-    return _traj(g, t_end, c0, frozenset(), out)
+    return _traj(g, t_end, c0, frozenset(), out, want_deltas)
 
 
 def evolve_released(params: RunParams, c0, b0, tl, release: float, *,
@@ -555,12 +650,11 @@ def dual_evolve(a_sites, params: RunParams, b0, tl, t_star: float,
         hi = base.count_through(rv.anchor)
         path._grow(hi)
         env = path._open
-    site_deltas, _, c_final, _, tau, btouch = _run(
-        g, rv, a_sites, b0, t_end=rv.anchor, entry_limit=g.half_width,
-        env=env, want_deltas=want_deltas)
-    # the dual records no environment of its own
-    return _traj(g, rv.anchor, a_sites, b0,
-                 (site_deltas, [], c_final, frozenset(), tau, btouch))
+    out = _run(g, rv, a_sites, b0, t_end=rv.anchor, entry_limit=g.half_width,
+               env=env, want_deltas=want_deltas)
+    traj = _traj(g, rv.anchor, a_sites, b0, out, want_deltas)
+    traj.b_final = frozenset()      # the dual records no environment of its own
+    return traj
 
 
 def duality_indicators(params: RunParams, c0, b0, a_sites, tl, t_star: float):
@@ -602,54 +696,65 @@ def trajectory_to_ndjson(traj: Trajectory) -> str:
 
 # ---------------------------------------------------------------------------
 # pathwise comparison helpers (used by the test suites)
+#
+# They read the runs' Deltas arrays only.  Timestamps originating from one
+# timeline are bit-identical floats, so grouping by equality is exact.  The
+# merged deltas of the runs compared are grouped by index with a stable sort,
+# after a stable merge by time, so each index's rows are in time order and
+# each run's rows keep their order.  A run's membership of an index after a
+# row is its last sign so far in the index's group, or its initial membership
+# before its first, which one forward maximum finds: the run's row i is coded
+# 4i + 2 + (sign > 0), its initial membership m of the index 4i + m at the
+# group's first row i, other rows -1, and the code's low bit is the
+# membership.  A relation that breaks breaks at the last row of some (index,
+# time) group, so the earliest such row at which it fails gives the earliest
+# time at which it fails.
 
-def _subset_violation(c0_small, deltas_small, c0_big, deltas_big):
-    """Earliest delta time at which small stops being a subset of big.
+def _first_failure(runs, fails):
+    """Earliest delta time after which fails(states) holds for some index,
+    or None.  runs is a list of (initial set, Deltas); states is a list of
+    boolean arrays, one per run, of the memberships after each (index,
+    time) group.  The initial sets are assumed to satisfy the relation."""
+    ts = np.concatenate([d.t for _, d in runs])
+    n = len(ts)
+    if not n:
+        return None
+    order = np.argsort(ts, kind="stable")
+    x = np.concatenate([d.x for _, d in runs])[order]
+    # a stable sort of 16-bit keys is a radix sort, of wider ones a merge sort
+    by_x = np.argsort(x.astype(np.uint16) if x.max() < 1 << 16 else x, kind="stable")
+    order, x = order[by_x], x[by_x]
+    t = ts[order]
+    run = np.repeat(np.arange(len(runs), dtype=np.int8), [len(d.t) for _, d in runs])[order]
+    code = np.arange(2, 4 * n, 4, dtype=np.int64)
+    code += np.concatenate([d.s for _, d in runs])[order] > 0
+    new_x = np.empty(n, bool)
+    new_x[0] = True
+    np.not_equal(x[1:], x[:-1], out=new_x[1:])
+    starts = np.flatnonzero(new_x)
+    last = np.empty(n, bool)      # the last row of its (index, time) group
+    last[-1] = True
+    np.logical_or(new_x[1:], t[1:] != t[:-1], out=last[:-1])
+    top = int(x[-1])
+    states = []
+    for k, (init, _) in enumerate(runs):
+        ids = np.fromiter(init, np.int64, len(init))
+        known = np.zeros(top + 1, np.int64)
+        known[ids[ids <= top]] = 1
+        coded = np.where(run == k, code, -1)
+        coded[starts] = np.maximum(coded[starts], 4 * starts + known[x[starts]])
+        states.append((np.maximum.accumulate(coded)[last] & 1).astype(bool))
+    bad = fails(states)
+    return float(t[last][bad].min()) if bad.any() else None
 
-    Timestamps originating from one timeline are bit-identical floats, so
-    grouping by equality is exact.  Returns None if containment never breaks.
-    """
-    small = set(c0_small)
-    big = set(c0_big)
-    bad = sum(1 for x in small if x not in big)
-    if bad:
+
+def _subset_violation(c0_small, small: Deltas, c0_big, big: Deltas):
+    """Earliest delta time at which small stops being a subset of big, 0.0
+    if the initial sets are not nested, else None."""
+    if not frozenset(c0_small) <= frozenset(c0_big):
         return 0.0
-    i = j = 0
-    ns = len(deltas_small)
-    nb = len(deltas_big)
-    while i < ns or j < nb:
-        ts = deltas_small[i][0] if i < ns else math.inf
-        tb = deltas_big[j][0] if j < nb else math.inf
-        t = ts if ts <= tb else tb
-        while i < ns and deltas_small[i][0] == t:
-            _, x, sign = deltas_small[i]
-            i += 1
-            if sign > 0:
-                if x not in small:
-                    small.add(x)
-                    if x not in big:
-                        bad += 1
-            else:
-                if x in small:
-                    small.discard(x)
-                    if x not in big:
-                        bad -= 1
-        while j < nb and deltas_big[j][0] == t:
-            _, x, sign = deltas_big[j]
-            j += 1
-            if sign > 0:
-                if x not in big:
-                    big.add(x)
-                    if x in small:
-                        bad -= 1
-            else:
-                if x in big:
-                    big.discard(x)
-                    if x in small:
-                        bad += 1
-        if bad:
-            return t
-    return None
+    return _first_failure([(c0_small, small), (c0_big, big)],
+                          lambda st: st[0] & ~st[1])
 
 
 def first_containment_violation(small: Trajectory, big: Trajectory, *,
@@ -661,9 +766,9 @@ def first_containment_violation(small: Trajectory, big: Trajectory, *,
     """
     worst = None
     if sites:
-        worst = _subset_violation(small.c0, small.site_deltas, big.c0, big.site_deltas)
+        worst = _subset_violation(small.c0, small.site_arrays, big.c0, big.site_arrays)
     if edges:
-        v = _subset_violation(small.b0, small.edge_deltas, big.b0, big.edge_deltas)
+        v = _subset_violation(small.b0, small.edge_arrays, big.b0, big.edge_arrays)
         if v is not None and (worst is None or v < worst):
             worst = v
     return worst
@@ -674,40 +779,16 @@ def is_contained_pathwise(small: Trajectory, big: Trajectory, *,
     return first_containment_violation(small, big, sites=sites, edges=edges) is None
 
 
+def _union_violation(a: Trajectory, b: Trajectory, u: Trajectory):
+    """Earliest event time at which the site sets of a and b do not unite
+    to u's, 0.0 if the initial sets do not, else None."""
+    if a.c0 | b.c0 != u.c0:
+        return 0.0
+    return _first_failure([(a.c0, a.site_arrays), (b.c0, b.site_arrays),
+                           (u.c0, u.site_arrays)],
+                          lambda st: (st[0] | st[1]) != st[2])
+
+
 def union_matches_pathwise(a: Trajectory, b: Trajectory, u: Trajectory) -> bool:
     """Exact site-set identity union(a, b) == u at every event time."""
-    c_a = set(a.c0)
-    c_b = set(b.c0)
-    c_u = set(u.c0)
-    if (c_a | c_b) != c_u:
-        return False
-    mismatch = 0
-    streams = [(a.site_deltas, c_a), (b.site_deltas, c_b), (u.site_deltas, c_u)]
-    pos = [0, 0, 0]
-    sizes = [len(s[0]) for s in streams]
-
-    def contribution(x):
-        return ((x in c_a) or (x in c_b)) != (x in c_u)
-
-    while any(p < n for p, n in zip(pos, sizes)):
-        t = math.inf
-        for k in range(3):
-            if pos[k] < sizes[k]:
-                tk = streams[k][0][pos[k]][0]
-                if tk < t:
-                    t = tk
-        touched = set()
-        for k in range(3):
-            deltas, state = streams[k]
-            while pos[k] < sizes[k] and deltas[pos[k]][0] == t:
-                _, x, sign = deltas[pos[k]]
-                pos[k] += 1
-                if sign > 0:
-                    state.add(x)
-                else:
-                    state.discard(x)
-                touched.add(x)
-        for x in touched:
-            if contribution(x):
-                return False
-    return True
+    return _union_violation(a, b, u) is None

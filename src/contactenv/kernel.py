@@ -151,16 +151,10 @@ class _Out:
                            np.empty(self.cap, np.int8), np.empty(self.cap, np.int32))
             self.addresses = [_address(a) for a in self.arrays]
 
-    def deltas(self, n, ids, step=4096):
-        """The first n (time, index, sign) as tuples, each index the int
-        object ids holds for it, converted a slice at a time to bound the
-        temporary lists."""
-        t, x, s = self.arrays[:3]
-        out = []
-        for a in range(0, n, step):
-            b = min(a + step, n)
-            out += zip(t[a:b].tolist(), ids.take(x[a:b]).tolist(), s[a:b].tolist())
-        return out
+    def deltas(self, n):
+        """Copies of the first n times, indices and signs: the scratch
+        arrays are overwritten by the next call."""
+        return tuple(a[:n].copy() for a in self.arrays[:3])
 
 
 class Kernel:
@@ -195,8 +189,8 @@ class Kernel:
         are drawn: feed offset k is table index k, or rev_top - k when
         rev_top >= 0.  rule is (up, down, candidate rate) as float64 arrays
         and a float, or None.  Writes flags[lo:hi] and the edge states and
-        open-neighbour counts; returns the flips as a list of (time, edge,
-        sign) and the bytes of their feed offsets as int32."""
+        open-neighbour counts; returns the flips as arrays of times
+        (float64), edges (int32), signs (int8) and feed offsets (int32)."""
         if rev_top >= 0:
             if not 0 <= lo <= hi <= rev_top + 1 <= n_valid:
                 raise ValueError(f"reversed offsets {lo}..{hi} from {rev_top} outside "
@@ -225,7 +219,7 @@ class Kernel:
         n = self._grow(*ptrs, lo, hi, rev_top, anchor, gt.dir_edge, gt.lptr, gt.lnbr,
                        up, down, q_rate, rule is not None, b, nb, _address(flags),
                        *out.addresses)
-        return out.deltas(n, gt.ids), out.arrays[3][:n].tobytes()
+        return (*out.deltas(n), out.arrays[3][:n].copy())
 
     def run(self, table, n_valid, lo, hi, rev, anchor, t_cut, g, fracs, limits, windows,
             flags, flag_top, edges, infected, state, tau, want_deltas):
@@ -234,8 +228,8 @@ class Kernel:
         arrows until, free infection until, no recoveries until); flags is a
         bytearray or None, then edges is read.  infected, state
         (array('q') of infected count, boundary touched, extinct) and tau
-        (array('d') of one) carry the run; returns its site deltas as a
-        list of (time, site, sign)."""
+        (array('d') of one) carry the run; returns its site deltas as arrays
+        of times (float64), sites (int32) and signs (int8)."""
         ptrs = _check_table(table, n_valid, lo, hi)
         gt = graph_tables(g)
         if flags is None:
@@ -257,14 +251,13 @@ class Kernel:
                       g.half_width, *fracs, *limits, *windows, fl, flag_top, ed, inf,
                       state.buffer_info()[0], tau.buffer_info()[0], want_deltas,
                       *out.addresses[:3])
-        return out.deltas(n, gt.ids)
+        return out.deltas(n)
 
 
 class _GraphTables:
     """A box's int32 tables for the kernel, derived from edge_ends and
     coords: directed pairs 2e + o (source, target, edge), each site's norm
-    and the line graph in CSR form; the fields hold their addresses.  ids
-    holds one int object per site or edge index, which every delta shares."""
+    and the line graph in CSR form; the fields hold their addresses."""
 
     def __init__(self, g):
         ends = g.edge_ends
@@ -278,7 +271,6 @@ class _GraphTables:
         for name, arr in self.arrays.items():
             setattr(self, name, _address(arr))
         self.max_line_degree = int(np.diff(lptr).max())
-        self.ids = np.array(range(max(g.n_sites, g.n_edges)), dtype=object)
 
 
 def graph_tables(g) -> _GraphTables:

@@ -20,6 +20,8 @@ from __future__ import annotations
 from array import array
 from itertools import chain
 
+import numpy as np
+
 from .graphical import KIND_ARROW, KIND_FLIP, KIND_RECOVERY
 
 _BLOCK = 512      # events converted to plain values at a time
@@ -40,6 +42,12 @@ def _block(table, a, b, rev, anchor):
         return zip(range(a, b), times, kinds, idx, marks)
     return ((i, anchor - t, k, j ^ 1 if k == KIND_ARROW else j, u)
             for i, t, k, j, u in zip(range(b - 1, a - 1, -1), times, kinds, idx, marks))
+
+
+def _arrays(deltas):
+    """(time, index, sign) tuples as float64, int32 and int8 arrays."""
+    t, x, s = zip(*deltas) if deltas else ((), (), ())
+    return np.array(t, np.float64), np.array(x, np.int32), np.array(s, np.int8)
 
 
 def flip(g, edges, rule, x, u) -> int:
@@ -64,8 +72,8 @@ def grow(table, n_valid, lo, hi, rev_top, anchor, g, rule, edges, open_nbrs, fla
     drawn: feed offset k is table index k, or rev_top - k on a reversed
     feed (rev_top >= 0).  flags[k] is set to the state of an arrow's edge
     just before it.  rule is (up, down, candidate rate), or None for no
-    flips.  Returns the flips as a list of (time, edge, sign) and the bytes
-    of their feed offsets as int32."""
+    flips.  Returns the flips as arrays of times (float64), edges (int32),
+    signs (int8) and feed offsets (int32)."""
     rev = rev_top >= 0
     top = rev_top + 1 if rev else hi
     if not 0 <= lo <= hi <= top <= n_valid:
@@ -85,7 +93,7 @@ def grow(table, n_valid, lo, hi, rev_top, anchor, g, rule, edges, open_nbrs, fla
                     open_nbrs[e] += sign
                 deltas.append((t, j, sign))
                 at.append(k)
-    return deltas, at.tobytes()
+    return (*_arrays(deltas), np.array(at, dtype=np.int32))
 
 
 def run(table, n_valid, lo, hi, rev, anchor, t_cut, g, fracs, limits, windows, flags,
@@ -101,8 +109,9 @@ def run(table, n_valid, lo, hi, rev, anchor, t_cut, g, fracs, limits, windows, f
     flags is None, edges.  infected, state (array('q') of infected count,
     boundary touched, extinct) and tau (array('d') of one) carry the run:
     when a recovery empties the infected set, tau[0] is set to its time,
-    state[2] to 1 and the run stops.  Returns the site deltas as a list of
-    (time, site, sign), empty unless want_deltas."""
+    state[2] to 1 and the run stops.  Returns the site deltas as arrays of
+    times (float64), sites (int32) and signs (int8), empty unless
+    want_deltas."""
     if not 0 <= lo <= hi <= n_valid:
         raise ValueError(f"offsets {lo}..{hi} outside the {n_valid} drawn events")
     lam_frac, r_frac = fracs
@@ -147,4 +156,4 @@ def run(table, n_valid, lo, hi, rev, anchor, t_cut, g, fracs, limits, windows, f
                 state[2] = 1
                 break
     state[0], state[1] = n_inf, touched
-    return deltas
+    return _arrays(deltas)

@@ -513,7 +513,7 @@ def test_a_frozen_dual_reads_b0_and_stores_no_path():
     out = engine._run(g, reverse_view(fresh, 4.0), a, frozenset(b0), t_end=4.0,
                       entry_limit=g.half_width, env=flags)
     assert (dual.site_deltas, dual.c_final, dual.tau_ex, dual.boundary_touched) == \
-        (out[0], out[2], out[4], out[5])
+        (out[0].as_list(), out[2], out[3], out[4])
     assert dual.site_deltas
 
 

@@ -51,7 +51,7 @@ def test_a_run_on_another_box_is_rejected(lib, monkeypatch):
 @needs_kernel
 def test_a_fresh_kernel_runs_an_empty_stretch():
     run, _ = _call_args()
-    assert kernel.load().run(**{**run, "hi": 0}) == []
+    assert [len(a) for a in kernel.load().run(**{**run, "hi": 0})] == [0, 0, 0]
 
 
 @needs_kernel
@@ -149,8 +149,8 @@ def test_the_wrapper_rejects_bad_buffers_before_calling_c(monkeypatch):
     lib = engine._lib
     run, grow = _call_args()
     # the unaltered calls go through
-    assert lib.run(**run)
-    assert lib.grow(**grow)[0] == []      # a frozen table has no flips
+    assert len(lib.run(**run)[0])
+    assert len(lib.grow(**grow)[0]) == 0      # a frozen table has no flips
 
     def never(*args):
         raise AssertionError("C was called")

@@ -85,9 +85,9 @@ def _environment(tl, b0, spec, hi, rev_top, anchor):
         return edges, None, []
     open_nbrs = bytearray(sum(edges[a] for a in g.line_nbrs[e]) for e in range(g.n_edges))
     flags = bytearray(hi)
-    flips, _ = reference.grow(_table(tl), tl.n_events, 0, hi, rev_top, anchor, g,
-                              _rule(spec, tl), bytearray(edges), open_nbrs, flags)
-    return edges, flags, flips
+    t, e, sign, _ = reference.grow(_table(tl), tl.n_events, 0, hi, rev_top, anchor, g,
+                                   _rule(spec, tl), bytearray(edges), open_nbrs, flags)
+    return edges, flags, list(zip(t.tolist(), e.tolist(), sign.tolist()))
 
 
 def _infection(tl, c0, hi, rev, anchor, t_end, fracs, limits, windows, flags, flag_top,
@@ -100,8 +100,10 @@ def _infection(tl, c0, hi, rev, anchor, t_end, fracs, limits, windows, flags, fl
         infected[s] = 1
     state = array("q", [infected.count(1), any(g.norm_inf[s] >= g.half_width for s in c0), 0])
     tau = array("d", [math.inf if c0 else 0.0])
-    sd = reference.run(_table(tl), tl.n_events, 0, hi, rev, anchor, t_end, g, fracs, limits,
-                       windows, flags, flag_top, edges, infected, state, tau, want_deltas)
+    t, x, sign = reference.run(_table(tl), tl.n_events, 0, hi, rev, anchor, t_end, g, fracs,
+                               limits, windows, flags, flag_top, edges, infected, state, tau,
+                               want_deltas)
+    sd = list(zip(t.tolist(), x.tolist(), sign.tolist()))
     c = frozenset(s for s in range(g.n_sites) if infected[s])
     return sd, c, tau[0], bool(state[1]), bool(state[2])
 
