@@ -1,6 +1,7 @@
-/* The compiled event kernel: the flip rule (cek_grow) and the infection
- * loop (cek_run) of contactenv.engine, reading a Timeline's four buffers
- * (times float64, kinds int8, idx int32, marks float64) in place.
+/* The compiled event kernel: the flip rule (cek_grow), the infection loop
+ * (cek_run) and its sweep over many arrow rates at once (cek_levels) of
+ * contactenv.engine, reading a Timeline's four buffers (times float64,
+ * kinds int8, idx int32, marks float64) in place.
  *
  * Both make the same double comparisons as the plain-Python kernel in
  * reference.py, so their outputs are bit-identical to its: build with
@@ -8,6 +9,7 @@
  * caller, which checks lengths and offsets before each call (kernel.py).
  */
 
+#include <math.h>
 #include <stdint.h>
 
 #define KIND_ARROW 0
@@ -154,4 +156,83 @@ int64_t cek_run(const double *times, const int8_t *kinds, const int32_t *idx,
     state[0] = n_inf;
     state[1] = btouch;
     return n;
+}
+
+/* One stretch of a levels sweep over table indices lo..hi-1, forward: the
+ * runs of cek_run that emanate below half_width, at arrow fractions
+ * fracs[0] <= ... <= fracs[n_fracs - 1] and recovery fraction r_frac, all
+ * at once.  level[x] (INFINITY: healthy) places site x in the infected set
+ * of the run at f exactly when level[x] < f: an arrow x -> y with mark u
+ * whose edge is open sets level[y] = min(level[y], max(level[x], u)), and a
+ * recovery kept at r_frac sets level[x] = INFINITY.  The least level never
+ * falls, so the runs die in the order of their fractions: state is (runs
+ * extinct, sites below the lowest live fraction), and taus[k] is set to the
+ * time of the recovery after which no level is below fracs[k].  touch[0] is
+ * the least level written to a site of norm half_width or more.  Flags and
+ * edges are read as by cek_run, forward.  Returns the number of runs
+ * extinct; the sweep stops when all are. */
+int64_t cek_levels(const double *times, const int8_t *kinds, const int32_t *idx,
+                   const double *marks, int64_t lo, int64_t hi, const int32_t *src,
+                   const int32_t *dst, const int32_t *dir_edge, const int32_t *norm_inf,
+                   int32_t half_width, int32_t n_sites, const double *fracs,
+                   int64_t n_fracs, double r_frac, const uint8_t *flags,
+                   const uint8_t *edges, double *level, int64_t *state, double *touch,
+                   double *taus)
+{
+    int64_t dead = state[0], n_low = state[1];
+    if (dead >= n_fracs)
+        return dead;
+    double f_top = fracs[n_fracs - 1], f_low = fracs[dead], t_low = touch[0];
+    int thin_arrows = f_top < 1.0, thin_recs = r_frac < 1.0;
+    for (int64_t i = lo; i < hi; i++) {
+        int kind = kinds[i];
+        if (kind == KIND_ARROW) {
+            int32_t j = idx[i];
+            int32_t s = src[j];
+            double ls = level[s];
+            if (ls >= f_top)
+                continue;
+            double u = marks[i];
+            if (thin_arrows && u >= f_top)
+                continue;
+            if (norm_inf[s] >= half_width)
+                continue;
+            int32_t d = dst[j];
+            double v = ls > u ? ls : u;
+            if (v >= level[d])
+                continue;
+            if (!(flags ? flags[i] : edges[dir_edge[j]]))
+                continue;
+            if (v < f_low && level[d] >= f_low)
+                n_low++;
+            level[d] = v;
+            if (norm_inf[d] >= half_width && v < t_low)
+                t_low = v;
+        } else if (kind == KIND_RECOVERY) {
+            if (thin_recs && marks[i] >= r_frac)
+                continue;
+            int32_t x = idx[i];
+            double lx = level[x];
+            if (lx == INFINITY)
+                continue;
+            level[x] = INFINITY;
+            if (lx < f_low && --n_low == 0) {
+                double least = INFINITY;
+                for (int32_t y = 0; y < n_sites; y++)
+                    if (level[y] < least)
+                        least = level[y];
+                while (dead < n_fracs && fracs[dead] <= least)
+                    taus[dead++] = times[i];
+                if (dead == n_fracs)
+                    break;
+                f_low = fracs[dead];
+                for (int32_t y = 0; y < n_sites; y++)
+                    n_low += level[y] < f_low;
+            }
+        }
+    }
+    state[0] = dead;
+    state[1] = n_low;
+    touch[0] = t_low;
+    return dead;
 }

@@ -23,7 +23,7 @@ import numpy as np
 from .background import (BackgroundSpec, decided_times, make_spec,
                          min_max_rates, sample_stationary_dp,
                          UnsupportedOperationError)
-from .engine import RunParams, evolve, evolve_released, richardson
+from .engine import RunParams, evolve, evolve_levels, evolve_released, richardson
 from .graphical import build_timeline, derive_seed
 from .lattice import build_box, l1_ball_sites
 
@@ -737,12 +737,15 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
     """Survival estimates over a 2-d parameter grid, one axis-2 column at a
     time.
 
-    axis1/axis2 are (name, values) with names among lambda, r, alpha, beta.
-    Replicas share seeds across the whole grid, and every replica's table
-    is drawn at the grid's ceilings (the largest lambda, r and flip
-    candidate rate of any cell) and thinned to each cell's rates, so rows
-    and columns along lambda (and r) are exactly monotone, not just
-    statistically.
+    axis1/axis2 are (name, values) with names among lambda, r, alpha, beta,
+    and distinct, nonempty value lists; lambda and r are set on an axis or
+    in fixed.  Replicas share seeds across the whole grid, and every
+    replica's table is drawn at the grid's ceilings (the largest lambda, r
+    and flip candidate rate of any cell) and thinned to each cell's rates,
+    so rows and columns along lambda (and r) are exactly monotone, not just
+    statistically.  The cells of a column that share r and the environment
+    are one evolve_levels sweep per replica: with lambda on axis 1, one
+    sweep per column.
 
     Before each column, proceed(column_events), if given, is called with
     the column's expected event count reps * (lam*2|E| + r|V| + q|E|) * T
@@ -755,6 +758,12 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
         raise ValueError(f"axis names must be distinct members of {AXIS_NAMES}")
     vals1 = tuple(float(v) for v in vals1)
     vals2 = tuple(float(v) for v in vals2)
+    for name, vals in ((name1, vals1), (name2, vals2)):
+        if not vals or len(set(vals)) != len(vals):
+            raise ValueError(f"the {name} axis needs distinct values, one or more")
+    for name in ("lambda", "r"):
+        if name not in (name1, name2) and fixed.get(name) is None:
+            raise ValueError(f"{name} must be set on an axis or in fixed")
     d = int(fixed.get("d", 1))
     L = int(fixed.get("L", 50))
     g = build_box(d, L)
@@ -784,21 +793,20 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
     for v2 in vals2:
         if proceed is not None and not proceed(column_events):
             break
+        groups = {}       # the column's cells by (r, spec): one sweep each
+        for v1 in vals1:
+            r = float(setting("r", v1, v2))
+            spec = specs.get((setting("alpha", v1, v2), setting("beta", v1, v2)))
+            params = RunParams(g, float(setting("lambda", v1, v2)), r, spec, T)
+            groups.setdefault((r, spec), []).append((v1, params))
         counts = {v1: [0, 0] for v1 in vals1}
         for i in range(reps):
-            rep_seed = derive_seed(seed, i)
-            tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T, rep_seed)
-            for v1 in vals1:
-                lam = float(setting("lambda", v1, v2))
-                r = float(setting("r", v1, v2))
-                spec = specs.get((setting("alpha", v1, v2), setting("beta", v1, v2)))
-                traj = evolve(RunParams(g, lam, r, spec, T, rep_seed), (origin,), (),
-                              tl, stop_on_extinct=True, want_deltas=False)
-                cell = counts[v1]
-                if traj.tau_ex == math.inf:
-                    cell[0] += 1
-                if traj.boundary_touched:
-                    cell[1] += 1
+            tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T, derive_seed(seed, i))
+            for cells in groups.values():
+                levels = evolve_levels([p for _, p in cells], (origin,), (), tl)
+                for (v1, _), (tau, touched) in zip(cells, levels):
+                    counts[v1][0] += tau == math.inf
+                    counts[v1][1] += touched
         for v1, (alive, btouch) in counts.items():
             estimates[(v1, v2)] = _estimate(alive, reps, seed, boundary=btouch)
         done.append(v2)

@@ -142,7 +142,7 @@ _SCAN_SETTINGS = {"lambda": dict(minimum=0.0), "r": dict(minimum=0.0),
 
 def _check_phase_scan(errors, doc, params):
     """The two axes and the fixed settings of a phase scan: known names,
-    finite values in range, both rates set, and alpha and beta set
+    distinct finite values in range, both rates set, and alpha and beta set
     together."""
     names = set()
     for ax in ("axis1", "axis2"):
@@ -161,6 +161,8 @@ def _check_phase_scan(errors, doc, params):
         n_errors = len(errors)
         checked = [_check_number(errors, {f"[{i}]": v}, f".{ax}[1]", f"[{i}]",
                                  **_SCAN_SETTINGS[name]) for i, v in enumerate(values)]
+        if len(errors) == n_errors and len(set(checked)) != len(checked):
+            errors.append((f".{ax}[1]", "values must be distinct"))
         if len(errors) == n_errors:
             params[ax] = (name, checked)
     fixed = doc.get("fixed")

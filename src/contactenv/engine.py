@@ -9,7 +9,8 @@ comparison helpers at the bottom of this module check exactly that.
 
 _run is the one infection loop: every entry point, the dual included, is a
 call to it with its own windows, emanation and entry limits and
-environment.  The environment is autonomous, so its path depends only on
+environment.  evolve_levels runs the loop of evolve at many arrow rates in
+one sweep over the same chunks (the kernel's levels).  The environment is autonomous, so its path depends only on
 (feed, spec, initial edges).  BackgroundPath holds it and alone applies the
 flip rule, sweeping on through each chunk of the feed before a run reads
 the chunk.  Paths on forward, un-anchored feeds are stored on the base
@@ -17,14 +18,15 @@ Timeline, so every run with that spec and those initial edges reads and
 extends one: a run that dies early sweeps a prefix, and the next reuses it.
 A frozen environment (spec None) reads no path.
 
-Both loops, the run and the sweep, are the event kernel's: _lib is the
+The three loops, the run, its levels sweep and the path's sweep, are the
+event kernel's: _lib is the
 compiled kernel (_kernel.c, loaded by kernel.load() when this module is
 imported), or, when no C compiler is found, the plain-Python one
 (reference.py), which takes the same arguments and gives bit-identical
 outputs.  Either reads the base Timeline's four buffers a stretch at a
 time and keeps its state between calls in buffers owned here: the
-infection bytearray, a path's edge states, open-neighbour counts and arrow
-flags (a bytearray by feed offset).
+infection bytearray or the sites' levels, a path's edge states,
+open-neighbour counts and arrow flags (a bytearray by feed offset).
 
 The table is itself drawn and sorted on demand, slab by slab.  A run that
 stops at extinction reads fixed-size chunks of _CHUNK events and never asks
@@ -60,7 +62,7 @@ import numpy as np
 
 from . import kernel, reference
 from .background import BackgroundSpec, coupled_region, make_spec, min_max_rates
-from .graphical import TimelineView, _unpack, feed_size, reverse_view, thin_view
+from .graphical import Timeline, TimelineView, _unpack, feed_size, reverse_view, thin_view
 from .lattice import GraphView
 
 # the compiled kernel, or the plain-Python one when no C compiler is found
@@ -245,12 +247,15 @@ class BackgroundPath:
     def __post_init__(self):
         self._flip_arrays = (np.empty(0), np.empty(0, np.int32), np.empty(0, np.int8),
                              np.empty(0, np.int32))
-        self._edges = bytearray(self._graph.n_edges)
-        self._open_nbrs = bytearray(self._graph.n_edges)
-        for e in self.b0:
-            self._edges[e] = 1
-            for a in self._graph.line_nbrs[e]:
-                self._open_nbrs[a] += 1
+        n = self._graph.n_edges
+        on = np.zeros(n, np.uint8)
+        on[np.fromiter(self.b0, np.int64, len(self.b0))] = 1
+        self._edges = bytearray(on)
+        # each open edge counts once at each of its line-graph neighbours
+        lines = kernel.graph_tables(self._graph).arrays
+        rows = np.repeat(on.view(bool), np.diff(lines["lptr"]))
+        self._open_nbrs = bytearray(
+            np.bincount(lines["lnbr"][rows], minlength=n).astype(np.uint8))
         self._b_final = self.b0
 
     @property
@@ -387,6 +392,44 @@ def background_path(spec, b0, tl) -> BackgroundPath:
 _CHUNK = 4096     # events a run that stops at extinction reads at a time
 
 
+def _check_box(g, base):
+    if (base.graph.n_sites, base.graph.n_edges) != (g.n_sites, g.n_edges):
+        raise ValueError("the timeline was drawn on a box of another size")
+
+
+def _frac(rate, rate_max):
+    """The mark below which an event generated at rate_max is kept at rate."""
+    return rate / rate_max if rate < rate_max else 1.0
+
+
+def _stretches(base, hi, t_last, path):
+    """The (start, stop) table offsets a run reads, in order: 0..hi in one
+    stretch, or, when hi is None, chunks of _CHUNK events through the last
+    event at or before t_last, with slabs drawn as far as each chunk
+    reaches.  path, if given, is swept through each stretch before it is
+    yielded.  The caller reads base._buf after each yield, as _draw_slab
+    replaces it when it grows."""
+    start = 0
+    while True:
+        last = hi is not None
+        if last:
+            stop = hi
+        else:
+            base._fill(start + _CHUNK, t_last)
+            stop = min(start + _CHUNK, base.n_generated)
+            last = stop < start + _CHUNK
+            times = base._buf[0]
+            if stop > start and times[stop - 1] > t_last:
+                stop = start + int(np.searchsorted(times[start:stop], t_last, "right"))
+                last = True
+        if path is not None:
+            path._grow(stop)
+        yield start, stop
+        if last:
+            return
+        start = stop
+
+
 def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=math.inf,
          env=None, no_arrows_until=-1.0, free_infection_until=-1.0,
          no_recoveries_until=-1.0, stop_on_extinct=False, want_deltas=True):
@@ -402,10 +445,7 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
     anchor back, at time anchor - times[i], each arrow crossed from its
     target to its source."""
     base, lam, r, anchor, rev = _unpack(tl)
-    if (base.graph.n_sites, base.graph.n_edges) != (g.n_sites, g.n_edges):
-        raise ValueError("the timeline was drawn on a box of another size")
-    lam_frac = lam / base.lam_max if lam < base.lam_max else 1.0
-    r_frac = r / base.r_max if r < base.r_max else 1.0
+    _check_box(g, base)
     horizon = tl.t_max
     if not t_end <= horizon + 1e-9:
         raise ValueError(f"t_end={t_end} beyond the feed horizon {horizon}")
@@ -443,26 +483,13 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
         flags = path._open
     state = array("q", [n_inf, btouch, 0])      # infected count, boundary touched, extinct
     tau = array("d", [0.0 if n_inf == 0 else math.inf])
-    fracs, limits = (lam_frac, r_frac), (eman_limit, entry_limit)
+    fracs, limits = (_frac(lam, base.lam_max), _frac(r, base.r_max)), (eman_limit, entry_limit)
     windows = (no_arrows_until, free_infection_until, no_recoveries_until)
     # a reversed feed is cut at t_end inside the kernel
     anchor, t_cut = (anchor, t_end) if rev else (0.0, math.inf)
     parts = []
     t_stop = t_end
-    start = 0
-    while True:
-        if chunked:     # slabs are drawn as far as this chunk reaches
-            base._fill(start + _CHUNK, t_last)
-            stop = min(start + _CHUNK, base.n_generated)
-            hi = stop if stop < start + _CHUNK else math.inf
-            times = base._buf[0]
-            if stop > start and times[stop - 1] > t_last:
-                stop = hi = start + int(np.searchsorted(times[start:stop], t_last, "right"))
-        else:
-            stop = hi
-        if path is not None and not rev:
-            path._grow(stop)
-        # _buf is read after the last _fill, as _draw_slab replaces it when it grows
+    for start, stop in _stretches(base, hi, t_last, None if rev else path):
         part = _lib.run(base._buf, base.n_generated, start, stop, rev, anchor, t_cut,
                         g, fracs, limits, windows, flags, flag_top, B, C, state, tau,
                         want_deltas)
@@ -472,9 +499,6 @@ def _run(g: GraphView, tl, c0, b0, *, t_end, eman_limit=math.inf, entry_limit=ma
             if stop_on_extinct:
                 t_stop = tau[0]
             break
-        if stop >= hi:
-            break
-        start = stop
     c_final = frozenset(np.flatnonzero(np.frombuffer(bytes(C), dtype=np.uint8)).tolist())
     if not parts:
         sites = _NO_DELTAS
@@ -540,6 +564,65 @@ def evolve(params: RunParams, c0, b0, tl, *, stop_on_extinct=False,
     past that moment return the environment as of the stop."""
     return _evolve(params, c0, b0, tl, shared_bg, eman_limit=params.graph.half_width,
                    stop_on_extinct=stop_on_extinct, want_deltas=want_deltas)
+
+
+def evolve_levels(cells, c0, b0, tl) -> list:
+    """(tau_ex, boundary_touched) of evolve(p, c0, b0, tl,
+    stop_on_extinct=True) for each RunParams p of cells, bit for bit, from
+    one sweep of tl, a Timeline.  The cells differ in lam only: they share
+    graph, r, spec and horizon.
+
+    The sweep keeps a level per site: the least, over the infection paths
+    into the site, of the largest arrow mark on the path.  A site is
+    infected in the run at fraction f = lam / lam_max exactly when its level
+    is below f (the kernel's levels).  The sweep reads the table in _run's
+    chunks, sweeping the path of (spec, b0) stored on tl through each, and
+    stops when the run at the largest lam dies."""
+    if not cells:
+        raise ValueError("evolve_levels needs at least one cell")
+    p0 = cells[0]
+    if any(p.graph is not p0.graph or (p.r, p.spec, p.horizon) != (p0.r, p0.spec, p0.horizon)
+           for p in cells):
+        raise ValueError("the cells of one sweep differ in lam only")
+    if not isinstance(tl, Timeline):
+        raise TypeError(f"evolve_levels runs on a Timeline, got {type(tl).__name__}")
+    g = p0.graph
+    _check_box(g, tl)
+    for p in cells:
+        _at_rates(p, tl)        # rejects a rate above the table's
+    if not p0.horizon <= tl.t_max + 1e-9:
+        raise ValueError(f"t_end={p0.horizon} beyond the feed horizon {tl.t_max}")
+    b0 = frozenset(map(int, b0))
+    flags = edges = path = None
+    if p0.spec is None:     # b0 throughout; _bg_tables rejects a table with flips
+        _bg_tables(None, tl)
+        edges = bytearray(g.n_edges)
+        for e in b0:
+            edges[e] = 1
+    else:
+        path = _path(p0.spec, b0, tl)
+        flags = path._open
+    c0 = [int(s) for s in c0]
+    if not c0:      # every run is extinct from time 0
+        return [(0.0, False)] * len(cells)
+    order = sorted(range(len(cells)), key=lambda k: cells[k].lam)
+    fracs = array("d", [_frac(cells[k].lam, tl.lam_max) for k in order])
+    level = array("d", [math.inf]) * g.n_sites
+    for s in c0:
+        level[s] = -1.0
+    state = array("q", [0, len(set(c0))])      # runs extinct, sites below the lowest
+    touch = array("d", [math.inf])              # least level written to the boundary
+    taus = array("d", [math.inf]) * len(cells)
+    r_frac = _frac(p0.r, tl.r_max)
+    for start, stop in _stretches(tl, None, p0.horizon, path):
+        if _lib.levels(tl._buf, tl.n_generated, start, stop, g, fracs, r_frac, flags, edges,
+                       level, state, touch, taus) == len(cells):
+            break
+    c0_touch = any(g.norm_inf[s] >= g.half_width for s in c0)
+    out = [None] * len(cells)
+    for k, f, tau in zip(order, fracs, taus):
+        out[k] = (tau, c0_touch or touch[0] < f)
+    return out
 
 
 def evolve_truncated(l_inner: int, params: RunParams, c0, b0, tl, *,

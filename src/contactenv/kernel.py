@@ -10,12 +10,12 @@ compile command and the platform.  It is written to a temporary file there
 and moved into place, so a process never loads a half-written library, and
 it ends with the sha256 of its own bytes, so a damaged or truncated file is
 rebuilt, not loaded.  Without a compiler on PATH, or when the build fails,
-load() returns None and the engine runs the Python kernel, whose grow and
-run take the same arguments as Kernel's.
+load() returns None and the engine runs the Python kernel, whose grow, run
+and levels take the same arguments as Kernel's.
 
-Kernel.grow and Kernel.run check every buffer's type, dtype and length and
-every offset before the call, and raise ValueError where C would read or
-write out of bounds.
+Kernel.grow, Kernel.run and Kernel.levels check every buffer's type, dtype
+and length and every offset before the call, and raise ValueError where C
+would read or write out of bounds.
 """
 
 from __future__ import annotations
@@ -135,6 +135,12 @@ def _check_bytes(name, buf, n):
     return _address(buf)
 
 
+def _check_array(name, buf, typecode, n):
+    if not isinstance(buf, array) or buf.typecode != typecode or len(buf) != n:
+        raise ValueError(f"{name} must be array({typecode!r}) of {n} entries")
+    return buf.buffer_info()[0]
+
+
 class _Out:
     """Scratch outputs of one call, grown as needed: times, indices, signs
     and offsets.  Each thread has its own, as a call releases the
@@ -158,7 +164,8 @@ class _Out:
 
 
 class Kernel:
-    """The loaded library: grow and run, each with its buffers checked."""
+    """The loaded library: grow, run and levels, each with its buffers
+    checked."""
 
     def __init__(self, lib, path, cc_name):
         self.path = path
@@ -174,6 +181,10 @@ class Kernel:
         self._run.argtypes = ([_P] * 4 + [_I64, _I64, _INT, _D, _D] + [_P] * 4
                               + [ctypes.c_int32] + [_D] * 7 + [_P, _I64] + [_P] * 4
                               + [_INT] + [_P] * 3)
+        self._levels = lib.cek_levels
+        self._levels.restype = _I64
+        self._levels.argtypes = ([_P] * 4 + [_I64, _I64] + [_P] * 4
+                                 + [ctypes.c_int32] * 2 + [_P, _I64, _D] + [_P] * 6)
         self._local = threading.local()
 
     def _scratch(self, n) -> _Out:
@@ -252,6 +263,37 @@ class Kernel:
                       state.buffer_info()[0], tau.buffer_info()[0], want_deltas,
                       *out.addresses[:3])
         return out.deltas(n)
+
+    def levels(self, table, n_valid, lo, hi, g, fracs, r_frac, flags, edges, level, state,
+               touch, taus):
+        """One stretch of a levels sweep over table indices lo..hi-1 (see
+        cek_levels): the runs of evolve at the arrow fractions fracs, an
+        array('d') in nondecreasing order, and at r_frac.  flags is a
+        bytearray by table index or None, then edges is read.  level
+        (array('d'), one per site), state (array('q') of runs extinct and
+        sites below the lowest live fraction), touch (array('d') of one) and
+        taus (array('d'), one per fraction) carry the sweep; returns the
+        number of runs extinct."""
+        ptrs = _check_table(table, n_valid, lo, hi)
+        if not (isinstance(fracs, array) and fracs.typecode == "d" and fracs) or \
+                any(b < a for a, b in zip(fracs, fracs[1:])):
+            raise ValueError("fracs must be a nonempty nondecreasing array('d')")
+        k, fr = len(fracs), fracs.buffer_info()[0]
+        if flags is None:
+            fl, ed = None, _check_bytes("edges", edges, g.n_edges)
+        elif not isinstance(flags, bytearray) or len(flags) < hi:
+            raise ValueError(f"flags must be a bytearray of at least {hi} entries")
+        else:
+            fl, ed = _address(flags), None
+        lv = _check_array("level", level, "d", g.n_sites)
+        st = _check_array("state", state, "q", 2)
+        if not 0 <= state[0] <= k:
+            raise ValueError(f"{state[0]} runs extinct of {k}")
+        tc = _check_array("touch", touch, "d", 1)
+        ta = _check_array("taus", taus, "d", k)
+        gt = graph_tables(g)
+        return self._levels(*ptrs, lo, hi, gt.dir_src, gt.dir_dst, gt.dir_edge, gt.norm_inf,
+                            g.half_width, g.n_sites, fr, k, r_frac, fl, ed, lv, st, tc, ta)
 
 
 class _GraphTables:

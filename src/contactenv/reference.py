@@ -1,6 +1,6 @@
-"""The event kernel in plain Python: the flip rule (grow) and the infection
-loop (run), with the arguments and return values of kernel.Kernel.grow and
-kernel.Kernel.run.  The engine runs it when the compiled kernel does not
+"""The event kernel in plain Python: the flip rule (grow), the infection
+loop (run) and its sweep over many arrow rates at once (levels), with the
+arguments and return values of kernel.Kernel's.  The engine runs it when the compiled kernel does not
 load (no C compiler), and tests/test_oracle.py runs it once over a whole
 table to check the engine's runs, under either kernel, against it.
 
@@ -17,6 +17,7 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from array import array
 from itertools import chain
 
@@ -157,3 +158,66 @@ def run(table, n_valid, lo, hi, rev, anchor, t_cut, g, fracs, limits, windows, f
                 break
     state[0], state[1] = n_inf, touched
     return _arrays(deltas)
+
+
+def levels(table, n_valid, lo, hi, g, fracs, r_frac, flags, edges, level, state, touch, taus):
+    """One stretch of a levels sweep over table indices lo..hi-1, forward:
+    the runs of run that emanate below g.half_width, at each arrow fraction
+    of fracs (array('d'), nondecreasing) and at r_frac, all at once.  Site x
+    is infected in the run at f exactly when level[x] < f (inf: healthy): an
+    arrow x -> y with mark u whose edge is open sets level[y] to
+    min(level[y], max(level[x], u)), and a recovery kept at r_frac sets
+    level[x] to inf.  The least level never falls, so the runs die in the
+    order of their fractions: state (array('q')) is (runs extinct, sites
+    below the lowest live fraction), and taus[k] is set to the time of the
+    recovery after which no level is below fracs[k].  touch[0] is the least
+    level written to a site of norm g.half_width or more.  An arrow at table
+    index i reads its edge as flags[i] or, when flags is None, edges.
+    Returns the number of runs extinct; the sweep stops when all are."""
+    if not 0 <= lo <= hi <= n_valid:
+        raise ValueError(f"offsets {lo}..{hi} outside the {n_valid} drawn events")
+    k = len(fracs)
+    if not k or any(b < a for a, b in zip(fracs, fracs[1:])):
+        raise ValueError("fracs must be a nonempty nondecreasing array('d')")
+    dead, n_low = state
+    if dead >= k:
+        return dead
+    src, dst, dir_edge, norm, width = g.dir_src, g.dir_dst, g.dir_edge, g.norm_inf, g.half_width
+    f_top, f_low, t_low = fracs[-1], fracs[dead], touch[0]
+    for i, t, kind, j, u in _events(table, lo, hi, False, 0.0):
+        if kind == KIND_ARROW:
+            s, d = src[j], dst[j]
+            ls = level[s]
+            if ls >= f_top or (f_top < 1.0 and u >= f_top) or norm[s] >= width:
+                continue
+            v = ls if ls > u else u
+            if v >= level[d]:
+                continue
+            if not (edges[dir_edge[j]] if flags is None else flags[i]):
+                continue
+            if v < f_low <= level[d]:
+                n_low += 1
+            level[d] = v
+            if norm[d] >= width and v < t_low:
+                t_low = v
+        elif kind == KIND_RECOVERY:
+            if r_frac < 1.0 and u >= r_frac:
+                continue
+            lx = level[j]
+            if lx == math.inf:
+                continue
+            level[j] = math.inf
+            if lx < f_low:
+                n_low -= 1
+                if not n_low:
+                    least = min(level)
+                    while dead < k and fracs[dead] <= least:
+                        taus[dead] = t
+                        dead += 1
+                    if dead == k:
+                        break
+                    f_low = fracs[dead]
+                    n_low = sum(x < f_low for x in level)
+    state[0], state[1] = dead, n_low
+    touch[0] = t_low
+    return dead

@@ -333,3 +333,16 @@ def test_phase_scan_monotone_and_deterministic():
     again = phase_scan(("lambda", [0.5, 1.5, 2.5]), ("beta", [0.5, 2.0]),
                        fixed, T=8.0, reps=60, seed=21)
     assert scan.estimates == again.estimates
+
+
+@pytest.mark.parametrize("axis1,axis2,fixed,match", [
+    # a repeated value was counted twice: p_hat 0.4 against 0.2 for the one cell
+    (("lambda", [4.0, 4.0]), ("beta", [0.25]), {"alpha": 1.0, "r": 1.0}, "distinct"),
+    (("lambda", [4.0]), ("beta", [0.25, 0.25]), {"alpha": 1.0, "r": 1.0}, "distinct"),
+    (("lambda", []), ("beta", [0.25]), {"alpha": 1.0, "r": 1.0}, "one or more"),
+    (("beta", [0.25]), ("alpha", [1.0]), {"r": 1.0}, "lambda must be set"),
+    (("lambda", [4.0]), ("beta", [0.25]), {"alpha": 1.0}, "r must be set"),
+], ids=["repeated-axis1", "repeated-axis2", "empty", "no-lambda", "no-r"])
+def test_phase_scan_rejects_a_grid_it_cannot_count(axis1, axis2, fixed, match):
+    with pytest.raises(ValueError, match=match):
+        phase_scan(axis1, axis2, {"d": 1, "L": 20, **fixed}, T=5.0, reps=10, seed=3)

@@ -273,6 +273,8 @@ class TestMain:
         (dict(fixed={"alpha": 1.0, "r": 1.0, "delta": 2}), ".fixed.delta: unknown key"),
         (dict(fixed={"alpha": 1.0}), ".fixed.r: missing"),
         (dict(fixed={"r": 1.0}), ".fixed: alpha and beta must be set together"),
+        (dict(axis1=["lambda", [4.0, 4]]), ".axis1[1]: values must be distinct"),
+        (dict(axis2=["beta", [0.5, 1.0, 0.5]]), ".axis2[1]: values must be distinct"),
     ])
     def test_phase_scan_settings_are_checked(self, tmp_path, capsys, change, path):
         doc = {"subcommand": "phase-scan", "seed": 4, "d": 1, "L": 5,

@@ -813,3 +813,39 @@ def test_the_dual_and_reversed_runs_read_the_table_in_place(monkeypatch):
 
 def _no_reversed_copy(tl):
     raise AssertionError("event_feed called")
+
+
+@pytest.mark.parametrize("d,L", [(1, 1), (1, 7), (2, 1), (2, 4), (3, 2)])
+def test_a_path_starts_from_its_open_neighbour_counts(d, L):
+    # the counts are made with numpy from the kernel's line graph; the loop
+    # they replaced is the reference
+    g = build_box(d, L)
+    rng = random.Random(d * 100 + L)
+    for _ in range(10):
+        b0 = frozenset(rng.sample(range(g.n_edges), rng.randint(0, g.n_edges)))
+        path = engine.BackgroundPath(b0, (None, None, False), None, g)
+        edges, counts = bytearray(g.n_edges), bytearray(g.n_edges)
+        for e in b0:
+            edges[e] = 1
+            for a in g.line_nbrs[e]:
+                counts[a] += 1
+        assert (path._edges, path._open_nbrs) == (edges, counts)
+        assert type(path._open_nbrs) is bytearray
+
+
+def test_a_levels_sweep_takes_cells_that_differ_in_lam_only():
+    g = build_box(1, 4)
+    tl = build_timeline(g, 2.0, 1.0, DP.flip_rate, 3.0, seed=5)
+    P = RunParams(g, 1.0, 1.0, DP, 3.0)
+    c0 = (g.origin(),)
+    assert len(engine.evolve_levels([P, replace(P, lam=2.0)], c0, (), tl)) == 2
+    for cells in ([], [P, replace(P, r=0.5)], [P, replace(P, horizon=2.0)],
+                  [P, replace(P, spec=None)], [P, replace(P, graph=build_box(1, 4))]):
+        with pytest.raises(ValueError):
+            engine.evolve_levels(cells, c0, (), tl)
+    with pytest.raises(ValueError, match="cannot thin"):
+        engine.evolve_levels([replace(P, lam=2.5)], c0, (), tl)
+    with pytest.raises(TypeError):
+        engine.evolve_levels([P], c0, (), thin_view(tl, 1.0))
+    with pytest.raises(ValueError, match="another size"):
+        engine.evolve_levels([RunParams(build_box(1, 3), 1.0, 1.0, DP, 3.0)], c0, (), tl)

@@ -47,6 +47,14 @@ def test_criterion_10_csvs_match_their_golden_hashes(doc, tmp_path):
     assert _csv_sha(doc, tmp_path) == GOLDEN[doc["subcommand"]]
 
 
+def test_phase_scan_csv_matches_its_golden_hash_under_the_python_kernel(tmp_path,
+                                                                      monkeypatch):
+    # the levels sweep is written twice, and this CSV is its one end-to-end fingerprint
+    monkeypatch.setattr(engine, "_lib", reference)
+    doc = next(doc for doc in DETERMINISM_CONFIGS if doc["subcommand"] == "phase-scan")
+    assert _csv_sha(doc, tmp_path) == GOLDEN["phase-scan"]
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_survival_csv_does_not_depend_on_threads(threads, tmp_path):
     doc = next(doc for doc in DETERMINISM_CONFIGS if doc["subcommand"] == "survival")

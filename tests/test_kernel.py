@@ -5,6 +5,7 @@ library cache recovers from a bad file.  Their outputs are checked against
 each other and against the Python kernel run over whole tables in
 tests/test_oracle.py and tests/test_fingerprint.py."""
 
+import inspect
 import os
 import shutil
 import subprocess
@@ -50,7 +51,7 @@ def test_a_run_on_another_box_is_rejected(lib, monkeypatch):
 
 @needs_kernel
 def test_a_fresh_kernel_runs_an_empty_stretch():
-    run, _ = _call_args()
+    run = _call_args()[0]
     assert [len(a) for a in kernel.load().run(**{**run, "hi": 0})] == [0, 0, 0]
 
 
@@ -100,7 +101,13 @@ def _call_args():
     grow = dict(table=tl._buf, n_valid=tl.n_generated, lo=0, hi=n, rev_top=-1, anchor=0.0,
                 g=g, rule=None, edges=bytearray(g.n_edges), open_nbrs=bytearray(g.n_edges),
                 flags=bytearray(n))
-    return run, grow
+    level = array("d", [np.inf]) * g.n_sites
+    level[g.origin()] = -1.0
+    levels = dict(table=tl._buf, n_valid=tl.n_generated, lo=0, hi=n, g=g,
+                  fracs=array("d", [0.5, 1.0]), r_frac=1.0, flags=None,
+                  edges=bytearray(b"\x01" * g.n_edges), level=level, state=array("q", [0, 1]),
+                  touch=array("d", [np.inf]), taus=array("d", [np.inf, np.inf]))
+    return run, grow, levels
 
 
 def _bad_runs(run):
@@ -144,25 +151,72 @@ def _bad_grows(grow):
     yield dict(rule=(np.zeros(3), np.zeros(6)[::2], 1.0))
 
 
+def _bad_levels(levels):
+    t, k, i, m = levels["table"]
+    n_sites, n_edges = levels["g"].n_sites, levels["g"].n_edges
+    yield dict(table=(t, k, i, np.repeat(m, 2)[::2]))
+    yield dict(table=(t.astype(np.float32), k, i, m))
+    yield dict(hi=levels["n_valid"] + 1)
+    yield dict(fracs=array("d"), taus=array("d"))
+    yield dict(fracs=array("f", [0.5, 1.0]))
+    yield dict(fracs=np.array([0.5, 1.0]))
+    yield dict(fracs=array("d", [1.0, 0.5]))
+    yield dict(level=array("d", [np.inf]) * (n_sites - 1))
+    yield dict(level=array("f", [np.inf]) * n_sites)
+    yield dict(level=np.full(n_sites, np.inf))
+    yield dict(state=array("q", [0, 1, 0]))
+    yield dict(state=array("i", [0, 1]))
+    yield dict(state=array("q", [3, 1]))
+    yield dict(touch=array("d"))
+    yield dict(taus=array("d", [np.inf]))
+    yield dict(edges=bytearray(n_edges - 1))
+    yield dict(flags=bytearray(levels["hi"] - 1))
+    yield dict(flags=[True] * levels["hi"])
+
+
 @needs_kernel
 def test_the_wrapper_rejects_bad_buffers_before_calling_c(monkeypatch):
     lib = engine._lib
-    run, grow = _call_args()
+    run, grow, levels = _call_args()
     # the unaltered calls go through
     assert len(lib.run(**run)[0])
     assert len(lib.grow(**grow)[0]) == 0      # a frozen table has no flips
+    assert lib.levels(**levels) in (0, 1, 2)
 
     def never(*args):
         raise AssertionError("C was called")
 
     monkeypatch.setattr(lib, "_run", never)
     monkeypatch.setattr(lib, "_grow", never)
+    monkeypatch.setattr(lib, "_levels", never)
     for bad in _bad_runs(_call_args()[0]):
         with pytest.raises(ValueError):
             lib.run(**{**_call_args()[0], **bad})
     for bad in _bad_grows(_call_args()[1]):
         with pytest.raises(ValueError):
             lib.grow(**{**_call_args()[1], **bad})
+    for bad in _bad_levels(_call_args()[2]):
+        with pytest.raises(ValueError):
+            lib.levels(**{**_call_args()[2], **bad})
+
+
+def _loops(namespace):
+    """The kernel's loops, the functions whose first argument is the table,
+    with their parameter names."""
+    loops = {}
+    for name, fn in vars(namespace).items():
+        if not name.startswith("_") and inspect.isfunction(fn):
+            params = [p for p in inspect.signature(fn).parameters if p != "self"]
+            if params[:1] == ["table"]:
+                loops[name] = params
+    return loops
+
+
+def test_both_kernels_have_the_same_loops():
+    # the engine calls either kernel with the same arguments, so a loop
+    # written in one only would fail on hosts that run the other
+    assert set(_loops(reference)) == {"grow", "run", "levels"}
+    assert _loops(kernel.Kernel) == _loops(reference)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ event kernel, run once over a whole table.
 Each reference below is a thin driver: it sweeps contactenv.reference.grow
 over the whole feed of a fully sorted twin of the table (same seed, built
 fresh), then runs contactenv.reference.run over it in one stretch, with
-no chunks, stored paths or early stops.  The engine reads a table whose
+no chunks, stored paths or early stops.  The levels sweep, which runs many
+arrow rates at once, is checked against reference.run at each rate.  The engine reads a table whose
 slabs and stored paths are filled in whatever order the drawn calls leave
 them, in chunks, so the comparison checks everything the engine adds
 around the kernel, and that the order of reads changes nothing.  The
@@ -33,13 +34,17 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from contactenv import engine, graphical, reference
+from contactenv.analysis import _estimate, phase_scan
 from contactenv.background import decided_times, make_spec
 from contactenv.engine import (SUPPRESS_ARROWS, SUPPRESS_RECOVERIES_AND_BACKGROUND,
                                RunParams, background_path, delayed_variant,
-                               dual_evolve, evolve, evolve_released,
+                               dual_evolve, evolve, evolve_levels, evolve_released,
                                evolve_truncated, richardson)
-from contactenv.graphical import KIND_ARROW, KIND_FLIP, build_timeline, reverse_view, thin_view
+from contactenv.graphical import (KIND_ARROW, KIND_FLIP, KIND_RECOVERY, build_timeline,
+                                  derive_seed, reverse_view, thin_view)
 from contactenv.lattice import build_box
 
 # the compiled kernel (when it loaded) and the Python one
@@ -427,3 +432,157 @@ def test_decided_times_match_the_reference(table, view, grown, t_star):
                 got = decided_times(spec, reverse_view(tl, T * t_star))
             anchor = T * t_star if view == "reversed" else None
             assert got == reference_decided(twin, spec, anchor, view == "reversed"), lib
+
+
+# ---------------------------------------------------------------------------
+# levels: the runs at many arrow rates in one sweep
+
+def reference_levels(tl, c0, lams, lam_max, r_frac, hi, flags, edges):
+    """(tau_ex, boundary touched) at each lam of lams, in their order, from
+    one reference.levels sweep over table indices 0..hi-1; c0 is nonempty."""
+    g = tl.graph
+    order = sorted(range(len(lams)), key=lams.__getitem__)
+    fracs = array("d", [lams[k] / lam_max for k in order])
+    level = array("d", [math.inf]) * g.n_sites
+    for s in c0:
+        level[s] = -1.0
+    state, touch = array("q", [0, len(c0)]), array("d", [math.inf])
+    taus = array("d", [math.inf]) * len(lams)
+    reference.levels(_table(tl), tl.n_events, 0, hi, g, fracs, r_frac, flags, edges, level,
+                     state, touch, taus)
+    at_edge = any(g.norm_inf[s] >= g.half_width for s in c0)
+    out = [None] * len(lams)
+    for k, f, tau in zip(order, fracs, taus):
+        out[k] = (tau, at_edge or touch[0] < f)
+    return out
+
+
+@st.composite
+def level_cases(draw):
+    # unsorted and repeated rates, 0 and lam_max among them; c0 may be
+    # empty or hold boundary sites
+    g, spec, gen, sizes = draw(tables())
+    lam_max, r_max, _, T, _ = gen
+    lams = draw(st.lists(st.sampled_from([0.0, lam_max / 3, lam_max / 2, lam_max]),
+                         min_size=1, max_size=5))
+    r = draw(st.sampled_from([r_max, r_max / 2]))
+    t_end = draw(st.sampled_from([T, T * 0.6]))
+    c0, b0, _ = _sets(draw, g)
+    return g, spec, gen, sizes, lams, r, t_end, c0, b0
+
+
+@SETTINGS
+@given(level_cases())
+def test_levels_match_the_reference_run_at_each_rate(case):
+    g, spec, (lam_max, r_max, q, T, seed), sizes, lams, r, t_end, c0, b0 = case
+    cells = [RunParams(g, lam, r, spec, t_end) for lam in lams]
+    with ExitStack() as stack:
+        _sizes(stack, sizes)
+        twin = build_timeline(g, lam_max, r_max, q, T, seed)
+        hi = twin.count_through(t_end)
+        edges, flags, _ = _environment(twin, b0, spec, hi, -1, 0.0)
+        want = [_infection(twin, c0, hi, False, 0.0, t_end, (lam / lam_max, r / r_max),
+                           (g.half_width, math.inf), (-1.0, -1.0, -1.0), flags, -1, edges,
+                           False)[2:4] for lam in lams]
+        if c0:
+            assert reference_levels(twin, c0, lams, lam_max, r / r_max, hi, flags,
+                                    edges) == want
+        for lib in KERNELS:
+            with mock.patch.object(engine, "_lib", lib):
+                tl = build_timeline(g, lam_max, r_max, q, T, seed)
+                assert evolve_levels(cells, c0, b0, tl) == want, lib
+
+
+@st.composite
+def tied_tables(draw):
+    # hand-made tables whose marks often equal a rate exactly, read in two
+    # stretches; every edge is open or closed throughout
+    g = build_box(1, draw(st.integers(1, 4)))
+    n = draw(st.integers(0, 60))
+    kinds = draw(st.lists(st.sampled_from([KIND_ARROW, KIND_RECOVERY]), min_size=n, max_size=n))
+    idx = [draw(st.integers(0, (2 * g.n_edges if k == KIND_ARROW else g.n_sites) - 1))
+           for k in kinds]
+    marks = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=n, max_size=n))
+    table = (np.arange(1.0, n + 1), np.array(kinds, np.int8), np.array(idx, np.int32),
+             np.array(marks))
+    fracs = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1,
+                                 max_size=4)))
+    edges = bytearray(draw(st.lists(st.integers(0, 1), min_size=g.n_edges,
+                                    max_size=g.n_edges)))
+    c0 = draw(st.sets(st.integers(0, g.n_sites - 1), min_size=1))
+    return g, table, fracs, draw(st.sampled_from([0.5, 1.0])), edges, c0, draw(st.integers(0, n))
+
+
+@SETTINGS
+@given(tied_tables())
+def test_levels_at_rates_equal_to_marks_match_the_reference_run(case):
+    g, table, fracs, r_frac, edges, c0, cut = case
+    n = len(table[0])
+    want = []
+    for f in fracs:
+        infected = bytearray(g.n_sites)
+        for s in c0:
+            infected[s] = 1
+        state = array("q", [len(c0), any(g.norm_inf[s] >= g.half_width for s in c0), 0])
+        tau = array("d", [math.inf])
+        reference.run(table, n, 0, n, False, 0.0, math.inf, g, (f, r_frac),
+                      (g.half_width, math.inf), (-1.0, -1.0, -1.0), None, -1, edges, infected,
+                      state, tau, False)
+        want.append((tau[0], bool(state[1])))
+    for lib in KERNELS:
+        level = array("d", [math.inf]) * g.n_sites
+        for s in c0:
+            level[s] = -1.0
+        state, touch = array("q", [0, len(c0)]), array("d", [math.inf])
+        taus = array("d", [math.inf]) * len(fracs)
+        for lo, hi in ((0, cut), (cut, n)):
+            lib.levels(table, n, lo, hi, g, array("d", fracs), r_frac, None, edges, level,
+                       state, touch, taus)
+        at_edge = any(g.norm_inf[s] >= g.half_width for s in c0)
+        assert [(tau, at_edge or touch[0] < f) for tau, f in zip(taus, fracs)] == want, lib
+
+
+def per_cell_phase_scan(axis1, axis2, fixed, T, reps, seed):
+    """phase_scan's estimates made as before its levels sweep: one evolve
+    per cell and replica, on the replica's table drawn at the ceilings."""
+    (name1, vals1), (name2, vals2) = axis1, axis2
+    g = build_box(fixed["d"], fixed["L"])
+
+    def setting(name, v1, v2):
+        return v1 if name == name1 else v2 if name == name2 else fixed.get(name)
+
+    def values(name):
+        return vals1 if name == name1 else vals2 if name == name2 else (fixed.get(name),)
+
+    specs = {(a, b): make_spec("dynamical-percolation", alpha=a, beta=b, d=fixed["d"])
+             for a in values("alpha") for b in values("beta")}
+    q = max(spec.flip_rate for spec in specs.values())
+    estimates = {}
+    for v2 in vals2:
+        counts = {v1: [0, 0] for v1 in vals1}
+        for i in range(reps):
+            rep_seed = derive_seed(seed, i)
+            tl = build_timeline(g, max(values("lambda")), max(values("r")), q, T, rep_seed)
+            for v1 in vals1:
+                spec = specs[(setting("alpha", v1, v2), setting("beta", v1, v2))]
+                P = RunParams(g, setting("lambda", v1, v2), setting("r", v1, v2), spec, T)
+                traj = evolve(P, (g.origin(),), (), tl, stop_on_extinct=True,
+                              want_deltas=False)
+                counts[v1][0] += traj.tau_ex == math.inf
+                counts[v1][1] += traj.boundary_touched
+        for v1, (alive, touched) in counts.items():
+            estimates[(v1, v2)] = _estimate(alive, reps, seed, boundary=touched)
+    return estimates
+
+
+@pytest.mark.parametrize("lib", KERNELS, ids=[("c", "python")[lib is reference] for lib in KERNELS])
+@pytest.mark.parametrize("axis1,axis2,fixed", [
+    (("lambda", [0.5, 4.0, 1.5, 0.0]), ("beta", [0.25, 3.0]), {"alpha": 1.0, "r": 1.0}),
+    (("beta", [0.25, 1.0, 3.0]), ("lambda", [2.5, 1.0]), {"alpha": 1.0, "r": 1.0}),
+    (("r", [1.0, 0.5, 2.0]), ("lambda", [1.5, 3.0]), {"alpha": 1.0, "beta": 1.0}),
+], ids=["lambda-beta", "beta-lambda", "r-lambda"])
+def test_phase_scan_matches_its_per_cell_runs(lib, axis1, axis2, fixed, monkeypatch):
+    monkeypatch.setattr(engine, "_lib", lib)
+    fixed = {"d": 1, "L": 12, **fixed}
+    got = phase_scan(axis1, axis2, fixed, T=6.0, reps=25, seed=8).estimates
+    assert got == per_cell_phase_scan(axis1, axis2, fixed, 6.0, 25, 8)
