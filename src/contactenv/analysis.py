@@ -16,6 +16,7 @@ estimate so the approximation error stays visible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .background import (BackgroundSpec, decided_times, make_spec,
                          min_max_rates, sample_stationary_dp,
                          UnsupportedOperationError)
 from .engine import RunParams, evolve, evolve_levels, evolve_released, richardson
-from .graphical import build_timeline, derive_seed
+from .graphical import DEFAULT_EVENT_BUDGET, build_timeline, derive_seed
 from .lattice import build_box, l1_ball_sites
 
 Z95 = 1.959963984540054
@@ -747,15 +748,30 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
     are one evolve_levels sweep per replica: with lambda on axis 1, one
     sweep per column.
 
+    Every column's table of a replica has the same seed, ceilings and
+    horizon, so it is the same table: a replica's table is drawn once, in
+    the first column, and kept to the end of the scan, its environment
+    paths dropped after each column.  The kept tables are those of the
+    first max(1, DEFAULT_EVENT_BUDGET // per_table_events) replicas, where
+    per_table_events = (lam*2|E| + r|V| + q|E|) * T at the ceilings, so
+    they hold about DEFAULT_EVENT_BUDGET expected events at most (and at
+    least one table), at 21 bytes an event drawn: about 420 MB at the
+    default budget.  The tables of later replicas are drawn again in each
+    column.
+
     Before each column, proceed(column_events), if given, is called with
-    the column's expected event count reps * (lam*2|E| + r|V| + q|E|) * T
-    at the ceilings; a false return ends the scan, and the result holds
-    only the columns that ran.
+    the column's expected event count reps * per_table_events; a false
+    return ends the scan, and the result holds only the columns that ran.
     """
     name1, vals1 = axis1
     name2, vals2 = axis2
     if name1 not in AXIS_NAMES or name2 not in AXIS_NAMES or name1 == name2:
         raise ValueError(f"axis names must be distinct members of {AXIS_NAMES}")
+    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
+        raise ValueError(f"reps must be a positive integer, got {reps!r}")
+    for name in (name1, name2):
+        if name in fixed:
+            raise ValueError(f"{name} is an axis and may not be set in fixed")
     vals1 = tuple(float(v) for v in vals1)
     vals2 = tuple(float(v) for v in vals2)
     for name, vals in ((name1, vals1), (name2, vals2)):
@@ -785,9 +801,12 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
              for a in set(values("alpha")) for b in set(values("beta"))
              if a is not None and b is not None}
     q_ceiling = max((spec.flip_rate for spec in specs.values()), default=0.0)
-    column_events = (lam_ceiling * 2 * g.n_edges + r_ceiling * g.n_sites
-                     + q_ceiling * g.n_edges) * T * reps
+    per_table_events = (lam_ceiling * 2 * g.n_edges + r_ceiling * g.n_sites
+                        + q_ceiling * g.n_edges) * T
+    column_events = per_table_events * reps
+    n_kept = max(1, int(DEFAULT_EVENT_BUDGET // max(per_table_events, 1.0)))
 
+    kept = {}         # replica -> its table, drawn in the first column
     done = []
     estimates = {}
     for v2 in vals2:
@@ -801,12 +820,18 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
             groups.setdefault((r, spec), []).append((v1, params))
         counts = {v1: [0, 0] for v1 in vals1}
         for i in range(reps):
-            tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T, derive_seed(seed, i))
+            tl = kept.get(i)
+            if tl is None:
+                tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T,
+                                    derive_seed(seed, i))
+                if i < n_kept:
+                    kept[i] = tl
             for cells in groups.values():
                 levels = evolve_levels([p for _, p in cells], (origin,), (), tl)
                 for (v1, _), (tau, touched) in zip(cells, levels):
                     counts[v1][0] += tau == math.inf
                     counts[v1][1] += touched
+            tl.bg_paths.clear()     # this column's paths; a kept table outlives them
         for v1, (alive, btouch) in counts.items():
             estimates[(v1, v2)] = _estimate(alive, reps, seed, boundary=btouch)
         done.append(v2)

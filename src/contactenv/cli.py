@@ -142,8 +142,9 @@ _SCAN_SETTINGS = {"lambda": dict(minimum=0.0), "r": dict(minimum=0.0),
 
 def _check_phase_scan(errors, doc, params):
     """The two axes and the fixed settings of a phase scan: known names,
-    distinct finite values in range, both rates set, and alpha and beta set
-    together."""
+    distinct finite values in range, both rates set, alpha and beta set
+    together, no fixed key that names an axis, and a fixed d or L equal to
+    the top-level one."""
     names = set()
     for ax in ("axis1", "axis2"):
         spec = doc.get(ax)
@@ -172,8 +173,13 @@ def _check_phase_scan(errors, doc, params):
     for key in fixed:
         if key not in _SCAN_SETTINGS:
             errors.append((f".fixed.{key}", "unknown key"))
+        elif key in names:
+            errors.append((f".fixed.{key}", "names an axis; set it there only"))
         else:
-            _check_number(errors, fixed, ".fixed.", key, **_SCAN_SETTINGS[key])
+            v = _check_number(errors, fixed, ".fixed.", key, **_SCAN_SETTINGS[key])
+            if key in ("d", "L") and None not in (v, params[key]) and v != params[key]:
+                errors.append((f".fixed.{key}", f"{v} differs from the top-level {key} "
+                               f"{params[key]}"))
     given = names | set(fixed)
     for key in ("lambda", "r"):
         if key not in given:

@@ -5,13 +5,14 @@ load() compiles _kernel.c with the C compiler that sysconfig names, with
 -O2 -ffp-contract=off (no fused multiply-adds, no fast-math, no
 -march=native), so the kernel's double arithmetic is that of the Python
 kernel (reference.py) to the bit.  The library is cached in _kernel_cache/
-next to this module, under a name keyed by the sha256 of the source, the
-compile command and the platform.  It is written to a temporary file there
-and moved into place, so a process never loads a half-written library, and
-it ends with the sha256 of its own bytes, so a damaged or truncated file is
-rebuilt, not loaded.  Without a compiler on PATH, or when the build fails,
-load() returns None and the engine runs the Python kernel, whose grow, run
-and levels take the same arguments as Kernel's.
+next to this module, under a name keyed by a checksum (_digest) of the
+source, the compile command and the platform.  It is written to a
+temporary file there and moved into place, so a process never loads a
+half-written library, and it ends with the checksum of its own bytes, so a
+damaged or truncated file is rebuilt, not loaded.  Without a compiler on
+PATH, or when the build fails, load() returns None and the engine runs the
+Python kernel, whose grow, run and levels take the same arguments as
+Kernel's.
 
 Kernel.grow, Kernel.run and Kernel.levels check every buffer's type, dtype
 and length and every offset before the call, and raise ValueError where C
@@ -21,12 +22,12 @@ would read or write out of bounds.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import shlex
 import shutil
 import sysconfig
 import threading
+import zlib
 from array import array
 
 import numpy as np
@@ -50,26 +51,32 @@ def compiler() -> list | None:
     return cc if cc and shutil.which(cc[0]) else None
 
 
+def _digest(data: bytes) -> bytes:
+    """An 8-byte checksum of data: its CRC-32 and its Adler-32.  zlib's C
+    checksums need no libcrypto, which hashlib maps into the process."""
+    return (zlib.crc32(data).to_bytes(4, "big") + zlib.adler32(data).to_bytes(4, "big"))
+
+
 def library_path(cc, source=SOURCE, cache_dir=CACHE_DIR) -> str:
     with open(source, "rb") as fh:
-        key = hashlib.sha256(fh.read() + "\0".join(
-            [*cc, *FLAGS, sysconfig.get_platform()]).encode()).hexdigest()
-    return os.path.join(cache_dir, f"kernel-{key[:16]}.so")
+        key = _digest(fh.read() + "\0".join(
+            [*cc, *FLAGS, sysconfig.get_platform()]).encode()).hex()
+    return os.path.join(cache_dir, f"kernel-{key}.so")
 
 
 def _intact(path) -> bool:
-    """Whether the library file ends with the sha256 of the bytes before it,
-    as _build writes it: a truncated library can crash dlopen."""
+    """Whether the library file ends with the _digest of the bytes before
+    it, as _build writes it: a truncated library can crash dlopen."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError:
         return False
-    return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
+    return len(data) > 8 and _digest(data[:-8]) == data[-8:]
 
 
 def _build(cc, source, target) -> bool:
-    """Compile source to target, with the sha256 of the library appended
+    """Compile source to target, with the _digest of the library appended
     (the loader ignores bytes past the library's end)."""
     import subprocess
     import tempfile
@@ -83,7 +90,7 @@ def _build(cc, source, target) -> bool:
         if done.returncode != 0:
             return False
         with open(tmp, "rb+") as fh:
-            fh.write(hashlib.sha256(fh.read()).digest())
+            fh.write(_digest(fh.read()))
         os.replace(tmp, target)
         return True
     except (OSError, subprocess.SubprocessError):

@@ -15,6 +15,7 @@ check the boundary-touched flag the engine records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,9 +36,12 @@ class Ball(NamedTuple):
 class GraphView:
     """Immutable view of one lattice box.
 
-    Alongside the raw site/edge tables this carries the adjacency structures
-    the event loops index millions of times per run, pre-converted to plain
-    tuples (CPython indexes tuples of ints far faster than ndarray scalars).
+    Alongside the raw site/edge tables it gives the adjacency structures
+    the interpreted loops (reference.py and some analysis helpers) index
+    millions of times per run, as plain tuples (CPython indexes tuples of
+    ints far faster than ndarray scalars).  Those are made on first read
+    and kept: the compiled kernel reads its own arrays (kernel.graph_tables)
+    and never needs them.
     """
 
     dimension: int
@@ -47,18 +51,68 @@ class GraphView:
     coords: np.ndarray           # (n_sites, d) int32, row-major order
     edge_ends: np.ndarray        # (n_edges, 2) int32 site ids, ends[e,0] < ends[e,1]
     degree: np.ndarray           # (n_sites,) int32
-
-    # loop tables, filled by build_box
-    site_nbrs: tuple = ()        # per site: tuple of neighbour site ids
-    site_edges: tuple = ()       # per site: tuple of incident edge ids (aligned with site_nbrs)
-    dir_src: tuple = ()          # directed pair 2e+o -> source site
-    dir_dst: tuple = ()
-    dir_edge: tuple = ()
-    line_nbrs: tuple = ()        # per edge: tuple of edge ids sharing an endpoint
-    norm_inf: tuple = ()         # per site: max |coordinate|
-    _edge_lookup: dict = None
     _shape: tuple = ()
     _strides: tuple = ()
+
+    @cached_property
+    def _ids(self) -> np.ndarray:
+        """One int object per index, which every tuple table shares."""
+        return np.array(range(max(self.n_sites, self.n_edges)), dtype=object)
+
+    @cached_property
+    def _incidences(self):
+        """Per site, its neighbours and its incident edges, each a list cut
+        at cuts: incidence k is edge k // 2 at its site edge_ends.ravel()[k];
+        sorted by (site, edge), each site's edges come ascending, with the
+        neighbour across each."""
+        order, degree, _ = _incidence(self.edge_ends, self.n_sites, self.dimension)
+        cuts = np.concatenate(([0], np.cumsum(degree))).tolist()
+        other = self.edge_ends[:, ::-1].ravel()
+        return cuts, self._ids.take(other[order]).tolist(), self._ids.take(order // 2).tolist()
+
+    @cached_property
+    def site_nbrs(self) -> tuple:
+        """Per site: tuple of neighbour site ids."""
+        cuts, nbrs, _ = self._incidences
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+    @cached_property
+    def site_edges(self) -> tuple:
+        """Per site: tuple of incident edge ids, aligned with site_nbrs."""
+        cuts, _, incident = self._incidences
+        return tuple(tuple(incident[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+    @cached_property
+    def dir_src(self) -> tuple:
+        """Directed pair 2e + o -> its source site."""
+        return tuple(self._ids.take(self.edge_ends.ravel()).tolist())
+
+    @cached_property
+    def dir_dst(self) -> tuple:
+        """Directed pair 2e + o -> its target site."""
+        return tuple(self._ids.take(self.edge_ends[:, ::-1].ravel()).tolist())
+
+    @cached_property
+    def dir_edge(self) -> tuple:
+        """Directed pair 2e + o -> its edge e."""
+        return tuple(self._ids.take(np.arange(2 * self.n_edges) // 2).tolist())
+
+    @cached_property
+    def line_nbrs(self) -> tuple:
+        """Per edge: tuple of the edge ids sharing an endpoint with it."""
+        line_cuts, line = line_graph(self.edge_ends, self.n_sites, self.dimension)
+        line_cuts, line = line_cuts.tolist(), self._ids.take(line).tolist()
+        return tuple(tuple(line[a:b]) for a, b in zip(line_cuts, line_cuts[1:]))
+
+    @cached_property
+    def norm_inf(self) -> tuple:
+        """Per site: max |coordinate|."""
+        return tuple(np.abs(self.coords).max(axis=1).tolist())
+
+    @cached_property
+    def _edge_lookup(self) -> dict:
+        ids = self._ids
+        return dict(zip(zip(*ids.take(self.edge_ends.T).tolist()), ids[:self.n_edges].tolist()))
 
     @property
     def interior_line_degree(self) -> int:
@@ -136,39 +190,17 @@ def build_box(d: int, L: int, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Grap
     n_edges = len(edge_ends)
     assert n_edges == d * side ** (d - 1) * 2 * L
 
-    # one int object per index, which every table below shares
-    ids = np.array(range(max(n_sites, n_edges)), dtype=object)
-    # incidence k is edge k // 2 at its site site[k]; sorted by (site, edge),
-    # each site's edges come ascending, with the neighbour across each
-    site = edge_ends.ravel()
-    other = edge_ends[:, ::-1].ravel()
-    order, degree, inc = _incidence(edge_ends, n_sites, d)
-    cuts = np.concatenate(([0], np.cumsum(degree))).tolist()
-    incident = ids.take(order // 2).tolist()
-    nbrs = ids.take(other[order]).tolist()
-    line_cuts, line = _line_graph(edge_ends, degree, inc)
-    line_cuts, line = line_cuts.tolist(), ids.take(line).tolist()
-
-    g = GraphView(
+    return GraphView(
         dimension=d,
         half_width=L,
         n_sites=n_sites,
         n_edges=n_edges,
         coords=coords,
         edge_ends=edge_ends,
-        degree=degree.astype(np.int32),
-        site_nbrs=tuple(tuple(nbrs[a:b]) for a, b in zip(cuts, cuts[1:])),
-        site_edges=tuple(tuple(incident[a:b]) for a, b in zip(cuts, cuts[1:])),
-        dir_src=tuple(ids.take(site).tolist()),
-        dir_dst=tuple(ids.take(other).tolist()),
-        dir_edge=tuple(ids.take(np.arange(2 * n_edges) // 2).tolist()),
-        line_nbrs=tuple(tuple(line[a:b]) for a, b in zip(line_cuts, line_cuts[1:])),
-        norm_inf=tuple(np.abs(coords).max(axis=1).tolist()),
-        _edge_lookup=dict(zip(zip(*ids.take(edge_ends.T).tolist()), ids[:n_edges].tolist())),
+        degree=np.bincount(edge_ends.ravel(), minlength=n_sites).astype(np.int32),
         _shape=shape,
         _strides=strides,
     )
-    return g
 
 
 def line_graph(edge_ends: np.ndarray, n_sites: int, d: int):

@@ -342,7 +342,23 @@ def test_phase_scan_monotone_and_deterministic():
     (("lambda", []), ("beta", [0.25]), {"alpha": 1.0, "r": 1.0}, "one or more"),
     (("beta", [0.25]), ("alpha", [1.0]), {"r": 1.0}, "lambda must be set"),
     (("lambda", [4.0]), ("beta", [0.25]), {"alpha": 1.0}, "r must be set"),
-], ids=["repeated-axis1", "repeated-axis2", "empty", "no-lambda", "no-r"])
+    # a fixed value of an axis was ignored, yet the CLI's CSV recorded it
+    (("lambda", [4.0]), ("beta", [0.25]), {"alpha": 1.0, "r": 1.0, "lambda": 2.0},
+     "lambda is an axis"),
+    (("lambda", [4.0]), ("beta", [0.25]), {"alpha": 1.0, "r": 1.0, "beta": 2.0},
+     "beta is an axis"),
+], ids=["repeated-axis1", "repeated-axis2", "empty", "no-lambda", "no-r", "fixed-axis1",
+        "fixed-axis2"])
 def test_phase_scan_rejects_a_grid_it_cannot_count(axis1, axis2, fixed, match):
     with pytest.raises(ValueError, match=match):
         phase_scan(axis1, axis2, {"d": 1, "L": 20, **fixed}, T=5.0, reps=10, seed=3)
+
+
+@pytest.mark.parametrize("reps", [0, -1, 2.5, 3.0, True, "3"])
+def test_phase_scan_rejects_a_replica_count_before_any_column(reps):
+    # reps 0 divided by zero after the scan and 2.5 failed in range()
+    asked = []
+    with pytest.raises(ValueError, match="reps must be a positive integer"):
+        phase_scan(("lambda", [4.0]), ("beta", [0.25]), {"d": 1, "L": 20, "alpha": 1.0,
+                   "r": 1.0}, T=5.0, reps=reps, seed=3, proceed=asked.append)
+    assert asked == []

@@ -275,6 +275,11 @@ class TestMain:
         (dict(fixed={"r": 1.0}), ".fixed: alpha and beta must be set together"),
         (dict(axis1=["lambda", [4.0, 4]]), ".axis1[1]: values must be distinct"),
         (dict(axis2=["beta", [0.5, 1.0, 0.5]]), ".axis2[1]: values must be distinct"),
+        (dict(fixed={"alpha": 1.0, "r": 1.0, "lambda": 2.0}), ".fixed.lambda: names an axis"),
+        (dict(fixed={"alpha": 1.0, "r": 1.0, "L": 3}),
+         ".fixed.L: 3 differs from the top-level L 5"),
+        (dict(fixed={"alpha": 1.0, "r": 1.0, "d": 2}),
+         ".fixed.d: 2 differs from the top-level d 1"),
     ])
     def test_phase_scan_settings_are_checked(self, tmp_path, capsys, change, path):
         doc = {"subcommand": "phase-scan", "seed": 4, "d": 1, "L": 5,
@@ -284,6 +289,12 @@ class TestMain:
         assert code == cli.EXIT_CONFIG
         assert f"config error at {path}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_a_fixed_box_size_equal_to_the_top_level_one_is_accepted(self):
+        doc = {"subcommand": "phase-scan", "seed": 4, "d": 1, "L": 5,
+               "axis1": ["lambda", [1.0, 2.0]], "axis2": ["beta", [0.5, 1.0]],
+               "fixed": {"alpha": 1.0, "r": 1.0, "d": 1, "L": 5}, "T": 2.0, "reps": 2}
+        assert cli.parse_config(json.dumps(doc)).params["fixed"]["L"] == 5
 
     def test_seed_and_out_override(self, tmp_path):
         code = cli.main(["--config", json.dumps(MINIMAL_SURVIVAL),

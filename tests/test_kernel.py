@@ -252,6 +252,15 @@ def test_a_changed_source_builds_its_own_library(tmp_path):
     assert sorted(os.listdir(cache)) == sorted(os.path.basename(p) for p in (old.path, new.path))
 
 
+def test_importing_the_package_maps_no_libcrypto():
+    # hashlib's _hashlib maps libcrypto, 3.5 MiB of RSS, for two checksums
+    code = "import sys, contactenv; print('_hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0 and done.stdout.strip() == "False", done.stderr
+
+
 @needs_compiler
 def test_two_processes_build_one_cache_at_once(tmp_path):
     cache = str(tmp_path / "cache")

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from contactenv import engine, graphical, reference
+from contactenv import analysis, engine, graphical, reference
 from contactenv.analysis import _estimate, phase_scan
 from contactenv.background import decided_times, make_spec
 from contactenv.engine import (SUPPRESS_ARROWS, SUPPRESS_RECOVERIES_AND_BACKGROUND,
@@ -586,3 +586,54 @@ def test_phase_scan_matches_its_per_cell_runs(lib, axis1, axis2, fixed, monkeypa
     fixed = {"d": 1, "L": 12, **fixed}
     got = phase_scan(axis1, axis2, fixed, T=6.0, reps=25, seed=8).estimates
     assert got == per_cell_phase_scan(axis1, axis2, fixed, 6.0, 25, 8)
+
+
+SCAN = dict(axis1=("lambda", [0.5, 4.0, 1.5]), axis2=("beta", [0.25, 1.0, 3.0]),
+            fixed={"d": 1, "L": 12, "alpha": 1.0, "r": 1.0}, T=6.0, reps=5, seed=8)
+
+
+def _drawn_tables(monkeypatch):
+    """The tables phase_scan draws, in draw order."""
+    tables = []
+
+    def draw(*args, **kw):
+        tables.append(build_timeline(*args, **kw))
+        return tables[-1]
+
+    monkeypatch.setattr(analysis, "build_timeline", draw)
+    return tables
+
+
+@pytest.mark.parametrize("budget,kept", [(None, 5), (2.5, 2), (0.5, 1)])
+def test_a_phase_scan_draws_each_kept_table_once(budget, kept, monkeypatch):
+    # SCAN's tables hold (4*2|E| + 1*|V| + 4*|E|) * T events at the
+    # ceilings; an event budget of `budget` such tables keeps the tables of
+    # the first `kept` replicas, at least one, and draws the others again
+    # in every column
+    if budget is not None:
+        g = build_box(1, 12)
+        per_table = (4.0 * 2 * g.n_edges + g.n_sites + 4.0 * g.n_edges) * SCAN["T"]
+        monkeypatch.setattr(analysis, "DEFAULT_EVENT_BUDGET", int(per_table * budget))
+    tables = _drawn_tables(monkeypatch)
+    got = phase_scan(**SCAN).estimates
+    seeds = [derive_seed(SCAN["seed"], i) for i in range(SCAN["reps"])]
+    assert [tl.seed for tl in tables] == seeds + seeds[kept:] * 2
+    assert all(not tl.bg_paths for tl in tables)     # each column's paths dropped
+    assert got == per_cell_phase_scan(**SCAN)
+
+
+def test_a_phase_scan_stopped_by_proceed_holds_the_columns_that_ran(monkeypatch):
+    scan = dict(SCAN, axis2=("beta", [0.25, 1.0, 3.0, 0.5]))
+    asked = []
+
+    def proceed(column_events):
+        asked.append(column_events)
+        return len(asked) <= 2
+
+    tables = _drawn_tables(monkeypatch)
+    got = phase_scan(**scan, proceed=proceed)
+    assert got.values2 == (0.25, 1.0) and len(asked) == 3 and len(set(asked)) == 1
+    assert len(tables) == scan["reps"]
+    # the columns that ran are those of the whole scan, drawn at its ceilings
+    ref = per_cell_phase_scan(**scan)
+    assert got.estimates == {k: v for k, v in ref.items() if k[1] in (0.25, 1.0)}
