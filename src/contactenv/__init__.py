@@ -19,7 +19,7 @@ from .background import (BackgroundSpec, CoupledRegion, ErgodicityMargin,
 from .engine import (BackgroundPath, RunParams, Trajectory, background_path,
                      coupled_bounds_cpdp, delayed_variant, dual_evolve,
                      duality_indicators, evolve, evolve_levels, evolve_released,
-                     evolve_truncated, is_contained_pathwise, phi_set,
+                     evolve_scan, evolve_truncated, is_contained_pathwise, phi_set,
                      richardson, trajectory_to_ndjson, union_matches_pathwise)
 from .analysis import (Bracket, Estimate, condition_block_curve,
                        coupling_speed_report, estimate_critical_lambda,

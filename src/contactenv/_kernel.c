@@ -1,9 +1,10 @@
 /* The compiled event kernel: the flip rule (cek_grow), the infection loop
- * (cek_run) and its sweep over many arrow rates at once (cek_levels) of
+ * (cek_run), its sweep over many arrow rates at once (cek_levels) and that
+ * sweep over many independent-edge environments at once (cek_scan) of
  * contactenv.engine, reading a Timeline's four buffers (times float64,
  * kinds int8, idx int32, marks float64) in place.
  *
- * Both make the same double comparisons as the plain-Python kernel in
+ * All four make the same double comparisons as the plain-Python kernel in
  * reference.py, so their outputs are bit-identical to its: build with
  * -ffp-contract=off and without -ffast-math.  Every buffer is owned by the
  * caller, which checks lengths and offsets before each call (kernel.py).
@@ -235,4 +236,111 @@ int64_t cek_levels(const double *times, const int8_t *kinds, const int32_t *idx,
     state[1] = n_low;
     touch[0] = t_low;
     return dead;
+}
+
+/* One stretch of a scan over table indices lo..hi-1, forward: the levels
+ * sweeps of n_cols <= 64 columns at once, each column in its own
+ * independent-edge environment.  Column k holds the arrow fractions
+ * fracs[col_ptr[k]] <= ... <= fracs[col_ptr[k + 1] - 1], its recovery
+ * fraction r_fracs[k] and its opening and closing rates ups[k], downs[k].
+ * Bit k of masks[e] is edge e's state in column k: a flip candidate on edge
+ * x with mark u closes it in the columns where (1 - u) q <= downs[k] and
+ * opens it in those where u q < ups[k], so a column with both rates
+ * -INFINITY keeps its edges as they are.  level[x * n_cols + k] is site x's
+ * level in column k, read and written by cek_levels' rule; an arrow updates
+ * only the columns whose bit is set on its edge.  state[2k], state[2k + 1],
+ * touch[k] and taus[col_ptr[k]..] are column k's state, touch and taus of
+ * cek_levels.  Returns the number of columns whose runs are all extinct;
+ * the scan stops when all are. */
+int64_t cek_scan(const double *times, const int8_t *kinds, const int32_t *idx,
+                 const double *marks, int64_t lo, int64_t hi, const int32_t *src,
+                 const int32_t *dst, const int32_t *dir_edge, const int32_t *norm_inf,
+                 int32_t half_width, int32_t n_sites, int64_t n_cols,
+                 const int64_t *col_ptr, const double *fracs, const double *r_fracs,
+                 const double *ups, const double *downs, double q_rate, uint64_t *masks,
+                 double *level, int64_t *state, double *touch, double *taus)
+{
+    double f_top[64], f_low[64];
+    uint64_t live = 0;
+    int64_t n_dead = 0;
+    for (int64_t k = 0; k < n_cols; k++) {
+        if (col_ptr[k] + state[2 * k] >= col_ptr[k + 1]) {
+            n_dead++;
+            continue;
+        }
+        live |= 1ULL << k;
+        f_top[k] = fracs[col_ptr[k + 1] - 1];
+        f_low[k] = fracs[col_ptr[k] + state[2 * k]];
+    }
+    for (int64_t i = lo; i < hi && live; i++) {
+        int kind = kinds[i];
+        if (kind == KIND_ARROW) {
+            int32_t j = idx[i];
+            int32_t s = src[j];
+            if (norm_inf[s] >= half_width)
+                continue;
+            uint64_t m = masks[dir_edge[j]] & live;
+            const double *ls = level + (int64_t)s * n_cols;
+            int32_t d = dst[j];
+            double *ld = level + (int64_t)d * n_cols;
+            double u = marks[i];
+            int at_edge = norm_inf[d] >= half_width;
+            for (; m; m &= m - 1) {
+                int k = __builtin_ctzll(m);
+                double l = ls[k];
+                if (l >= f_top[k] || (f_top[k] < 1.0 && u >= f_top[k]))
+                    continue;
+                double v = l > u ? l : u;
+                if (v >= ld[k])
+                    continue;
+                if (v < f_low[k] && ld[k] >= f_low[k])
+                    state[2 * k + 1]++;
+                ld[k] = v;
+                if (at_edge && v < touch[k])
+                    touch[k] = v;
+            }
+        } else if (kind == KIND_RECOVERY) {
+            int32_t x = idx[i];
+            double u = marks[i];
+            double *lx = level + (int64_t)x * n_cols;
+            for (uint64_t m = live; m; m &= m - 1) {
+                int k = __builtin_ctzll(m);
+                if ((r_fracs[k] < 1.0 && u >= r_fracs[k]) || lx[k] == INFINITY)
+                    continue;
+                double old = lx[k];
+                lx[k] = INFINITY;
+                if (!(old < f_low[k]) || --state[2 * k + 1])
+                    continue;
+                double least = INFINITY;
+                for (int32_t y = 0; y < n_sites; y++)
+                    if (level[(int64_t)y * n_cols + k] < least)
+                        least = level[(int64_t)y * n_cols + k];
+                int64_t a = col_ptr[k], b = col_ptr[k + 1];
+                while (a + state[2 * k] < b && fracs[a + state[2 * k]] <= least)
+                    taus[a + state[2 * k]++] = times[i];
+                if (a + state[2 * k] == b) {
+                    live &= ~(1ULL << k);
+                    n_dead++;
+                    continue;
+                }
+                f_low[k] = fracs[a + state[2 * k]];
+                int64_t n_low = 0;
+                for (int32_t y = 0; y < n_sites; y++)
+                    n_low += level[(int64_t)y * n_cols + k] < f_low[k];
+                state[2 * k + 1] = n_low;
+            }
+        } else if (kind == KIND_FLIP) {
+            double cq = (1.0 - marks[i]) * q_rate, oq = marks[i] * q_rate;
+            uint64_t close = 0, open = 0;
+            for (int64_t k = 0; k < n_cols; k++) {
+                if (cq <= downs[k])
+                    close |= 1ULL << k;
+                if (oq < ups[k])
+                    open |= 1ULL << k;
+            }
+            uint64_t m = masks[idx[i]];
+            masks[idx[i]] = (m & ~close) | (~m & open);
+        }
+    }
+    return n_dead;
 }

@@ -24,8 +24,8 @@ import numpy as np
 from .background import (BackgroundSpec, decided_times, make_spec,
                          min_max_rates, sample_stationary_dp,
                          UnsupportedOperationError)
-from .engine import RunParams, evolve, evolve_levels, evolve_released, richardson
-from .graphical import DEFAULT_EVENT_BUDGET, build_timeline, derive_seed
+from .engine import RunParams, evolve, evolve_released, evolve_scan, richardson
+from .graphical import build_timeline, derive_seed
 from .lattice import build_box, l1_ball_sites
 
 Z95 = 1.959963984540054
@@ -735,8 +735,8 @@ class PhaseScan:
 
 def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
                *, proceed=None) -> PhaseScan:
-    """Survival estimates over a 2-d parameter grid, one axis-2 column at a
-    time.
+    """Survival estimates over a 2-d parameter grid, in one sweep of each
+    replica's table.
 
     axis1/axis2 are (name, values) with names among lambda, r, alpha, beta,
     and distinct, nonempty value lists; lambda and r are set on an axis or
@@ -744,24 +744,22 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
     replica's table is drawn at the grid's ceilings (the largest lambda, r
     and flip candidate rate of any cell) and thinned to each cell's rates,
     so rows and columns along lambda (and r) are exactly monotone, not just
-    statistically.  The cells of a column that share r and the environment
-    are one evolve_levels sweep per replica: with lambda on axis 1, one
-    sweep per column.
+    statistically.  Every cell starts from the origin alone, with all edges
+    closed under dynamical percolation (alpha and beta set) and, with
+    neither set, in the frozen-open environment of the classical process.
 
-    Every column's table of a replica has the same seed, ceilings and
-    horizon, so it is the same table: a replica's table is drawn once, in
-    the first column, and kept to the end of the scan, its environment
-    paths dropped after each column.  The kept tables are those of the
-    first max(1, DEFAULT_EVENT_BUDGET // per_table_events) replicas, where
-    per_table_events = (lam*2|E| + r|V| + q|E|) * T at the ceilings, so
-    they hold about DEFAULT_EVENT_BUDGET expected events at most (and at
-    least one table), at 21 bytes an event drawn: about 420 MB at the
-    default budget.  The tables of later replicas are drawn again in each
-    column.
+    The cells that share r and the environment are one column of
+    engine.evolve_scan, which sweeps every column of a replica's table at
+    once (one sweep per 64 columns), so each table is drawn once, swept and
+    dropped; no table or environment path is kept.
 
-    Before each column, proceed(column_events), if given, is called with
-    the column's expected event count reps * per_table_events; a false
-    return ends the scan, and the result holds only the columns that ran.
+    Before any sweep, proceed(column_events), if given, is called for each
+    axis-2 column in order, with the column's expected event count
+    reps * per_table_events, where per_table_events =
+    (lam*2|E| + r|V| + q|E|) * T at the ceilings; the first false return
+    ends the admission, and the result holds only the columns admitted.
+    The ceilings are still the whole grid's, so an admitted
+    column's estimates do not depend on which others were admitted.
     """
     name1, vals1 = axis1
     name2, vals2 = axis2
@@ -804,36 +802,29 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
     per_table_events = (lam_ceiling * 2 * g.n_edges + r_ceiling * g.n_sites
                         + q_ceiling * g.n_edges) * T
     column_events = per_table_events * reps
-    n_kept = max(1, int(DEFAULT_EVENT_BUDGET // max(per_table_events, 1.0)))
-
-    kept = {}         # replica -> its table, drawn in the first column
-    done = []
-    estimates = {}
+    admitted = []
     for v2 in vals2:
         if proceed is not None and not proceed(column_events):
             break
-        groups = {}       # the column's cells by (r, spec): one sweep each
+        admitted.append(v2)
+    groups = {}     # the cells by (r, spec): one column of the scan each
+    for v2 in admitted:
         for v1 in vals1:
             r = float(setting("r", v1, v2))
             spec = specs.get((setting("alpha", v1, v2), setting("beta", v1, v2)))
             params = RunParams(g, float(setting("lambda", v1, v2)), r, spec, T)
-            groups.setdefault((r, spec), []).append((v1, params))
-        counts = {v1: [0, 0] for v1 in vals1}
-        for i in range(reps):
-            tl = kept.get(i)
-            if tl is None:
-                tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T,
-                                    derive_seed(seed, i))
-                if i < n_kept:
-                    kept[i] = tl
-            for cells in groups.values():
-                levels = evolve_levels([p for _, p in cells], (origin,), (), tl)
-                for (v1, _), (tau, touched) in zip(cells, levels):
-                    counts[v1][0] += tau == math.inf
-                    counts[v1][1] += touched
-            tl.bg_paths.clear()     # this column's paths; a kept table outlives them
-        for v1, (alive, btouch) in counts.items():
-            estimates[(v1, v2)] = _estimate(alive, reps, seed, boundary=btouch)
-        done.append(v2)
-    return PhaseScan(axis1=name1, axis2=name2, values1=vals1, values2=tuple(done),
+            groups.setdefault((r, spec), []).append(((v1, v2), params))
+    groups = list(groups.values())
+    columns = [([p for _, p in cells], _replica_b0(cells[0][1], "fixed-B0", None, seed))
+               for cells in groups]
+    counts = {(v1, v2): [0, 0] for v2 in admitted for v1 in vals1}
+    for i in range(reps if columns else 0):
+        tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T, derive_seed(seed, i))
+        for cells, levels in zip(groups, evolve_scan(columns, (origin,), tl)):
+            for (key, _), (tau, touched) in zip(cells, levels):
+                counts[key][0] += tau == math.inf
+                counts[key][1] += touched
+    estimates = {key: _estimate(alive, reps, seed, boundary=btouch)
+                 for key, (alive, btouch) in counts.items()}
+    return PhaseScan(axis1=name1, axis2=name2, values1=vals1, values2=tuple(admitted),
                      fixed=dict(fixed), estimates=estimates)

@@ -423,10 +423,10 @@ def _run_critical(cfg: RunConfig):
 
 
 def _run_phase_scan(cfg: RunConfig):
-    """One analysis.phase_scan call, asked before each axis-2 column whether
-    to go on: it stops before a column whose expected events would take the
-    scan past max_events, or once wall_clock_hint_s has passed, and the CSV
-    then holds the columns that ran."""
+    """One analysis.phase_scan call, asked for each axis-2 column, before
+    any sweep, whether to admit it: it stops at a column whose expected
+    events would take the scan past max_events, or once wall_clock_hint_s
+    has passed, and the CSV then holds the columns admitted."""
     p = cfg.params
     if p["reps"] > cfg.max_replicas:
         raise BudgetError(f"reps {p['reps']} exceed max_replicas {cfg.max_replicas}")

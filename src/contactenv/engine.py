@@ -10,23 +10,28 @@ comparison helpers at the bottom of this module check exactly that.
 _run is the one infection loop: every entry point, the dual included, is a
 call to it with its own windows, emanation and entry limits and
 environment.  evolve_levels runs the loop of evolve at many arrow rates in
-one sweep over the same chunks (the kernel's levels).  The environment is autonomous, so its path depends only on
-(feed, spec, initial edges).  BackgroundPath holds it and alone applies the
-flip rule, sweeping on through each chunk of the feed before a run reads
-the chunk.  Paths on forward, un-anchored feeds are stored on the base
-Timeline, so every run with that spec and those initial edges reads and
-extends one: a run that dies early sweeps a prefix, and the next reuses it.
-A frozen environment (spec None) reads no path.
+one sweep over the same chunks (the kernel's levels), and evolve_scan runs
+many such sweeps, each in its own independent-edge environment, in one
+sweep with the environments swept inline (the kernel's scan).  The
+environment is autonomous, so its path depends only on (feed, spec,
+initial edges).  BackgroundPath holds it and applies the flip rule,
+sweeping on through each chunk of the feed before a run reads the chunk;
+only the scan applies the rule too, inline, to its columns' edge masks.
+Paths on forward, un-anchored feeds are stored on the base Timeline, so
+every run with that spec and those initial edges reads and extends one: a
+run that dies early sweeps a prefix, and the next reuses it.  A frozen
+environment (spec None) reads no path.
 
-The three loops, the run, its levels sweep and the path's sweep, are the
-event kernel's: _lib is the
+The four loops, the run, its levels sweep, the scan and the path's
+sweep, are the event kernel's: _lib is the
 compiled kernel (_kernel.c, loaded by kernel.load() when this module is
 imported), or, when no C compiler is found, the plain-Python one
 (reference.py), which takes the same arguments and gives bit-identical
 outputs.  Either reads the base Timeline's four buffers a stretch at a
 time and keeps its state between calls in buffers owned here: the
 infection bytearray or the sites' levels, a path's edge states,
-open-neighbour counts and arrow flags (a bytearray by feed offset).
+open-neighbour counts and arrow flags (a bytearray by feed offset), and a
+scan's edge masks.
 
 The table is itself drawn and sorted on demand, slab by slab.  A run that
 stops at extinction reads fixed-size chunks of _CHUNK events and never asks
@@ -622,6 +627,88 @@ def evolve_levels(cells, c0, b0, tl) -> list:
     out = [None] * len(cells)
     for k, f, tau in zip(order, fracs, taus):
         out[k] = (tau, c0_touch or touch[0] < f)
+    return out
+
+
+def evolve_scan(columns, c0, tl) -> list:
+    """[evolve_levels(cells, c0, b0, tl) for (cells, b0) in columns], bit for
+    bit, from one sweep of tl, a Timeline, per 64 columns.  Every cell of
+    every column shares graph and horizon; a column's cells differ in lam
+    only, and its environment is independent-edge (rates that do not read
+    the open neighbours, as dynamical percolation's) or frozen (spec None).
+
+    The kernel's scan keeps each edge's state in every column as one bit of
+    a 64-bit mask, each site's level in every column, and each column's
+    state of the levels sweep, so the environments are swept along with
+    the levels and no path is stored.  The sweep reads the table in _run's
+    chunks and stops when every column's run at its largest lam dies."""
+    if not isinstance(tl, Timeline):
+        raise TypeError(f"evolve_scan runs on a Timeline, got {type(tl).__name__}")
+    if not columns or not all(cells for cells, _ in columns):
+        raise ValueError("evolve_scan needs columns of one cell or more")
+    p0 = columns[0][0][0]
+    g = p0.graph
+    _check_box(g, tl)
+    if not p0.horizon <= tl.t_max + 1e-9:
+        raise ValueError(f"t_end={p0.horizon} beyond the feed horizon {tl.t_max}")
+    for cells, _ in columns:
+        c = cells[0]
+        if any(p.graph is not g or p.horizon != p0.horizon or (p.r, p.spec) != (c.r, c.spec)
+               for p in cells):
+            raise ValueError("the cells of a scan share graph and horizon, and those of "
+                             "a column differ in lam only")
+        for p in cells:
+            _at_rates(p, tl)        # rejects a rate above the table's
+        rule = _bg_tables(c.spec, tl)   # rejects a table this spec cannot run on
+        if rule is not None and (len(set(rule[0])) > 1 or len(set(rule[1])) > 1):
+            raise ValueError("a scan's environments must have independent edges")
+    c0 = [int(s) for s in c0]
+    if not c0:      # every run is extinct from time 0
+        return [[(0.0, False)] * len(cells) for cells, _ in columns]
+    c0_touch = any(g.norm_inf[s] >= g.half_width for s in c0)
+    out = []
+    for at in range(0, len(columns), 64):
+        out += _scan(g, columns[at:at + 64], c0, c0_touch, tl)
+    return out
+
+
+def _scan(g, columns, c0, c0_touch, tl):
+    """evolve_scan's sweep of up to 64 columns."""
+    n_cols = len(columns)
+    orders = [sorted(range(len(cells)), key=lambda k: cells[k].lam) for cells, _ in columns]
+    col_ptr = array("q", [0])
+    fracs = array("d")
+    for (cells, _), order in zip(columns, orders):
+        fracs.extend(_frac(cells[k].lam, tl.lam_max) for k in order)
+        col_ptr.append(len(fracs))
+    r_fracs = array("d", [_frac(cells[0].r, tl.r_max) for cells, _ in columns])
+    # a frozen column neither opens nor closes an edge
+    ups = array("d", [-math.inf]) * n_cols
+    downs = array("d", [-math.inf]) * n_cols
+    on = np.zeros(g.n_edges, np.uint64)
+    for k, (cells, b0) in enumerate(columns):
+        if cells[0].spec is not None:
+            ups[k], downs[k] = cells[0].spec.up_table[0], cells[0].spec.down_table[0]
+        on[np.fromiter(map(int, b0), np.int64)] |= np.uint64(1 << k)
+    masks = array("Q", on.tobytes())
+    level = array("d", [math.inf]) * (g.n_sites * n_cols)
+    for s in c0:
+        level[s * n_cols:(s + 1) * n_cols] = array("d", [-1.0]) * n_cols
+    # runs extinct and sites below the lowest fraction, per column
+    state = array("q", [0, len(set(c0))]) * n_cols
+    touch = array("d", [math.inf]) * n_cols
+    taus = array("d", [math.inf]) * len(fracs)
+    rule = (ups, downs, tl.flip_rate)
+    for start, stop in _stretches(tl, None, columns[0][0][0].horizon, None):
+        if _lib.scan(tl._buf, tl.n_generated, start, stop, g, col_ptr, fracs, r_fracs, rule,
+                     masks, level, state, touch, taus) == n_cols:
+            break
+    out = []
+    for k, ((cells, _), order) in enumerate(zip(columns, orders)):
+        col = [None] * len(cells)
+        for i, c in enumerate(order, col_ptr[k]):
+            col[c] = (taus[i], c0_touch or touch[k] < fracs[i])
+        out.append(col)
     return out
 
 

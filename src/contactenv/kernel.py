@@ -11,17 +11,18 @@ temporary file there and moved into place, so a process never loads a
 half-written library, and it ends with the checksum of its own bytes, so a
 damaged or truncated file is rebuilt, not loaded.  Without a compiler on
 PATH, or when the build fails, load() returns None and the engine runs the
-Python kernel, whose grow, run and levels take the same arguments as
+Python kernel, whose grow, run, levels and scan take the same arguments as
 Kernel's.
 
-Kernel.grow, Kernel.run and Kernel.levels check every buffer's type, dtype
-and length and every offset before the call, and raise ValueError where C
-would read or write out of bounds.
+Kernel.grow, Kernel.run, Kernel.levels and Kernel.scan check every buffer's
+type, dtype and length and every offset before the call, and raise
+ValueError where C would read or write out of bounds.
 """
 
 from __future__ import annotations
 
 import ctypes
+import operator
 import os
 import shlex
 import shutil
@@ -29,6 +30,7 @@ import sysconfig
 import threading
 import zlib
 from array import array
+from itertools import compress
 
 import numpy as np
 
@@ -148,6 +150,25 @@ def _check_array(name, buf, typecode, n):
     return buf.buffer_info()[0]
 
 
+def _check_columns(col_ptr, fracs) -> int:
+    """The number of columns K of a scan, 1 <= K <= 64, whose arrow
+    fractions are fracs[col_ptr[k]:col_ptr[k + 1]], each nonempty and
+    nondecreasing."""
+    if not (isinstance(col_ptr, array) and col_ptr.typecode == "q"
+            and isinstance(fracs, array) and fracs.typecode == "d"):
+        raise ValueError("col_ptr must be array('q') and fracs array('d')")
+    k = len(col_ptr) - 1
+    if not 1 <= k <= 64 or col_ptr[0] != 0 or col_ptr[-1] != len(fracs) or \
+            any(map(operator.le, col_ptr[1:], col_ptr[:-1])):
+        raise ValueError(f"col_ptr must cut the {len(fracs)} fractions into 1 to 64 "
+                         f"nonempty columns")
+    # the fractions may fall only where a column starts
+    if not set(compress(range(1, len(fracs)), map(operator.lt, fracs[1:], fracs[:-1]))) \
+            <= set(col_ptr):
+        raise ValueError("each column's fractions must be nondecreasing")
+    return k
+
+
 class _Out:
     """Scratch outputs of one call, grown as needed: times, indices, signs
     and offsets.  Each thread has its own, as a call releases the
@@ -171,8 +192,8 @@ class _Out:
 
 
 class Kernel:
-    """The loaded library: grow, run and levels, each with its buffers
-    checked."""
+    """The loaded library: grow, run, levels and scan, each with its
+    buffers checked."""
 
     def __init__(self, lib, path, cc_name):
         self.path = path
@@ -192,6 +213,10 @@ class Kernel:
         self._levels.restype = _I64
         self._levels.argtypes = ([_P] * 4 + [_I64, _I64] + [_P] * 4
                                  + [ctypes.c_int32] * 2 + [_P, _I64, _D] + [_P] * 6)
+        self._scan = lib.cek_scan
+        self._scan.restype = _I64
+        self._scan.argtypes = ([_P] * 4 + [_I64, _I64] + [_P] * 4 + [ctypes.c_int32] * 2
+                               + [_I64] + [_P] * 5 + [_D] + [_P] * 5)
         self._local = threading.local()
 
     def _scratch(self, n) -> _Out:
@@ -301,6 +326,40 @@ class Kernel:
         gt = graph_tables(g)
         return self._levels(*ptrs, lo, hi, gt.dir_src, gt.dir_dst, gt.dir_edge, gt.norm_inf,
                             g.half_width, g.n_sites, fr, k, r_frac, fl, ed, lv, st, tc, ta)
+
+    def scan(self, table, n_valid, lo, hi, g, col_ptr, fracs, r_fracs, rule, masks, level,
+             state, touch, taus):
+        """One stretch of a scan over table indices lo..hi-1 (see cek_scan):
+        the levels sweeps of K = len(col_ptr) - 1 columns, 1 <= K <= 64, at
+        once.  Column k's arrow fractions are fracs[col_ptr[k]:col_ptr[k + 1]]
+        (array('q') col_ptr, array('d') fracs, each column's nonempty and
+        nondecreasing) and its recovery fraction r_fracs[k]; rule is (ups,
+        downs, candidate rate), array('d') of K each and a float.  masks
+        (array('Q'), one per edge: bit k is the edge's state in column k),
+        level (array('d') of sites * K, site-major), state (array('q') of 2K:
+        runs extinct and sites below the lowest live fraction, per column),
+        touch (array('d') of K) and taus (array('d'), one per fraction) carry
+        the scan; returns the number of columns all of whose runs are
+        extinct."""
+        ptrs = _check_table(table, n_valid, lo, hi)
+        k = _check_columns(col_ptr, fracs)
+        fr = _check_array("r_fracs", r_fracs, "d", k)
+        if not (isinstance(rule, tuple) and len(rule) == 3):
+            raise ValueError("rule must be (ups, downs, candidate rate)")
+        ups, downs, q_rate = rule
+        up, down = _check_array("ups", ups, "d", k), _check_array("downs", downs, "d", k)
+        mk = _check_array("masks", masks, "Q", g.n_edges)
+        lv = _check_array("level", level, "d", g.n_sites * k)
+        st = _check_array("state", state, "q", 2 * k)
+        if min(state[::2]) < 0 or \
+                any(map(operator.gt, state[::2], map(operator.sub, col_ptr[1:], col_ptr))):
+            raise ValueError("a column has more runs extinct than fractions")
+        tc = _check_array("touch", touch, "d", k)
+        ta = _check_array("taus", taus, "d", len(fracs))
+        gt = graph_tables(g)
+        return self._scan(*ptrs, lo, hi, gt.dir_src, gt.dir_dst, gt.dir_edge, gt.norm_inf,
+                          g.half_width, g.n_sites, k, col_ptr.buffer_info()[0],
+                          fracs.buffer_info()[0], fr, up, down, float(q_rate), mk, lv, st, tc, ta)
 
 
 class _GraphTables:

@@ -1,8 +1,10 @@
 """The event kernel in plain Python: the flip rule (grow), the infection
-loop (run) and its sweep over many arrow rates at once (levels), with the
-arguments and return values of kernel.Kernel's.  The engine runs it when the compiled kernel does not
-load (no C compiler), and tests/test_oracle.py runs it once over a whole
-table to check the engine's runs, under either kernel, against it.
+loop (run), its sweep over many arrow rates at once (levels) and that
+sweep over many independent-edge environments at once (scan), with the
+arguments and return values of kernel.Kernel's.  The engine runs it when
+the compiled kernel does not load (no C compiler), and tests/test_oracle.py
+runs it once over a whole table to check the engine's runs, under either
+kernel, against it.
 
 It is written from the definitions, not for speed.  Each stretch of the
 table is read one event at a time, as (time, kind, target, mark), from
@@ -11,7 +13,8 @@ reversed stretch is read newest first, at anchor - t, with each arrow's
 directed pair id flipped to the other orientation (j ^ 1).  A flip is
 decided by recounting the edge's open line-graph neighbours; the counts
 in open_nbrs are still kept up to date, as the compiled kernel keeps them.
-The double comparisons are the compiled kernel's, so the two give
+A scan keeps each edge's state in every column as one bit of a Python
+int.  The double comparisons are the compiled kernel's, so the two give
 bit-identical outputs.
 """
 
@@ -221,3 +224,80 @@ def levels(table, n_valid, lo, hi, g, fracs, r_frac, flags, edges, level, state,
     state[0], state[1] = dead, n_low
     touch[0] = t_low
     return dead
+
+
+def scan(table, n_valid, lo, hi, g, col_ptr, fracs, r_fracs, rule, masks, level, state,
+         touch, taus):
+    """One stretch of a scan over table indices lo..hi-1, forward: the levels
+    sweeps of K = len(col_ptr) - 1 columns at once, each in its own
+    independent-edge environment.  Column k holds the arrow fractions
+    fracs[col_ptr[k]:col_ptr[k + 1]] (nondecreasing), the recovery fraction
+    r_fracs[k] and, in rule = (ups, downs, q), the rates ups[k] and downs[k]
+    at which its edges open and close.  Bit k of masks[e] is edge e's state
+    in column k: a flip candidate on edge x with mark u closes it in the
+    columns where (1 - u) q <= downs[k] and opens it in those where
+    u q < ups[k], the rule of flip at every open-neighbour count.  In each
+    column the sweep is that of levels, with level[x * K + k] as site x's
+    level and the edge state read from the column's bit, state[2k:2k + 2]
+    as its state, touch[k] as its touch and taus[col_ptr[k]:col_ptr[k + 1]]
+    as its taus.  Returns the number of columns whose runs are all extinct;
+    the scan stops when all are."""
+    if not 0 <= lo <= hi <= n_valid:
+        raise ValueError(f"offsets {lo}..{hi} outside the {n_valid} drawn events")
+    n_cols = len(col_ptr) - 1
+    cols = [fracs[a:b] for a, b in zip(col_ptr, col_ptr[1:])]
+    if not 1 <= n_cols <= 64 or not all(cols) or \
+            any(b < a for col in cols for a, b in zip(col, col[1:])):
+        raise ValueError("a scan needs 1 to 64 columns of nondecreasing fractions")
+    ups, downs, q = rule
+    src, dst, dir_edge, norm, width = g.dir_src, g.dir_dst, g.dir_edge, g.norm_inf, g.half_width
+    live = [k for k in range(n_cols) if state[2 * k] < len(cols[k])]
+    for i, t, kind, j, u in _events(table, lo, hi, False, 0.0):
+        if not live:
+            break
+        if kind == KIND_FLIP:
+            close = sum(1 << k for k in range(n_cols) if (1.0 - u) * q <= downs[k])
+            opening = sum(1 << k for k in range(n_cols) if u * q < ups[k])
+            m = masks[j]
+            masks[j] = (m & ~close) | (~m & opening)
+        elif kind == KIND_ARROW:
+            s, d = src[j], dst[j]
+            if norm[s] >= width:
+                continue
+            for k in live:
+                col = cols[k]
+                f_top, f_low = col[-1], col[state[2 * k]]
+                ls, ld = level[s * n_cols + k], level[d * n_cols + k]
+                if not masks[dir_edge[j]] >> k & 1 or ls >= f_top or \
+                        (f_top < 1.0 and u >= f_top):
+                    continue
+                v = ls if ls > u else u
+                if v >= ld:
+                    continue
+                if v < f_low <= ld:
+                    state[2 * k + 1] += 1
+                level[d * n_cols + k] = v
+                if norm[d] >= width and v < touch[k]:
+                    touch[k] = v
+        elif kind == KIND_RECOVERY:
+            for k in list(live):
+                col = cols[k]
+                lx = level[j * n_cols + k]
+                if (r_fracs[k] < 1.0 and u >= r_fracs[k]) or lx == math.inf:
+                    continue
+                level[j * n_cols + k] = math.inf
+                if not lx < col[state[2 * k]]:
+                    continue
+                state[2 * k + 1] -= 1
+                if state[2 * k + 1]:
+                    continue
+                column = level[k::n_cols]
+                least = min(column)
+                while state[2 * k] < len(col) and col[state[2 * k]] <= least:
+                    taus[col_ptr[k] + state[2 * k]] = t
+                    state[2 * k] += 1
+                if state[2 * k] == len(col):
+                    live.remove(k)
+                else:
+                    state[2 * k + 1] = sum(x < col[state[2 * k]] for x in column)
+    return n_cols - len(live)

@@ -849,3 +849,31 @@ def test_a_levels_sweep_takes_cells_that_differ_in_lam_only():
         engine.evolve_levels([P], c0, (), thin_view(tl, 1.0))
     with pytest.raises(ValueError, match="another size"):
         engine.evolve_levels([RunParams(build_box(1, 3), 1.0, 1.0, DP, 3.0)], c0, (), tl)
+
+
+def test_a_scan_takes_independent_edge_columns_of_one_horizon():
+    g = build_box(1, 4)
+    tl = build_timeline(g, 2.0, 1.0, DP.flip_rate, 3.0, seed=5)
+    P = RunParams(g, 1.0, 1.0, DP, 3.0)
+    c0 = (g.origin(),)
+    other = make_spec("dynamical-percolation", alpha=DP.alpha / 2, beta=DP.beta, d=1)
+    columns = [([P, replace(P, lam=2.0)], ()), ([replace(P, r=0.5, spec=other)], range(3))]
+    assert engine.evolve_scan(columns, c0, tl) == [
+        engine.evolve_levels(cells, c0, b0, build_timeline(g, 2.0, 1.0, DP.flip_rate, 3.0,
+                                                           seed=5))
+        for cells, b0 in columns]
+    assert engine.evolve_scan(columns, (), tl) == [[(0.0, False)] * 2, [(0.0, False)]]
+    voter = make_spec("noisy-voter", alpha=0.5, beta=0.2, d=1)
+    for bad in ([], [([], ())], [([P, replace(P, r=0.5)], ())],
+                [([P], ()), ([replace(P, horizon=2.0)], ())],
+                [([P], ()), ([replace(P, graph=build_box(1, 4))], ())],
+                [([replace(P, spec=None)], ())],       # frozen, on a table with flips
+                [([replace(P, spec=voter)], ())]):     # rates that read the neighbours
+        with pytest.raises(ValueError):
+            engine.evolve_scan(bad, c0, tl)
+    with pytest.raises(ValueError, match="cannot thin"):
+        engine.evolve_scan([([replace(P, lam=2.5)], ())], c0, tl)
+    with pytest.raises(TypeError):
+        engine.evolve_scan([([P], ())], c0, thin_view(tl, 1.0))
+    with pytest.raises(ValueError, match="another size"):
+        engine.evolve_scan([([RunParams(build_box(1, 3), 1.0, 1.0, DP, 3.0)], ())], c0, tl)

@@ -107,7 +107,17 @@ def _call_args():
                   fracs=array("d", [0.5, 1.0]), r_frac=1.0, flags=None,
                   edges=bytearray(b"\x01" * g.n_edges), level=level, state=array("q", [0, 1]),
                   touch=array("d", [np.inf]), taus=array("d", [np.inf, np.inf]))
-    return run, grow, levels
+    # two columns: one frozen open, one flipping; three fractions
+    masks = array("Q", [1]) * g.n_edges
+    level = array("d", [np.inf]) * (2 * g.n_sites)
+    level[2 * g.origin():2 * g.origin() + 2] = array("d", [-1.0, -1.0])
+    scan = dict(table=tl._buf, n_valid=tl.n_generated, lo=0, hi=n, g=g,
+                col_ptr=array("q", [0, 2, 3]), fracs=array("d", [0.5, 1.0, 1.0]),
+                r_fracs=array("d", [1.0, 0.5]),
+                rule=(array("d", [-np.inf, 1.0]), array("d", [-np.inf, 1.0]), 2.0),
+                masks=masks, level=level, state=array("q", [0, 1, 0, 1]),
+                touch=array("d", [np.inf, np.inf]), taus=array("d", [np.inf] * 3))
+    return run, grow, levels, scan
 
 
 def _bad_runs(run):
@@ -174,14 +184,58 @@ def _bad_levels(levels):
     yield dict(flags=[True] * levels["hi"])
 
 
+def _bad_scans(scan):
+    t, k, i, m = scan["table"]
+    n_sites, n_edges = scan["g"].n_sites, scan["g"].n_edges
+    ups, downs, q = scan["rule"]
+    yield dict(table=(t, k.astype(np.uint8), i, m))
+    yield dict(table=(t, k, i, m.astype(np.float32)))
+    yield dict(hi=scan["n_valid"] + 1)
+    yield dict(lo=scan["hi"] + 1)
+    # no column, or more than 64
+    yield dict(col_ptr=array("q", [0]), fracs=array("d"), taus=array("d"))
+    yield dict(col_ptr=array("q", range(66)), fracs=array("d", [1.0] * 65),
+               r_fracs=array("d", [1.0] * 65), taus=array("d", [1.0] * 65))
+    # columns that do not cut the fractions, or are empty
+    yield dict(col_ptr=array("q", [0, 2, 2, 3]))
+    yield dict(col_ptr=array("q", [1, 2, 3]))
+    yield dict(col_ptr=array("q", [0, 2, 4]))
+    yield dict(col_ptr=array("q", [0, 3, 2]))
+    yield dict(col_ptr=array("i", [0, 2, 3]))
+    yield dict(col_ptr=[0, 2, 3])
+    # a column's fractions not nondecreasing; a fall between columns is allowed
+    yield dict(fracs=array("d", [1.0, 0.5, 1.0]))
+    yield dict(fracs=np.array([0.5, 1.0, 1.0]))
+    yield dict(fracs=array("f", [0.5, 1.0, 1.0]))
+    yield dict(r_fracs=array("d", [1.0]))
+    yield dict(r_fracs=array("f", [1.0, 0.5]))
+    yield dict(rule=(ups, downs))
+    yield dict(rule=None)
+    yield dict(rule=(ups, array("d", [1.0]), q))
+    yield dict(rule=(np.array(ups), downs, q))
+    yield dict(masks=array("Q", [1]) * (n_edges - 1))
+    yield dict(masks=array("q", [1]) * n_edges)
+    yield dict(masks=np.ones(n_edges, np.uint64))
+    yield dict(level=array("d", [np.inf]) * n_sites)
+    yield dict(level=array("d", [np.inf]) * (2 * n_sites + 1))
+    yield dict(state=array("q", [0, 1]))
+    yield dict(state=array("q", [3, 1, 0, 1]))
+    yield dict(state=array("q", [0, 1, -1, 1]))
+    yield dict(state=array("i", [0, 1, 0, 1]))
+    yield dict(touch=array("d", [np.inf]))
+    yield dict(taus=array("d", [np.inf] * 2))
+
+
 @needs_kernel
 def test_the_wrapper_rejects_bad_buffers_before_calling_c(monkeypatch):
     lib = engine._lib
-    run, grow, levels = _call_args()
+    run, grow, levels, scan = _call_args()
     # the unaltered calls go through
     assert len(lib.run(**run)[0])
     assert len(lib.grow(**grow)[0]) == 0      # a frozen table has no flips
     assert lib.levels(**levels) in (0, 1, 2)
+    assert lib.scan(**scan) in (0, 1, 2)
+    assert lib.scan(**{**_call_args()[3], "fracs": array("d", [0.5, 1.0, 0.25])}) in (0, 1, 2)
 
     def never(*args):
         raise AssertionError("C was called")
@@ -189,6 +243,7 @@ def test_the_wrapper_rejects_bad_buffers_before_calling_c(monkeypatch):
     monkeypatch.setattr(lib, "_run", never)
     monkeypatch.setattr(lib, "_grow", never)
     monkeypatch.setattr(lib, "_levels", never)
+    monkeypatch.setattr(lib, "_scan", never)
     for bad in _bad_runs(_call_args()[0]):
         with pytest.raises(ValueError):
             lib.run(**{**_call_args()[0], **bad})
@@ -198,6 +253,9 @@ def test_the_wrapper_rejects_bad_buffers_before_calling_c(monkeypatch):
     for bad in _bad_levels(_call_args()[2]):
         with pytest.raises(ValueError):
             lib.levels(**{**_call_args()[2], **bad})
+    for bad in _bad_scans(_call_args()[3]):
+        with pytest.raises(ValueError):
+            lib.scan(**{**_call_args()[3], **bad})
 
 
 def _loops(namespace):
@@ -215,7 +273,7 @@ def _loops(namespace):
 def test_both_kernels_have_the_same_loops():
     # the engine calls either kernel with the same arguments, so a loop
     # written in one only would fail on hosts that run the other
-    assert set(_loops(reference)) == {"grow", "run", "levels"}
+    assert set(_loops(reference)) == {"grow", "run", "levels", "scan"}
     assert _loops(kernel.Kernel) == _loops(reference)
 
 

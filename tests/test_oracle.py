@@ -5,7 +5,10 @@ Each reference below is a thin driver: it sweeps contactenv.reference.grow
 over the whole feed of a fully sorted twin of the table (same seed, built
 fresh), then runs contactenv.reference.run over it in one stretch, with
 no chunks, stored paths or early stops.  The levels sweep, which runs many
-arrow rates at once, is checked against reference.run at each rate.  The engine reads a table whose
+arrow rates at once, is checked against reference.run at each rate, and
+the scan, which runs many levels sweeps in their own environments at
+once, against reference.run at each cell of each column and against
+reference.grow and reference.levels per column.  The engine reads a table whose
 slabs and stored paths are filled in whatever order the drawn calls leave
 them, in chunks, so the comparison checks everything the engine adds
 around the kernel, and that the order of reads changes nothing.  The
@@ -25,6 +28,7 @@ QuickCheck, ICFP 2000.
 """
 
 import math
+import weakref
 from array import array
 from contextlib import ExitStack
 from dataclasses import replace
@@ -42,7 +46,7 @@ from contactenv.background import decided_times, make_spec
 from contactenv.engine import (SUPPRESS_ARROWS, SUPPRESS_RECOVERIES_AND_BACKGROUND,
                                RunParams, background_path, delayed_variant,
                                dual_evolve, evolve, evolve_levels, evolve_released,
-                               evolve_truncated, richardson)
+                               evolve_scan, evolve_truncated, richardson)
 from contactenv.graphical import (KIND_ARROW, KIND_FLIP, KIND_RECOVERY, build_timeline,
                                   derive_seed, reverse_view, thin_view)
 from contactenv.lattice import build_box
@@ -543,8 +547,10 @@ def test_levels_at_rates_equal_to_marks_match_the_reference_run(case):
 
 
 def per_cell_phase_scan(axis1, axis2, fixed, T, reps, seed):
-    """phase_scan's estimates made as before its levels sweep: one evolve
-    per cell and replica, on the replica's table drawn at the ceilings."""
+    """phase_scan's estimates made one evolve per cell and replica, on the
+    replica's table drawn at the ceilings: from no open edge under
+    dynamical percolation, and from every edge open, frozen, when neither
+    alpha nor beta is set."""
     (name1, vals1), (name2, vals2) = axis1, axis2
     g = build_box(fixed["d"], fixed["L"])
 
@@ -555,8 +561,9 @@ def per_cell_phase_scan(axis1, axis2, fixed, T, reps, seed):
         return vals1 if name == name1 else vals2 if name == name2 else (fixed.get(name),)
 
     specs = {(a, b): make_spec("dynamical-percolation", alpha=a, beta=b, d=fixed["d"])
-             for a in values("alpha") for b in values("beta")}
-    q = max(spec.flip_rate for spec in specs.values())
+             for a in values("alpha") for b in values("beta")
+             if a is not None and b is not None}
+    q = max((spec.flip_rate for spec in specs.values()), default=0.0)
     estimates = {}
     for v2 in vals2:
         counts = {v1: [0, 0] for v1 in vals1}
@@ -564,9 +571,10 @@ def per_cell_phase_scan(axis1, axis2, fixed, T, reps, seed):
             rep_seed = derive_seed(seed, i)
             tl = build_timeline(g, max(values("lambda")), max(values("r")), q, T, rep_seed)
             for v1 in vals1:
-                spec = specs[(setting("alpha", v1, v2), setting("beta", v1, v2))]
+                spec = specs.get((setting("alpha", v1, v2), setting("beta", v1, v2)))
                 P = RunParams(g, setting("lambda", v1, v2), setting("r", v1, v2), spec, T)
-                traj = evolve(P, (g.origin(),), (), tl, stop_on_extinct=True,
+                b0 = () if spec is not None else range(g.n_edges)
+                traj = evolve(P, (g.origin(),), b0, tl, stop_on_extinct=True,
                               want_deltas=False)
                 counts[v1][0] += traj.tau_ex == math.inf
                 counts[v1][1] += traj.boundary_touched
@@ -604,22 +612,31 @@ def _drawn_tables(monkeypatch):
     return tables
 
 
-@pytest.mark.parametrize("budget,kept", [(None, 5), (2.5, 2), (0.5, 1)])
-def test_a_phase_scan_draws_each_kept_table_once(budget, kept, monkeypatch):
-    # SCAN's tables hold (4*2|E| + 1*|V| + 4*|E|) * T events at the
-    # ceilings; an event budget of `budget` such tables keeps the tables of
-    # the first `kept` replicas, at least one, and draws the others again
-    # in every column
-    if budget is not None:
-        g = build_box(1, 12)
-        per_table = (4.0 * 2 * g.n_edges + g.n_sites + 4.0 * g.n_edges) * SCAN["T"]
-        monkeypatch.setattr(analysis, "DEFAULT_EVENT_BUDGET", int(per_table * budget))
-    tables = _drawn_tables(monkeypatch)
-    got = phase_scan(**SCAN).estimates
-    seeds = [derive_seed(SCAN["seed"], i) for i in range(SCAN["reps"])]
-    assert [tl.seed for tl in tables] == seeds + seeds[kept:] * 2
-    assert all(not tl.bg_paths for tl in tables)     # each column's paths dropped
-    assert got == per_cell_phase_scan(**SCAN)
+@pytest.mark.parametrize("reps", [1, 2, 5])
+def test_a_phase_scan_draws_each_table_once_and_keeps_none(reps, monkeypatch):
+    # whatever the table sizes, a scan draws each replica's table once, in
+    # replica order, sweeps every column of it at once and drops it: no
+    # environment path is stored and no table outlives the scan
+    scan = dict(SCAN, reps=reps)
+    drawn, paths = [], []
+
+    def draw(*args, **kw):
+        tl = build_timeline(*args, **kw)
+        drawn.append((tl.seed, weakref.ref(tl)))
+        return tl
+
+    def sweep(columns, c0, tl):
+        out = evolve_scan(columns, c0, tl)
+        paths.append(len(tl.bg_paths))
+        return out
+
+    monkeypatch.setattr(analysis, "build_timeline", draw)
+    monkeypatch.setattr(analysis, "evolve_scan", sweep)
+    got = phase_scan(**scan).estimates
+    assert [seed for seed, _ in drawn] == [derive_seed(scan["seed"], i) for i in range(reps)]
+    assert paths == [0] * reps
+    assert all(ref() is None for _, ref in drawn)
+    assert got == per_cell_phase_scan(**scan)
 
 
 def test_a_phase_scan_stopped_by_proceed_holds_the_columns_that_ran(monkeypatch):
@@ -637,3 +654,207 @@ def test_a_phase_scan_stopped_by_proceed_holds_the_columns_that_ran(monkeypatch)
     # the columns that ran are those of the whole scan, drawn at its ceilings
     ref = per_cell_phase_scan(**scan)
     assert got.estimates == {k: v for k, v in ref.items() if k[1] in (0.25, 1.0)}
+
+
+@st.composite
+def scan_grids(draw):
+    # two axes among lambda, r, alpha and beta; the other two settings
+    # fixed, lambda among them in some grids (one fraction per column),
+    # and r columns that share one environment in others
+    name1, name2 = draw(st.permutations(analysis.AXIS_NAMES))[:2]
+    grid = {"lambda": [0.0, 0.5, 1.5, 3.0], "r": [0.5, 1.0, 2.0],
+            "alpha": [0.5, 1.0, 2.0], "beta": [0.25, 1.0, 3.0]}
+    axes = [(name, draw(st.lists(st.sampled_from(grid[name]), min_size=1, max_size=3,
+                                 unique=True))) for name in (name1, name2)]
+    fixed = {"d": draw(st.sampled_from([1, 2])), "L": draw(st.integers(1, 3))}
+    for name in grid:
+        if name not in (name1, name2):
+            fixed[name] = draw(st.sampled_from(grid[name][1:]))
+    return (*axes, fixed, draw(st.sampled_from([2.0, 5.0])), draw(st.integers(0, 2 ** 20)))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(scan_grids())
+def test_phase_scans_over_any_two_axes_match_their_per_cell_runs(grid):
+    axis1, axis2, fixed, T, seed = grid
+    want = per_cell_phase_scan(axis1, axis2, fixed, T, 4, seed)
+    for lib in KERNELS:
+        with mock.patch.object(engine, "_lib", lib):
+            assert phase_scan(axis1, axis2, fixed, T=T, reps=4, seed=seed).estimates == \
+                want, lib
+
+
+@pytest.mark.parametrize("lib", KERNELS, ids=[("c", "python")[lib is reference] for lib in KERNELS])
+def test_a_phase_scan_of_65_columns_sweeps_them_64_at_a_time(lib, monkeypatch):
+    # one beta per column: the 65th is swept alone, in a second sweep of the
+    # same table
+    monkeypatch.setattr(engine, "_lib", lib)
+    scan = dict(axis1=("lambda", [2.0]), axis2=("beta", [0.05 * k for k in range(1, 66)]),
+                fixed={"d": 1, "L": 2, "alpha": 1.0, "r": 1.0}, T=3.0, reps=3, seed=11)
+    sweeps = []
+    real = lib.scan
+
+    def scan_loop(*args):
+        sweeps.append(len(args[5]) - 1)      # the columns of this stretch
+        return real(*args)
+
+    monkeypatch.setattr(lib, "scan", scan_loop)
+    got = phase_scan(**scan).estimates
+    assert set(sweeps) == {64, 1}
+    assert got == per_cell_phase_scan(**scan)
+
+
+@pytest.mark.parametrize("lib", KERNELS, ids=[("c", "python")[lib is reference] for lib in KERNELS])
+def test_a_phase_scan_without_an_environment_runs_on_open_edges(lib, monkeypatch):
+    # neither alpha nor beta set: the classical contact process, every edge
+    # open throughout, so survival rises with lambda
+    monkeypatch.setattr(engine, "_lib", lib)
+    scan = dict(axis1=("lambda", [0.5, 6.0]), axis2=("r", [0.5, 1.0]),
+                fixed={"d": 1, "L": 15}, T=5.0, reps=30, seed=4)
+    got = phase_scan(**scan).estimates
+    assert got == per_cell_phase_scan(**scan)
+    for r in (0.5, 1.0):
+        assert got[(0.5, r)].p_hat < got[(6.0, r)].p_hat
+
+
+@st.composite
+def tied_scans(draw):
+    # hand-made tables of arrows, recoveries and flip candidates whose marks
+    # often put (1 - u) q on a column's closing rate and u q on its opening
+    # rate exactly, read in two stretches; the columns' edges start from
+    # their own sets, and one column may be frozen
+    g = build_box(1, draw(st.integers(1, 4)))
+    n = draw(st.integers(0, 60))
+    kinds = draw(st.lists(st.sampled_from([KIND_ARROW, KIND_RECOVERY, KIND_FLIP]),
+                          min_size=n, max_size=n))
+    bound = {KIND_ARROW: 2 * g.n_edges, KIND_RECOVERY: g.n_sites, KIND_FLIP: g.n_edges}
+    idx = [draw(st.integers(0, bound[k] - 1)) for k in kinds]
+    marks = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=n, max_size=n))
+    table = (np.arange(1.0, n + 1), np.array(kinds, np.int8), np.array(idx, np.int32),
+             np.array(marks))
+    rates = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        fracs = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                     min_size=1, max_size=3)))
+        rule = None if draw(st.booleans()) and not columns else (draw(rates), draw(rates))
+        b0 = draw(st.sets(st.integers(0, g.n_edges - 1)))
+        columns.append((fracs, draw(st.sampled_from([0.5, 1.0])), rule, b0))
+    c0 = draw(st.sets(st.integers(0, g.n_sites - 1), min_size=1))
+    return g, table, columns, c0, draw(st.integers(0, n))
+
+
+@SETTINGS
+@given(tied_scans())
+def test_a_scan_at_rates_equal_to_marks_matches_grow_and_levels_per_column(case):
+    # q = 1, so a mark u closes an open edge at rate beta iff 1 - u <= beta
+    # and opens a closed one at rate alpha iff u < alpha, as reference.flip
+    g, table, columns, c0, cut = case
+    n = len(table[0])
+    n_cols = len(columns)
+    want_levels, want_edges = [], []
+    for fracs, r_frac, rule, b0 in columns:
+        edges = bytearray(g.n_edges)
+        for e in b0:
+            edges[e] = 1
+        flags = None
+        if rule is not None:
+            flags = bytearray(n)
+            open_nbrs = bytearray(sum(edges[a] for a in g.line_nbrs[e])
+                                  for e in range(g.n_edges))
+            reference.grow(table, n, 0, n, -1, 0.0, g,
+                           ((rule[0],) * 8, (rule[1],) * 8, 1.0), edges, open_nbrs, flags)
+        want_edges.append(bytes(edges))
+        want_levels.append(reference_levels_of(g, table, n, c0, fracs, r_frac, flags, edges))
+    for lib in KERNELS:
+        col_ptr = array("q", [0])
+        fracs = array("d")
+        for col in columns:
+            fracs.extend(col[0])
+            col_ptr.append(len(fracs))
+        masks = array("Q", [0]) * g.n_edges
+        for k, (_, _, _, b0) in enumerate(columns):
+            for e in b0:
+                masks[e] |= 1 << k
+        level = array("d", [math.inf]) * (g.n_sites * n_cols)
+        for s in c0:
+            for k in range(n_cols):
+                level[s * n_cols + k] = -1.0
+        state = array("q", [0, len(c0)]) * n_cols
+        touch = array("d", [math.inf]) * n_cols
+        taus = array("d", [math.inf]) * len(fracs)
+        # a frozen column neither opens nor closes an edge
+        ups = array("d", [-math.inf if r is None else r[0] for _, _, r, _ in columns])
+        downs = array("d", [-math.inf if r is None else r[1] for _, _, r, _ in columns])
+        for lo, hi in ((0, cut), (cut, n)):
+            lib.scan(table, n, lo, hi, g, col_ptr, fracs,
+                     array("d", [col[1] for col in columns]), (ups, downs, 1.0), masks,
+                     level, state, touch, taus)
+        at_edge = any(g.norm_inf[s] >= g.half_width for s in c0)
+        got = [[(taus[i], at_edge or touch[k] < fracs[i]) for i in range(a, b)]
+               for k, (a, b) in enumerate(zip(col_ptr, col_ptr[1:]))]
+        assert got == want_levels, lib
+        if state.tolist()[::2] == [len(col[0]) for col in columns]:
+            continue    # a scan whose columns all died stopped reading the flips
+        assert [bytes(masks[e] >> k & 1 for e in range(g.n_edges))
+                for k in range(n_cols)] == want_edges, lib
+
+
+def reference_levels_of(g, table, n, c0, fracs, r_frac, flags, edges):
+    """(tau_ex, boundary touched) at each of fracs from one reference.levels
+    sweep of the whole table."""
+    level = array("d", [math.inf]) * g.n_sites
+    for s in c0:
+        level[s] = -1.0
+    state, touch = array("q", [0, len(c0)]), array("d", [math.inf])
+    taus = array("d", [math.inf]) * len(fracs)
+    reference.levels(table, n, 0, n, g, array("d", fracs), r_frac, flags, edges, level,
+                     state, touch, taus)
+    at_edge = any(g.norm_inf[s] >= g.half_width for s in c0)
+    return [(tau, at_edge or touch[0] < f) for tau, f in zip(taus, fracs)]
+
+
+@st.composite
+def scan_cases(draw):
+    # drawn tables, frozen or dynamical percolation, in many slabs and
+    # chunks; columns of a few rates each, at their own r and, under
+    # dynamical percolation, their own alpha and beta and initial edges
+    g, spec, gen, sizes = draw(tables().filter(lambda t: t[1] is None or t[1].is_dp))
+    lam_max, r_max, q, T, seed = gen
+    t_end = draw(st.sampled_from([T, T * 0.6]))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        lams = draw(st.lists(st.sampled_from([0.0, lam_max / 3, lam_max]), min_size=1,
+                             max_size=3))
+        r = draw(st.sampled_from([r_max, r_max / 2]))
+        col_spec = spec
+        if spec is not None:
+            # a dynamical percolation whose candidate rate the table's covers
+            col_spec = make_spec("dynamical-percolation", alpha=draw(st.sampled_from(
+                [0.3, spec.alpha])), beta=draw(st.sampled_from([0.2, spec.beta])), d=g.dimension)
+        b0 = draw(_edge_sets(g))
+        columns.append(([RunParams(g, lam, r, col_spec, t_end) for lam in lams], b0))
+    c0 = draw(st.sets(st.integers(0, g.n_sites - 1), max_size=g.n_sites))
+    return g, gen, sizes, columns, c0
+
+
+@SETTINGS
+@given(scan_cases())
+def test_a_scan_matches_the_reference_run_of_each_cell(case):
+    g, (lam_max, r_max, q, T, seed), sizes, columns, c0 = case
+    with ExitStack() as stack:
+        _sizes(stack, sizes)
+        twin = build_timeline(g, lam_max, r_max, q, T, seed)
+        want = []
+        for cells, b0 in columns:
+            hi = twin.count_through(cells[0].horizon)
+            edges, flags, _ = _environment(twin, b0, cells[0].spec, hi, -1, 0.0)
+            want.append([_infection(twin, c0, hi, False, 0.0, cells[0].horizon,
+                                    (p.lam / lam_max, p.r / r_max), (g.half_width, math.inf),
+                                    (-1.0, -1.0, -1.0), flags, -1, edges, False)[2:4]
+                         for p in cells])
+        for lib in KERNELS:
+            with mock.patch.object(engine, "_lib", lib):
+                tl = build_timeline(g, lam_max, r_max, q, T, seed)
+                assert evolve_scan(columns, c0, tl) == want, lib
+                assert not tl.bg_paths
