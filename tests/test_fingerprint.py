@@ -12,10 +12,11 @@ import random
 
 import pytest
 
-from contactenv import (background_path, build_box, build_timeline, cli, engine,
-                        coupled_bounds_cpdp, delayed_variant, dual_evolve, evolve,
-                        evolve_released, evolve_truncated, make_spec, reference,
-                        reverse_view, richardson, thin_view)
+from contactenv import (analysis, background_path, blocks, build_box, build_timeline,
+                        cli, coupled_bounds_cpdp, coupled_region, decided_times,
+                        delayed_variant, dual_evolve, engine, evolve, evolve_released,
+                        evolve_truncated, make_spec, reference, reverse_view, richardson,
+                        thin_view)
 from contactenv.engine import (SUPPRESS_ARROWS, SUPPRESS_RECOVERIES_AND_BACKGROUND,
                                RunParams)
 from test_acceptance import DETERMINISM_CONFIGS
@@ -288,3 +289,123 @@ def test_engine_run_corpus_matches_its_golden_hashes(kernel, monkeypatch):
     got = {name: [hashlib.sha256(k.encode()).hexdigest() for k in keys]
            for name, keys in _corpus().items()}
     assert got == GOLDEN_RUNS
+
+
+# ---------------------------------------------------------------------------
+# library estimators that no CLI config reaches
+#
+# Each pin hashes the repr of every field an estimator returns (Estimates,
+# report rows, decided times, coupled regions), at small sizes, under each
+# kernel: conditions, local survival, growth against coupling, coupling
+# speed, decided times and coupled regions under the three environment
+# kinds, the block events with a positive infection rate, and self-duality.
+
+def _estimator_pins():
+    dp = make_spec("dynamical-percolation", alpha=1.0, beta=0.7)
+    voter = make_spec("noisy-voter", alpha=0.8, beta=0.6)
+    ising2 = make_spec("ising", beta_inv=0.12, d=2)
+    g1, g2 = build_box(1, 12), build_box(2, 5)
+    frozen = RunParams(g1, 2.0, 1.0, None, 6.0)
+    dyn = RunParams(g1, 2.5, 1.0, dp, 6.0)
+    dyn2 = RunParams(g2, 1.5, 1.0, make_spec("dynamical-percolation", alpha=1.0, beta=0.7,
+                                                  d=2), 4.0)
+    tables = {"dp": (dp, build_timeline(build_box(1, 8), 0.0, 0.0, dp.flip_rate, 6.0, 31)),
+              "voter": (voter, build_timeline(build_box(1, 8), 0.0, 0.0, voter.flip_rate,
+                                              6.0, 32)),
+              "ising-2d": (ising2, build_timeline(build_box(2, 3), 0.0, 0.0,
+                                                  ising2.flip_rate, 4.0, 33))}
+    pins = {
+        "condition_block_curve": analysis.condition_block_curve(
+            dyn, 2, [0.0, 0.5, 1.5, 3.0, 6.0], 40, 5),
+        "condition_block_curve-2d": analysis.condition_block_curve(
+            dyn2, 1, [0.0, 1.0, 4.0], 20, 6),
+        "local_survival_proxy-frozen": analysis.local_survival_proxy(
+            frozen, g1.origin(), 6.0, 40, 7),
+        "local_survival_proxy-dp": analysis.local_survival_proxy(
+            dyn, g1.origin() + 1, 6.0, 40, 8),
+        "growth_vs_coupling_curve": analysis.growth_vs_coupling_curve(
+            1.0, dp, [0.0, 0.5, 1.0, 2.0, 4.0], 4.0, 40, 9),
+        "growth_vs_coupling_curve-small-box": analysis.growth_vs_coupling_curve(
+            1.5, dp, [0.0, 1.0, 3.0], 3.0, 30, 10, L=4),
+        "coupling_speed_report-dp": analysis.coupling_speed_report(
+            dp, [0.0, 0.5, 1.0, 2.0], 60, 11),
+        "coupling_speed_report-voter": analysis.coupling_speed_report(
+            voter, [0.0, 0.5, 1.0, 2.0], 60, 12),
+        "estimate_block_event-A1": blocks.estimate_block_event(
+            blocks.A1, 1, 2, 1.5, RunParams(build_box(1, 3), 2.0, 1.0, dp, 2.5), 60, 13),
+        "estimate_block_event-A2": blocks.estimate_block_event(
+            blocks.A2, 1, 2, 1.5, RunParams(build_box(1, 4), 2.0, 1.0, dp, 2.5), 60, 14),
+        "estimate_block_event-A3": blocks.estimate_block_event(
+            blocks.A3, 1, 2, 1.5, RunParams(build_box(1, 6), 2.5, 1.0, dp, 3.0), 60, 15),
+        "estimate_block_event-A3-2d": blocks.estimate_block_event(
+            blocks.A3, 1, 1, 1.0, RunParams(build_box(2, 4), 2.5, 1.0, dyn2.spec, 2.0),
+            30, 16),
+        "self_duality_check": analysis.self_duality_check(
+            2.0, 1.0, 1.0, 0.7, [(0,)], [(2,)], 3.0, 60, 17, L=10),
+    }
+    for name, (spec, tl) in tables.items():
+        pins[f"decided_times-{name}"] = decided_times(spec, tl)
+        pins[f"decided_times-{name}-reversed"] = decided_times(spec, reverse_view(tl, 4.0))
+        region = coupled_region(spec, tl, 2.0)
+        pins[f"coupled_region-{name}"] = (region.edges.tolist(), region.edges.dtype.str,
+                                         region.exact, region.horizon, region.t)
+    return pins
+
+
+GOLDEN_ESTIMATORS = {
+    "condition_block_curve":
+        "b3b6c50f1049f63d4a3c1e1054b54763226ee45efad203c1fe70a085baee794d",
+    "condition_block_curve-2d":
+        "90108c8bfadbf5e161fb8b63429c7f16811bba1954e18c23c0a681597e2154f6",
+    "local_survival_proxy-frozen":
+        "ab576a1c02f0d5275d829bcf096e40323a3cdbb918a2710b61f9216ddfd353a1",
+    "local_survival_proxy-dp":
+        "184c69f39f8968e83e968ae0159f2ef4a1ce9e85fe6adb9f23dfbb598dab2746",
+    "growth_vs_coupling_curve":
+        "8981f61005c77c1f608d31eaab1d0073293ded8ae6fea54e2f66d6f1e0dde535",
+    "growth_vs_coupling_curve-small-box":
+        "207a5cb1cd3cd60ec03a33c926659a7b6dc705a7e68c4f824316308157ca9a87",
+    "coupling_speed_report-dp":
+        "0270e4d7c72855c964faa3bfcc2f3860343355022d3d86d71445081801a6ace4",
+    "coupling_speed_report-voter":
+        "a4d284f44987e274a6261d91e236bd88b8d02940b2cd6cbd0446ee48e8ffb5be",
+    "estimate_block_event-A1":
+        "f2f1cce75529b2930a4b39f3f1c626f10602dedaeff3038ffdfbc59edc5cce4e",
+    "estimate_block_event-A2":
+        "a1a92cb663211a640e3cfd4c236bedf88580bd941a06b2c9459f4d012c3f179c",
+    "estimate_block_event-A3":
+        "eae6b552cc46cb35b31a9aada7176680734dd046bd9b215184c40b08e6e3f8f3",
+    "estimate_block_event-A3-2d":
+        "0650135f48959409ed5d4005c81b36fcdae22170fd16763195862a3f9327ddda",
+    "self_duality_check":
+        "89e275fad0b3d1504c3e56e04177c5b5ca1e2cdcdf7fe80b6d504cd2aa94a71b",
+    "decided_times-dp":
+        "c295d3a273a3d3f7871b09c3e606af36e26875cf850a3cb416d111448eaaf77e",
+    "decided_times-dp-reversed":
+        "b31cd1a382e9acb48055b7a05e9adb28c1d55c0148ab08c4ee3000f4c35ce0fd",
+    "coupled_region-dp":
+        "9eee752d28b4f33ae5d518e799af336f80b1090f84e752febb54f15c4f538943",
+    "decided_times-voter":
+        "091550a23bb4bf0f8372ca6d006717977859e1fa0be59c478f7200326e62f19d",
+    "decided_times-voter-reversed":
+        "a1adb71d7567178c51ef901ce2964f8df967f3fc4d819dd93e8a78d52aad8eee",
+    "coupled_region-voter":
+        "bf6771e91d515f6d7302bd7dd2ec810576712a522967b27369eb44e2ab2601aa",
+    "decided_times-ising-2d":
+        "bf2a097944d22f4a38a3c13d56873d6695e92d52eb6d4319ae221dab8279cb79",
+    "decided_times-ising-2d-reversed":
+        "574f5ef1ecfe46e8a94302c6dea031630c794d375d03568b4b6f41761c36eb20",
+    "coupled_region-ising-2d":
+        "35ac5ac17c080ebf17786ad9f1e70e398e4bef0880a6a60722099a22bbab0309",
+}
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+def test_library_estimators_match_their_golden_hashes(kernel, monkeypatch):
+    if kernel == "python":
+        monkeypatch.setattr(engine, "_lib", reference)
+    elif engine._lib is reference:
+        pytest.skip("the compiled kernel did not load: no C compiler")
+    got = {name: hashlib.sha256(repr(out).encode()).hexdigest()
+           for name, out in _estimator_pins().items()}
+    assert got == GOLDEN_ESTIMATORS
