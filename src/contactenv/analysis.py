@@ -1,8 +1,9 @@
 """Closed-form quantities and Monte Carlo estimators.
 
-Estimators follow one discipline throughout: a root seed is split into
-per-replica seeds by the documented hash rule, each replica rebuilds its
-timeline deterministically, and results are aggregated as counts only.  Two
+Estimators follow one discipline throughout: every replica runs through
+one replica map (replicas), which gives replica i of every estimator the
+seed derive_seed(root, i); each replica rebuilds its timeline from its seed,
+and results are aggregated as counts only.  Two
 calls with equal arguments therefore return bit-identical numbers, and
 sweeps that share a root seed (and generation ceilings) are coupled pathwise
 through thinning, so monotone relations hold for the estimates themselves,
@@ -84,6 +85,27 @@ def _estimate(k, n, seed, *, censored=None, boundary=0, note=""):
     return Estimate(p_hat=k / n, n_reps=n, half_width=wilson_half_width(k, n),
                     censored_frac=(k if censored is None else censored) / n,
                     seed=seed, boundary_frac=boundary / n, note=note)
+
+
+# ---------------------------------------------------------------------------
+# the replica map
+
+def replicas(root: int, reps: int, fn):
+    """The replica map: fn(i, derive_seed(root, i)) for i = 0, ..., reps - 1,
+    yielded in index order, one replica at a time.  Every estimator's
+    replicas run through it.  reps is checked when the map is made, before
+    any replica runs."""
+    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
+        raise ValueError(f"reps must be a positive integer, got {reps!r}")
+    return (fn(i, derive_seed(root, i)) for i in range(reps))
+
+
+def _tally(rows) -> list:
+    """Per-position sums, as ints, of the replicas' rows of 0/1 indicators."""
+    counts = 0
+    for row in rows:
+        counts = np.add(counts, row, dtype=np.int64)
+    return counts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +270,11 @@ def estimate_survival(params: RunParams, c0, *, start_mode: str = "fixed-B0",
 
 def _survival_runs(params, c0, *, start_mode="fixed-B0", b0=None, reps, seed=None,
                    lam_ceiling=None, r_ceiling=None, max_events=None):
-    """The replica loop of estimate_survival.
+    """The replicas of estimate_survival.
 
     Returns the estimate and every replica's extinction time, measured from
     the release of the infection (inf for replicas alive at the horizon).
     """
-    if reps <= 0:
-        raise ValueError("reps must be positive")
     root = params.seed if seed is None else seed
     g = params.graph
     lam_gen = params.lam if lam_ceiling is None else lam_ceiling
@@ -265,22 +285,20 @@ def _survival_runs(params, c0, *, start_mode="fixed-B0", b0=None, reps, seed=Non
     horizon = params.horizon + burn
     kw = {} if max_events is None else {"max_events": max_events}
 
-    ext_times = []
-    boundary = 0
-    for i in range(reps):
-        rep_seed = derive_seed(root, i)
+    def run(i, rep_seed):
         tl = build_timeline(g, lam_gen, r_gen, _q_rate(params.spec), horizon, rep_seed, **kw)
         b0_i = _replica_b0(params, start_mode, b0, rep_seed)
         run_params = RunParams(g, params.lam, params.r, params.spec, horizon, rep_seed)
         if burn > 0.0:
-            traj = evolve_released(run_params, c0, b0_i, tl, burn,
+            return evolve_released(run_params, c0, b0_i, tl, burn,
                                    stop_on_extinct=True, want_deltas=False)
-        else:
-            traj = evolve(run_params, c0, b0_i, tl, stop_on_extinct=True,
-                          want_deltas=False)
+        return evolve(run_params, c0, b0_i, tl, stop_on_extinct=True, want_deltas=False)
+
+    ext_times = []
+    boundary = 0
+    for traj in replicas(root, reps, run):
         ext_times.append(traj.tau_ex - burn)
-        if traj.boundary_touched:
-            boundary += 1
+        boundary += traj.boundary_touched
     note = f"burn-in {burn:.4g}" if burn else ""
     alive = ext_times.count(math.inf)
     return _estimate(alive, reps, root, boundary=boundary, note=note), ext_times
@@ -479,20 +497,19 @@ def hitting_bound_report(lam: float, c: float, distances, reps: int, seed: int,
     origin = g.origin()
     targets = [g.site_index((dist,) + (0,) * (d - 1)) for dist in distances]
     t_end = c * max_d
-    hits = {dist: 0 for dist in distances}
-    for i in range(reps):
-        tl = build_timeline(g, lam, 0.0, 0.0, t_end, derive_seed(seed, i))
-        traj = richardson((origin,), tl, t_end)
-        first_hit = {}
-        for t, j, sign in traj.site_deltas:
-            if sign > 0 and j not in first_hit:
-                first_hit[j] = t
-        for dist, tgt in zip(distances, targets):
-            if first_hit.get(tgt, math.inf) < c * dist:
-                hits[dist] += 1
+    deadlines = c * np.array(distances)
+
+    def reached(i, rep_seed):
+        tl = build_timeline(g, lam, 0.0, 0.0, t_end, rep_seed)
+        grown = richardson((origin,), tl, t_end).site_arrays
+        first_hit = np.full(g.n_sites, math.inf)
+        on = grown.s > 0
+        sites, first = np.unique(grown.x[on], return_index=True)
+        first_hit[sites] = grown.t[on][first]
+        return first_hit[targets] < deadlines
+
     rows = []
-    for dist in distances:
-        k = hits[dist]
+    for dist, k in zip(distances, _tally(replicas(seed, reps, reached))):
         emp = k / reps
         bound = math.exp(-g0 * dist) / (1.0 - math.exp(-g0))
         sigma = math.sqrt(max(bound * (1 - bound), 1.0 / reps) / reps)
@@ -515,18 +532,16 @@ def coupling_speed_report(spec: BackgroundSpec, t_grid, reps: int, seed: int):
     edge = g.site_edges[g.origin()][0]
     t_grid = sorted(float(t) for t in t_grid)
     t_max = max(t_grid) if t_grid[-1] > 0 else 1.0
-    counts = {t: 0 for t in t_grid}
-    for i in range(reps):
-        tl = build_timeline(g, 0.0, 0.0, spec.flip_rate, t_max, derive_seed(seed, i))
+
+    def undecided(i, rep_seed):
+        tl = build_timeline(g, 0.0, 0.0, spec.flip_rate, t_max, rep_seed)
         # one merge per table serves every t: the edge is in coupled_region at t
         # iff its decided time is at most t
         decided = decided_times(spec, tl)[0][edge]
-        for t in t_grid:
-            if t == 0.0 or not decided <= t:
-                counts[t] += 1
+        return [t == 0.0 or not decided <= t for t in t_grid]
+
     rows = []
-    for t in t_grid:
-        k = counts[t]
+    for t, k in zip(t_grid, _tally(replicas(seed, reps, undecided))):
         exact = None
         if spec.is_dp:
             exact = math.exp(-(spec.alpha + spec.beta) * t)
@@ -552,37 +567,26 @@ def growth_vs_coupling_curve(lam: float, spec: BackgroundSpec, s_grid, T: float,
         L = int(2.0 * lam * T) + 10   # generous vs the linear growth bound
     g = build_box(d, L)
     origin = g.origin()
-    interior_ready_possible = [g.norm_inf[s] < g.half_width for s in range(g.n_sites)]
-    counts = {s: 0 for s in s_grid}
-    for i in range(reps):
-        rep_seed = derive_seed(seed, i)
+    interior = np.abs(g.coords).max(axis=1) < g.half_width
+    ends = g.edge_ends.ravel()
+
+    def inside(i, rep_seed):
         tl = build_timeline(g, lam, 0.0, spec.flip_rate, T, rep_seed)
-        growth = richardson((origin,), tl, T)
-        first_hit = {origin: 0.0}
-        for t, j, sign in growth.site_deltas:
-            first_hit.setdefault(j, t)
-        edge_ready, _ = decided_times(spec, tl)
+        grown = richardson((origin,), tl, T).site_arrays
+        sites, first = np.unique(np.concatenate(([origin], grown.x)), return_index=True)
+        first_hit = np.concatenate(([0.0], grown.t))[first]
+        sites, first_hit = sites[first_hit <= T], first_hit[first_hit <= T]
         # vertex ready time: all incident edges decided (interior sites only)
-        ok_from = 0.0
-        feasible = True
-        for x, f in first_hit.items():
-            if f > T:
-                continue
-            if not interior_ready_possible[x]:
-                feasible = False
-                break
-            ready = max(edge_ready[e] for e in g.site_edges[x])
-            if ready == math.inf:
-                feasible = False
-                break
-            if ready > f:
-                ok_from = max(ok_from, ready)
-        if not feasible:
-            continue
-        for s in s_grid:
-            if ok_from <= s:
-                counts[s] += 1
-    return [_estimate(counts[s], reps, seed, note=f"s={s}") for s in s_grid]
+        ready = np.full(g.n_sites, -math.inf)
+        np.maximum.at(ready, ends, np.repeat(decided_times(spec, tl)[0], 2))
+        ready = ready[sites]
+        if not interior[sites].all() or (ready == math.inf).any():
+            return [False] * len(s_grid)
+        ok_from = ready[ready > first_hit].max(initial=0.0)
+        return [ok_from <= s for s in s_grid]
+
+    return [_estimate(k, reps, seed, note=f"s={s}")
+            for s, k in zip(s_grid, _tally(replicas(seed, reps, inside)))]
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +608,15 @@ def self_duality_check(lam: float, r: float, alpha: float, beta: float,
 
     def side(start, target, root):
         target_set = frozenset(target)
-        k = 0
-        for i in range(reps):
-            rep_seed = derive_seed(root, i)
+
+        def hit(i, rep_seed):
             tl = build_timeline(g, lam, r, spec.flip_rate, t, rep_seed)
-            b0 = sample_stationary_dp(g, alpha, beta, derive_seed(rep_seed, _SALT_B0))
-            traj = evolve(RunParams(g, lam, r, spec, t, rep_seed), start, b0, tl,
-                          stop_on_extinct=True, want_deltas=False)
-            if traj.c_final & target_set:
-                k += 1
-        return _estimate(k, reps, root)
+            params = RunParams(g, lam, r, spec, t, rep_seed)
+            traj = evolve(params, start, _replica_b0(params, "stationary-dp", None, rep_seed),
+                          tl, stop_on_extinct=True, want_deltas=False)
+            return bool(traj.c_final & target_set)
+
+        return _estimate(sum(replicas(root, reps, hit)), reps, root)
 
     est1 = side(c_ids, a_ids, derive_seed(seed, 1))
     est2 = side(a_ids, c_ids, derive_seed(seed, 2))
@@ -635,34 +638,26 @@ def condition_block_curve(params: RunParams, n: int, t_grid, reps: int,
     pathwise monotone in the initial ball."""
     g = params.graph
     ball_ids = l1_ball_sites(g, g.origin(), n)
-    ball_set = frozenset(int(v) for v in ball_ids)
+    in_ball = np.zeros(g.n_sites, dtype=bool)
+    in_ball[ball_ids] = True
     t_grid = sorted(float(t) for t in t_grid)
-    t_max = t_grid[-1]
-    if t_max > params.horizon:
+    if t_grid[-1] > params.horizon:
         raise ValueError("t grid beyond the horizon")
-    counts = {t: 0 for t in t_grid}
-    for i in range(reps):
-        rep_seed = derive_seed(seed, i)
+
+    def meets(i, rep_seed):
         tl = build_timeline(g, params.lam, params.r, _q_rate(params.spec),
                             params.horizon, rep_seed)
         traj = evolve(RunParams(g, params.lam, params.r, params.spec,
                                 params.horizon, rep_seed),
                       ball_ids, (), tl, stop_on_extinct=True)
-        # replay: indicator of intersection at each grid time
-        cnt = len(ball_set)        # infected sites inside the ball
-        gi = 0
-        for t, j, sign in traj.site_deltas:
-            while gi < len(t_grid) and t_grid[gi] < t:
-                if cnt > 0:
-                    counts[t_grid[gi]] += 1
-                gi += 1
-            if j in ball_set:
-                cnt += sign
-        while gi < len(t_grid):
-            if cnt > 0:
-                counts[t_grid[gi]] += 1
-            gi += 1
-    return [_estimate(counts[t], reps, seed, note=f"t={t}") for t in t_grid]
+        d = traj.site_arrays
+        ball = in_ball[d.x]
+        # infected sites inside the ball after each of their deltas, from all of it
+        count = np.concatenate(([0], np.cumsum(d.s[ball]))) + in_ball.sum()
+        return count[np.searchsorted(d.t[ball], t_grid, "right")] > 0
+
+    return [_estimate(k, reps, seed, note=f"t={t}")
+            for t, k in zip(t_grid, _tally(replicas(seed, reps, meets)))]
 
 
 @dataclass(frozen=True)
@@ -681,33 +676,21 @@ def local_survival_proxy(params: RunParams, x: int, T: float, reps: int,
     g = params.graph
     x = int(x)
     half = T / 2.0
-    hit = 0
-    alive = 0
     if b0 is None:
         b0 = range(g.n_edges) if params.spec is None else ()
-    for i in range(reps):
-        rep_seed = derive_seed(seed, i)
+
+    def seen(i, rep_seed):
         tl = build_timeline(g, params.lam, params.r, _q_rate(params.spec), T, rep_seed)
         traj = evolve(RunParams(g, params.lam, params.r, params.spec, T, rep_seed),
                       (x,), b0, tl)
-        if traj.tau_ex == math.inf:
-            alive += 1
-        seen = False
-        state = x in traj.c0
-        for t, j, sign in traj.site_deltas:
-            if j != x:
-                continue
-            if t > half and state:
-                seen = True        # infected when the window opened
-                break
-            state = sign > 0
-            if t >= half and state:
-                seen = True        # reinfected inside the window
-                break
-        if not seen and state:
-            seen = True            # infected from before T/2 through T
-        if seen:
-            hit += 1
+        d = traj.site_arrays
+        t, on = d.t[d.x == x], d.s[d.x == x] > 0
+        before = np.concatenate(([True], on))   # x's state before each delta, then at T
+        # infected when the window opened, reinfected inside it, or infected at T
+        window = (before[:-1] & (t > half)).any() or (on & (t >= half)).any() or before[-1]
+        return window, traj.tau_ex == math.inf
+
+    hit, alive = _tally(replicas(seed, reps, seen))
     return LocalSurvivalProxy(proxy=_estimate(hit, reps, seed),
                               survival=_estimate(alive, reps, seed))
 
@@ -765,8 +748,6 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
     name2, vals2 = axis2
     if name1 not in AXIS_NAMES or name2 not in AXIS_NAMES or name1 == name2:
         raise ValueError(f"axis names must be distinct members of {AXIS_NAMES}")
-    if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
-        raise ValueError(f"reps must be a positive integer, got {reps!r}")
     for name in (name1, name2):
         if name in fixed:
             raise ValueError(f"{name} is an axis and may not be set in fixed")
@@ -801,6 +782,13 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
     q_ceiling = max((spec.flip_rate for spec in specs.values()), default=0.0)
     per_table_events = (lam_ceiling * 2 * g.n_edges + r_ceiling * g.n_sites
                         + q_ceiling * g.n_edges) * T
+
+    def sweep(i, rep_seed):     # reads the columns admitted below
+        tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T, rep_seed)
+        runs = [run for levels in evolve_scan(columns, (origin,), tl) for run in levels]
+        return [tau == math.inf for tau, _ in runs] + [touched for _, touched in runs]
+
+    sweeps = replicas(seed, reps, sweep)    # checks reps before any column is admitted
     column_events = per_table_events * reps
     admitted = []
     for v2 in vals2:
@@ -817,14 +805,10 @@ def phase_scan(axis1, axis2, fixed: dict, T: float, reps: int, seed: int,
     groups = list(groups.values())
     columns = [([p for _, p in cells], _replica_b0(cells[0][1], "fixed-B0", None, seed))
                for cells in groups]
-    counts = {(v1, v2): [0, 0] for v2 in admitted for v1 in vals1}
-    for i in range(reps if columns else 0):
-        tl = build_timeline(g, lam_ceiling, r_ceiling, q_ceiling, T, derive_seed(seed, i))
-        for cells, levels in zip(groups, evolve_scan(columns, (origin,), tl)):
-            for (key, _), (tau, touched) in zip(cells, levels):
-                counts[key][0] += tau == math.inf
-                counts[key][1] += touched
-    estimates = {key: _estimate(alive, reps, seed, boundary=btouch)
-                 for key, (alive, btouch) in counts.items()}
+    keys = [key for cells in groups for key, _ in cells]
+    counts = _tally(sweeps) if columns else []
+    alive, touched = dict(zip(keys, counts)), dict(zip(keys, counts[len(keys):]))
+    estimates = {(v1, v2): _estimate(alive[v1, v2], reps, seed, boundary=touched[v1, v2])
+                 for v2 in admitted for v1 in vals1}
     return PhaseScan(axis1=name1, axis2=name2, values1=vals1, values2=tuple(admitted),
                      fixed=dict(fixed), estimates=estimates)

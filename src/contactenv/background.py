@@ -242,11 +242,11 @@ def decided_times(spec: BackgroundSpec, tl):
     configuration, within the timeline horizon (inf if never, through the
     horizon).
 
-    Merges, in feed order, the edge deltas of the two extreme paths (all
-    edges closed / all open; engine.background_path, stored on forward
-    timelines, which checks the timeline against spec).  The copies start
-    apart and can only part again through a delta, so an edge's time is that
-    of the event whose deltas last made them agree.  Attractiveness makes
+    Merges, per edge in feed order, the edge deltas of the two extreme
+    paths (all edges closed / all open; engine.background_path, stored on
+    forward timelines, which checks the timeline against spec).  The copies
+    start apart and can only part again through a delta, so an edge's time is
+    that of the event whose deltas last made them agree.  Attractiveness makes
     the two-extreme comparison equivalent to comparing all initial pairs.
     For dynamical percolation an edge is decided forever by its first
     deciding event, so the times are exact; for other specs they are
@@ -254,22 +254,23 @@ def decided_times(spec: BackgroundSpec, tl):
     """
     from .engine import background_path     # engine imports this module
     n = tl.graph.n_edges
-    copies = (bytearray(n), bytearray(b"\x01" * n))
-    deltas = []
-    for c, b0 in enumerate(((), range(n))):
-        path = background_path(spec, b0, tl)
-        deltas += [(i, c, d) for i, d in zip(path._flip_at.tolist(), path.edge_deltas)]
-    deltas.sort()
-    couple_time = [math.inf] * n
-    for k, (i, c, (t, e, sign)) in enumerate(deltas):
-        copies[c][e] = sign > 0
-        if k + 1 < len(deltas) and deltas[k + 1][0] == i:
-            continue        # the other copy flips at the same event
-        if copies[0][e] != copies[1][e]:
-            couple_time[e] = math.inf
-        elif couple_time[e] == math.inf:
-            couple_time[e] = t
-    return couple_time, tl.t_max
+    paths = [background_path(spec, b0, tl) for b0 in ((), range(n))]
+    at = np.concatenate([path._flip_at for path in paths])
+    t, e, _ = (np.concatenate(a) for a in zip(*(path.until(math.inf) for path in paths)))
+    order = np.lexsort((at, e))
+    t, e, at = t[order], e[order], at[order]
+    # each delta moves one copy, so the copies agree after an odd number of an edge's deltas
+    odd = (np.arange(len(e)) - np.searchsorted(e, e)) % 2 == 0
+    end = np.ones(len(e), dtype=bool)
+    end[:-1] = (e[1:] != e[:-1]) | (at[1:] != at[:-1])     # an event's last delta
+    t, e, agree = t[end], e[end], odd[end]
+    # per event: the edge's latest event that left the copies apart, or the one before its first
+    apart = np.maximum.accumulate(np.where(agree, np.searchsorted(e, e) - 1, np.arange(len(e))))
+    decided = agree.copy()
+    decided[:-1] &= e[1:] != e[:-1]     # agreeing after the edge's last event
+    couple_time = np.full(n, math.inf)
+    couple_time[e[decided]] = t[apart[decided] + 1]
+    return couple_time.tolist(), tl.t_max
 
 
 def coupled_region(spec: BackgroundSpec, tl, t: float) -> CoupledRegion:

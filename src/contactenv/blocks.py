@@ -10,8 +10,8 @@ endpoint, an independent oriented site percolation on the even sublattice,
 lives at the bottom of this module with its own monotone-in-q coupling.
 
 Containment of a cube is piecewise constant between events, so window
-events are evaluated exactly by scanning the trajectory's delta stream with
-per-cube occupancy counters.
+events are evaluated exactly from the trajectory's site deltas with
+per-cube occupancy counts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .analysis import Estimate, _estimate, wilson_bounds
+import numpy as np
+
+from .analysis import Estimate, _estimate, replicas, wilson_bounds
 from .engine import RunParams, evolve_truncated
 from .graphical import build_timeline, derive_seed, mix64, uniform_from
 
@@ -69,51 +71,37 @@ def _admissible_anchors(which: str, geo: BlockGeometry, d: int):
     return [tuple(x) for x in product(*ranges)]
 
 
-def _cube_event_occurred(traj, g, anchors, n, window, at_time=None):
-    """Did some anchor's cube become fully infected: at ``at_time`` exactly,
-    or anywhere in the half-open ``window`` of times."""
-    cube_size = (2 * n + 1) ** g.dimension
-    cubes = {}
-    site_to_cubes = {}
-    for a_idx, x in enumerate(anchors):
-        ids = g.cube_sites(x, n)
-        cubes[a_idx] = 0
-        for s in ids:
-            site_to_cubes.setdefault(int(s), []).append(a_idx)
-    for s in traj.c0:
-        for a_idx in site_to_cubes.get(s, ()):
-            cubes[a_idx] += 1
+def _cube_event_occurred(traj, cubes, window=None, at_time=None):
+    """Did some cube (a row of site ids of cubes) become fully infected: at
+    at_time exactly, or anywhere in the half-open window of times.
 
-    def full_now():
-        return any(v == cube_size for v in cubes.values())
-
-    if at_time is not None:
-        for t, j, sign in traj.site_deltas:
-            if t > at_time:
-                break
-            for a_idx in site_to_cubes.get(j, ()):
-                cubes[a_idx] += sign
-        return full_now()
-
-    w_lo, w_hi = window
-    entered = False
-    for t, j, sign in traj.site_deltas:
-        if not entered and t >= w_lo:
-            entered = True
-            if full_now():
-                return True
-        if t >= w_hi:
-            return False
-        hit = site_to_cubes.get(j)
-        if hit is None:
-            continue
-        for a_idx in hit:
-            cubes[a_idx] += sign
-            if sign > 0 and entered and cubes[a_idx] == cube_size:
-                return True
-    if not entered:
-        return full_now()
-    return False
+    Each cube's count of infected sites moves with the trajectory's site
+    deltas: a delta counts at every cube that holds its site.
+    """
+    n_cubes, size = cubes.shape
+    d = traj.site_arrays
+    if window is None:
+        start = stop = np.searchsorted(d.t, at_time, "right")
+    else:
+        start, stop = np.searchsorted(d.t, window)
+    # the (delta, cube) pairs of the deltas before stop, in delta order
+    flat = cubes.ravel()
+    by_site = np.argsort(flat, kind="stable")
+    lo, hi = (np.searchsorted(flat[by_site], d.x[:stop], side) for side in ("left", "right"))
+    delta = np.repeat(np.arange(stop), hi - lo)
+    cube = by_site[lo[delta] + np.arange(len(delta)) - np.searchsorted(delta, delta)] // size
+    sign = d.s[delta]
+    before = delta < start
+    count = np.isin(cubes, list(traj.c0)).sum(axis=1) + \
+        np.bincount(cube[before], sign[before], n_cubes).astype(np.int64)
+    if window is None or (count == size).any():     # full at at_time, or as the window opens
+        return bool((count == size).any())
+    # each cube's count after each of its pairs inside the window
+    order = np.argsort(cube[~before], kind="stable")
+    cube, sign = cube[~before][order], sign[~before][order]
+    running = np.cumsum(sign)
+    after = count[cube] + running - (running - sign)[np.searchsorted(cube, cube)]
+    return bool((after == size).any())
 
 
 def estimate_block_event(which: str, n: int, L: int, T: float,
@@ -150,24 +138,18 @@ def estimate_block_event(which: str, n: int, L: int, T: float,
     if lam_gen < params.lam or q_gen + 1e-12 < spec.flip_rate:
         raise ValueError("generation ceilings must dominate the run rates")
     horizon = {A1: T + 1.0, A2: T + 1.0, A3: 2.0 * T}[which]
-    anchors = _admissible_anchors(which, geo, g.dimension)
+    cubes = np.array([g.cube_sites(x, n)
+                      for x in _admissible_anchors(which, geo, g.dimension)])
+    when = {A1: {"at_time": T + 1.0}, A2: {"window": (1.0, T + 1.0)},
+            A3: {"window": (T, 2.0 * T)}}[which]
     c0 = g.cube_sites((0,) * g.dimension, n)
 
-    hits = 0
-    for i in range(reps):
-        rep_seed = derive_seed(seed, i)
+    def occurred(i, rep_seed):
         tl = build_timeline(g, lam_gen, params.r, q_gen, horizon, rep_seed)
         run = RunParams(g, params.lam, params.r, spec, horizon, rep_seed)
-        traj = evolve_truncated(trunc, run, c0, (), tl)
-        if which == A1:
-            ok = _cube_event_occurred(traj, g, anchors, n, None, at_time=T + 1.0)
-        elif which == A2:
-            ok = _cube_event_occurred(traj, g, anchors, n, (1.0, T + 1.0))
-        else:
-            ok = _cube_event_occurred(traj, g, anchors, n, (T, 2.0 * T))
-        if ok:
-            hits += 1
-    return _estimate(hits, reps, seed, censored=0)
+        return _cube_event_occurred(evolve_truncated(trunc, run, c0, (), tl), cubes, **when)
+
+    return _estimate(sum(replicas(seed, reps, occurred)), reps, seed, censored=0)
 
 
 @dataclass(frozen=True)
@@ -272,9 +254,8 @@ def oriented_percolation_run(q: float, w0, k_max: int, seed: int) -> list:
 def percolation_survival(q: float, reps: int, k_max: int, seed: int,
                          w0=(0,)) -> Estimate:
     """Fraction of replicas whose front is still alive at level k_max."""
-    alive = 0
-    for i in range(reps):
-        path = oriented_percolation_run(q, w0, k_max, derive_seed(seed, i))
-        if path[-1].level == k_max and path[-1].open_sites:
-            alive += 1
-    return _estimate(alive, reps, seed)
+    def alive(i, rep_seed):
+        path = oriented_percolation_run(q, w0, k_max, rep_seed)
+        return path[-1].level == k_max and bool(path[-1].open_sites)
+
+    return _estimate(sum(replicas(seed, reps, alive)), reps, seed)

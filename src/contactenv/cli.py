@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from . import __version__
 from . import analysis, background, blocks, engine, reference
 from .engine import RunParams
-from .graphical import derive_seed
 from .lattice import SizingError, build_box
 
 OUT_DIR_ENV = "CONTACTENV_OUT"
@@ -378,10 +377,13 @@ def _est_row(est):
     return [est.p_hat, est.n_reps, est.half_width, est.censored_frac, est.boundary_frac]
 
 
+def _seeds(cfg: RunConfig) -> list:
+    """The seeds of the run's replicas, from the replica map that runs them."""
+    return list(analysis.replicas(cfg.seed, cfg.params["reps"], lambda i, seed: seed))
+
+
 def _run_survival(cfg: RunConfig):
     p = cfg.params
-    if p["reps"] > cfg.max_replicas:
-        raise BudgetError(f"reps {p['reps']} exceed max_replicas {cfg.max_replicas}")
     d = p["d"]
     g = build_box(d, p["L"])
     spec = _make_spec(p.get("spec"), d)
@@ -394,19 +396,14 @@ def _run_survival(cfg: RunConfig):
     est = analysis.estimate_survival(params, c0, start_mode=p["start_mode"],
                                      reps=p["reps"], seed=cfg.seed,
                                      max_events=cfg.max_events)
-    seeds = [derive_seed(cfg.seed, i) for i in range(p["reps"])]
     header = ["lambda", "r", "T", "L", "d"] + _est_cols()
     rows = [[p["lambda"], p["r"], p["T"], p["L"], d] + _est_row(est)]
-    return _csv(header, rows), seeds, {}
+    return _csv(header, rows), _seeds(cfg), {}
 
 
 def _run_critical(cfg: RunConfig):
-    """Probe-by-probe bracket; max_replicas caps each probe's replicas and
-    max_events each replica's timeline."""
+    """Probe-by-probe bracket; max_events caps each replica's timeline."""
     p = cfg.params
-    if p["reps_per_probe"] > cfg.max_replicas:
-        raise BudgetError(f"reps_per_probe {p['reps_per_probe']} exceed "
-                          f"max_replicas {cfg.max_replicas}")
     d = p["d"]
     spec = _make_spec(p.get("spec"), d)
     kw = {key: p[key] for key in ("lam_init", "max_probes") if p.get(key) is not None}
@@ -428,8 +425,6 @@ def _run_phase_scan(cfg: RunConfig):
     events would take the scan past max_events, or once wall_clock_hint_s
     has passed, and the CSV then holds the columns admitted."""
     p = cfg.params
-    if p["reps"] > cfg.max_replicas:
-        raise BudgetError(f"reps {p['reps']} exceed max_replicas {cfg.max_replicas}")
     fixed = dict(p["fixed"])
     fixed.setdefault("d", p["d"])
     fixed.setdefault("L", p["L"])
@@ -456,8 +451,7 @@ def _run_phase_scan(cfg: RunConfig):
     flags = {}
     if stop:
         flags = {"budget_exceeded": True, "completed_columns": len(scan.values2), **stop}
-    seeds = [derive_seed(cfg.seed, i) for i in range(p["reps"])]
-    return _csv(header, rows), seeds, flags
+    return _csv(header, rows), _seeds(cfg), flags
 
 
 def _run_duality(cfg: RunConfig):
@@ -470,7 +464,7 @@ def _run_duality(cfg: RunConfig):
     rows = [["C-to-A"] + _est_row(est1) + [""],
             ["A-to-C"] + _est_row(est2) + [""],
             ["z-score", "", "", "", "", "", z]]
-    return _csv(header, rows), [derive_seed(cfg.seed, 1), derive_seed(cfg.seed, 2)], {}
+    return _csv(header, rows), [est1.seed, est2.seed], {}
 
 
 def _run_bounds(cfg: RunConfig):
@@ -481,8 +475,7 @@ def _run_bounds(cfg: RunConfig):
     header = ["distance", "empirical", "half_width", "bound", "within"]
     rows = [[r.distance, r.empirical, r.half_width, r.bound, int(r.within)]
             for r in rows_out]
-    seeds = [derive_seed(cfg.seed, i) for i in range(p["reps"])]
-    return _csv(header, rows), seeds, {}
+    return _csv(header, rows), _seeds(cfg), {}
 
 
 def _run_blocks(cfg: RunConfig):
@@ -496,8 +489,7 @@ def _run_blocks(cfg: RunConfig):
                                       params, p["reps"], cfg.seed)
     header = ["event", "n", "L", "T"] + _est_cols()
     rows = [[p["event"], p["n"], p["block_L"], p["T"]] + _est_row(est)]
-    seeds = [derive_seed(cfg.seed, i) for i in range(p["reps"])]
-    return _csv(header, rows), seeds, {}
+    return _csv(header, rows), _seeds(cfg), {}
 
 
 def _run_percolation(cfg: RunConfig):
@@ -508,8 +500,7 @@ def _run_percolation(cfg: RunConfig):
         est = blocks.percolation_survival(q, p["reps"], p["k_max"], cfg.seed,
                                           w0=tuple(p["w0"]))
         rows.append([q, p["k_max"]] + _est_row(est))
-    seeds = [derive_seed(cfg.seed, i) for i in range(p["reps"])]
-    return _csv(header, rows), seeds, {}
+    return _csv(header, rows), _seeds(cfg), {}
 
 
 def _run_c1(cfg: RunConfig):
@@ -549,12 +540,23 @@ def _atomic_write(path: str, data: bytes):
     os.replace(tmp, path)
 
 
+def _check_replicas(cfg: RunConfig):
+    """max_replicas caps the replicas of each estimate: of a survival,
+    phase-scan, bounds or blocks run, of each critical probe, each duality
+    side and each percolation q."""
+    for key in ("reps", "reps_per_probe"):
+        reps = cfg.params.get(key)
+        if reps is not None and reps > cfg.max_replicas:
+            raise BudgetError(f"{key} {reps} exceed max_replicas {cfg.max_replicas}")
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one validated config; returns the process exit code."""
     started = time.time()
     os.makedirs(cfg.out_dir, exist_ok=True)
     flags = {}
     try:
+        _check_replicas(cfg)
         csv_text, seeds, flags = _RUNNERS[cfg.subcommand](cfg)
         code = EXIT_BUDGET if flags.get("budget_exceeded") else EXIT_OK
     except (SizingError, BudgetError) as exc:

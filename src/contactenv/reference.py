@@ -11,8 +11,9 @@ table is read one event at a time, as (time, kind, target, mark), from
 plain values converted a block at a time, as a run may stop early.  A
 reversed stretch is read newest first, at anchor - t, with each arrow's
 directed pair id flipped to the other orientation (j ^ 1).  A flip is
-decided by recounting the edge's open line-graph neighbours; the counts
-in open_nbrs are still kept up to date, as the compiled kernel keeps them.
+decided by the edge's count of open line-graph neighbours in open_nbrs,
+kept up to date as the compiled kernel keeps it; tests/test_oracle.py
+steps its own copies with flip's recount, which checks the kept counts.
 A scan keeps each edge's state in every column as one bit of a Python
 int.  The double comparisons are the compiled kernel's, so the two give
 bit-identical outputs.
@@ -54,13 +55,15 @@ def _arrays(deltas):
     return np.array(t, np.float64), np.array(x, np.int32), np.array(s, np.int8)
 
 
-def flip(g, edges, rule, x, u) -> int:
+def flip(g, edges, rule, x, u, n=None) -> int:
     """The flip rule at a candidate with mark u on edge x: closes an open
     edge if (1 - u) q <= down[n], opens a closed one if u q < up[n], where
-    n counts x's open line-graph neighbours and rule is (up, down, q).
-    Updates edges; returns the sign of the flip, 0 for none."""
+    n counts x's open line-graph neighbours (recounted when not given) and
+    rule is (up, down, q).  Updates edges; returns the sign of the flip, 0
+    for none."""
     up, down, q = rule
-    n = sum(map(edges.__getitem__, g.line_nbrs[x]))
+    if n is None:
+        n = sum(map(edges.__getitem__, g.line_nbrs[x]))
     if edges[x]:
         if (1.0 - u) * q <= down[n]:
             edges[x] = 0
@@ -91,7 +94,7 @@ def grow(table, n_valid, lo, hi, rev_top, anchor, g, rule, edges, open_nbrs, fla
         if kind == KIND_ARROW:
             flags[k] = edges[dir_edge[j]]
         elif kind == KIND_FLIP and rule is not None:
-            sign = flip(g, edges, rule, j, u)
+            sign = flip(g, edges, rule, j, u, open_nbrs[j])
             if sign:
                 for e in line_nbrs[j]:
                     open_nbrs[e] += sign

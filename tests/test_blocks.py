@@ -1,10 +1,14 @@
 import math
+import random
+from itertools import product
 
+import numpy as np
 import pytest
 
-from contactenv import (build_box, estimate_block_event, find_block_scale,
-                        make_spec, oriented_percolation_run,
+from contactenv import (build_box, build_timeline, estimate_block_event, evolve_truncated,
+                        find_block_scale, make_spec, oriented_percolation_run,
                         percolation_survival)
+from contactenv.blocks import _cube_event_occurred
 from contactenv.engine import RunParams
 
 DP = make_spec("dynamical-percolation", alpha=1.0, beta=1.0)
@@ -95,6 +99,66 @@ class TestBlockEvents:
                                   reps=100, seed=9)
         assert 0 <= e2.p_hat <= 1 and 0 <= e3.p_hat <= 1
         assert e2.p_hat > 0 and e3.p_hat > 0
+
+
+def cube_event_by_loop(traj, g, anchors, n, window, at_time=None):
+    """_cube_event_occurred as a walk over the site deltas with a counter
+    per cube, returning at the first cube to fill: the reference for its
+    numpy count."""
+    cube_size = (2 * n + 1) ** g.dimension
+    cubes = [0] * len(anchors)
+    site_to_cubes = {}
+    for a_idx, x in enumerate(anchors):
+        for s in g.cube_sites(x, n):
+            site_to_cubes.setdefault(int(s), []).append(a_idx)
+    for s in traj.c0:
+        for a_idx in site_to_cubes.get(s, ()):
+            cubes[a_idx] += 1
+    if at_time is not None:
+        for t, j, sign in traj.site_deltas:
+            if t > at_time:
+                break
+            for a_idx in site_to_cubes.get(j, ()):
+                cubes[a_idx] += sign
+        return cube_size in cubes
+    w_lo, w_hi = window
+    entered = False
+    for t, j, sign in traj.site_deltas:
+        if not entered and t >= w_lo:
+            entered = True
+            if cube_size in cubes:
+                return True
+        if t >= w_hi:
+            return False
+        for a_idx in site_to_cubes.get(j, ()):
+            cubes[a_idx] += sign
+            if sign > 0 and entered and cubes[a_idx] == cube_size:
+                return True
+    return not entered and cube_size in cubes
+
+
+@pytest.mark.parametrize("d,L,n", [(1, 6, 1), (1, 6, 2), (2, 3, 1)])
+def test_cube_events_match_the_delta_walk(d, L, n):
+    # windows and times drawn from the deltas' own times, so ties at either
+    # end of a window are exercised
+    rng = random.Random(d * 100 + n)
+    g = build_box(d, L)
+    anchors = list(product(range(-L + n, L - n + 1), repeat=d))
+    cubes = np.array([g.cube_sites(x, n) for x in anchors])
+    dp = make_spec("dynamical-percolation", alpha=1.0, beta=1.0, d=d)
+    T = 3.0
+    for seed in range(40):
+        tl = build_timeline(g, 2.5, 1.0, dp.flip_rate, T, seed)
+        c0 = g.cube_sites((0,) * d, n)
+        traj = evolve_truncated(L - 1, RunParams(g, 2.5, 1.0, dp, T), c0, (), tl)
+        times = traj.site_arrays.t.tolist() or [1.0]
+        cases = [((0.5, 2.0), None), (None, 1.0), (None, T), ((1.0, T), None)]
+        for _ in range(6):
+            a, b = sorted(rng.choice(times) for _ in range(2))
+            cases += [((a, b), None), ((a, T), None), ((0.0, b), None), (None, a)]
+        for window, at_time in cases:
+            assert _cube_event_occurred(traj, cubes, window, at_time) == \
+                cube_event_by_loop(traj, g, anchors, n, window, at_time), (seed, window, at_time)
 
 
 class TestScaleSearch:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from contactenv import cli, engine, kernel, reference
+from contactenv import analysis, blocks, cli, engine, kernel, reference
+from test_acceptance import DETERMINISM_CONFIGS
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -221,6 +222,26 @@ class TestRun:
         assert "max_replicas" in manifest["flags"]["error"]
         doc["max_replicas"] = 20
         assert cli.run(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("doc", [doc for doc in DETERMINISM_CONFIGS if doc["subcommand"]
+                                     in ("bounds", "percolation", "blocks", "duality")],
+                             ids=lambda doc: doc["subcommand"])
+    def test_every_subcommand_rejects_reps_over_max_replicas(self, doc, tmp_path,
+                                                            monkeypatch):
+        # bounds ran all 20 replicas of a reps-20, max_replicas-5 config and exited 0
+        def no_run(*args, **kw):
+            raise AssertionError("ran a replica over the replica budget")
+
+        for module in (analysis, blocks):
+            monkeypatch.setattr(module, "build_timeline", no_run)
+        monkeypatch.setattr(blocks, "oriented_percolation_run", no_run)
+        cfg = cli.parse_config(json.dumps(dict(doc, out_dir=str(tmp_path),
+                                               max_replicas=doc["reps"] - 1)))
+        assert cli.run(cfg) == cli.EXIT_BUDGET
+        manifest = json.loads((tmp_path / f"{cfg.label()}_manifest.json").read_text())
+        assert f"reps {doc['reps']} exceed max_replicas" in manifest["flags"]["error"]
+        assert manifest["outputs"] == {} and manifest["derived_seeds"] == []
+        assert not (tmp_path / f"{cfg.label()}.csv").exists()
 
     def test_critical_max_events_is_a_per_timeline_budget(self, tmp_path):
         # one replica's timeline at lam_init 1: (1*2*20 + 1*21) * 4 = 244 events
