@@ -575,7 +575,8 @@ def growth_vs_coupling_curve(lam: float, spec: BackgroundSpec, s_grid, T: float,
         grown = richardson((origin,), tl, T).site_arrays
         sites, first = np.unique(np.concatenate(([origin], grown.x)), return_index=True)
         first_hit = np.concatenate(([0.0], grown.t))[first]
-        sites, first_hit = sites[first_hit <= T], first_hit[first_hit <= T]
+        by_T = first_hit <= T
+        sites, first_hit = sites[by_T], first_hit[by_T]
         # vertex ready time: all incident edges decided (interior sites only)
         ready = np.full(g.n_sites, -math.inf)
         np.maximum.at(ready, ends, np.repeat(decided_times(spec, tl)[0], 2))
@@ -684,7 +685,8 @@ def local_survival_proxy(params: RunParams, x: int, T: float, reps: int,
         traj = evolve(RunParams(g, params.lam, params.r, params.spec, T, rep_seed),
                       (x,), b0, tl)
         d = traj.site_arrays
-        t, on = d.t[d.x == x], d.s[d.x == x] > 0
+        mine = d.x == x
+        t, on = d.t[mine], d.s[mine] > 0
         before = np.concatenate(([True], on))   # x's state before each delta, then at T
         # infected when the window opened, reinfected inside it, or infected at T
         window = (before[:-1] & (t > half)).any() or (on & (t >= half)).any() or before[-1]
