@@ -1,10 +1,9 @@
 /* The compiled event kernel: the flip rule (cek_grow), the infection loop
- * (cek_run), its sweep over many arrow rates at once (cek_levels) and that
- * sweep over many independent-edge environments at once (cek_scan) of
- * contactenv.engine, reading a Timeline's four buffers (times float64,
- * kinds int8, idx int32, marks float64) in place.
+ * (cek_run) and its sweep over many arrow rates in many environments at
+ * once (cek_scan) of contactenv.engine, reading a Timeline's four buffers
+ * (times float64, kinds int8, idx int32, marks float64) in place.
  *
- * All four make the same double comparisons as the plain-Python kernel in
+ * All three make the same double comparisons as the plain-Python kernel in
  * reference.py, so their outputs are bit-identical to its: build with
  * -ffp-contract=off and without -ffast-math.  Every buffer is owned by the
  * caller, which checks lengths and offsets before each call (kernel.py).
@@ -159,106 +158,36 @@ int64_t cek_run(const double *times, const int8_t *kinds, const int32_t *idx,
     return n;
 }
 
-/* One stretch of a levels sweep over table indices lo..hi-1, forward: the
- * runs of cek_run that emanate below half_width, at arrow fractions
- * fracs[0] <= ... <= fracs[n_fracs - 1] and recovery fraction r_frac, all
- * at once.  level[x] (INFINITY: healthy) places site x in the infected set
- * of the run at f exactly when level[x] < f: an arrow x -> y with mark u
- * whose edge is open sets level[y] = min(level[y], max(level[x], u)), and a
- * recovery kept at r_frac sets level[x] = INFINITY.  The least level never
- * falls, so the runs die in the order of their fractions: state is (runs
- * extinct, sites below the lowest live fraction), and taus[k] is set to the
- * time of the recovery after which no level is below fracs[k].  touch[0] is
- * the least level written to a site of norm half_width or more.  Flags and
- * edges are read as by cek_run, forward.  Returns the number of runs
- * extinct; the sweep stops when all are. */
-int64_t cek_levels(const double *times, const int8_t *kinds, const int32_t *idx,
-                   const double *marks, int64_t lo, int64_t hi, const int32_t *src,
-                   const int32_t *dst, const int32_t *dir_edge, const int32_t *norm_inf,
-                   int32_t half_width, int32_t n_sites, const double *fracs,
-                   int64_t n_fracs, double r_frac, const uint8_t *flags,
-                   const uint8_t *edges, double *level, int64_t *state, double *touch,
-                   double *taus)
-{
-    int64_t dead = state[0], n_low = state[1];
-    if (dead >= n_fracs)
-        return dead;
-    double f_top = fracs[n_fracs - 1], f_low = fracs[dead], t_low = touch[0];
-    int thin_arrows = f_top < 1.0, thin_recs = r_frac < 1.0;
-    for (int64_t i = lo; i < hi; i++) {
-        int kind = kinds[i];
-        if (kind == KIND_ARROW) {
-            int32_t j = idx[i];
-            int32_t s = src[j];
-            double ls = level[s];
-            if (ls >= f_top)
-                continue;
-            double u = marks[i];
-            if (thin_arrows && u >= f_top)
-                continue;
-            if (norm_inf[s] >= half_width)
-                continue;
-            int32_t d = dst[j];
-            double v = ls > u ? ls : u;
-            if (v >= level[d])
-                continue;
-            if (!(flags ? flags[i] : edges[dir_edge[j]]))
-                continue;
-            if (v < f_low && level[d] >= f_low)
-                n_low++;
-            level[d] = v;
-            if (norm_inf[d] >= half_width && v < t_low)
-                t_low = v;
-        } else if (kind == KIND_RECOVERY) {
-            if (thin_recs && marks[i] >= r_frac)
-                continue;
-            int32_t x = idx[i];
-            double lx = level[x];
-            if (lx == INFINITY)
-                continue;
-            level[x] = INFINITY;
-            if (lx < f_low && --n_low == 0) {
-                double least = INFINITY;
-                for (int32_t y = 0; y < n_sites; y++)
-                    if (level[y] < least)
-                        least = level[y];
-                while (dead < n_fracs && fracs[dead] <= least)
-                    taus[dead++] = times[i];
-                if (dead == n_fracs)
-                    break;
-                f_low = fracs[dead];
-                for (int32_t y = 0; y < n_sites; y++)
-                    n_low += level[y] < f_low;
-            }
-        }
-    }
-    state[0] = dead;
-    state[1] = n_low;
-    touch[0] = t_low;
-    return dead;
-}
-
-/* One stretch of a scan over table indices lo..hi-1, forward: the levels
- * sweeps of n_cols <= 64 columns at once, each column in its own
- * independent-edge environment.  Column k holds the arrow fractions
- * fracs[col_ptr[k]] <= ... <= fracs[col_ptr[k + 1] - 1], its recovery
- * fraction r_fracs[k] and its opening and closing rates ups[k], downs[k].
- * Bit k of masks[e] is edge e's state in column k: a flip candidate on edge
- * x with mark u closes it in the columns where (1 - u) q <= downs[k] and
- * opens it in those where u q < ups[k], so a column with both rates
- * -INFINITY keeps its edges as they are.  level[x * n_cols + k] is site x's
- * level in column k, read and written by cek_levels' rule; an arrow updates
- * only the columns whose bit is set on its edge.  state[2k], state[2k + 1],
- * touch[k] and taus[col_ptr[k]..] are column k's state, touch and taus of
- * cek_levels.  Returns the number of columns whose runs are all extinct;
- * the scan stops when all are. */
+/* One stretch of a scan over table indices lo..hi-1, forward: the runs of
+ * cek_run that emanate below half_width, at many arrow fractions in each of
+ * n_cols <= 64 environments, all at once.  Column k holds the arrow
+ * fractions fracs[col_ptr[k]] <= ... <= fracs[col_ptr[k + 1] - 1] and the
+ * recovery fraction r_fracs[k].  level[x * n_cols + k] (INFINITY: healthy)
+ * places site x in the infected set of column k's run at f exactly when it
+ * is below f: an arrow x -> y with mark u whose edge is open sets y's level
+ * to min(y's level, max(x's level, u)), and a recovery kept at r_fracs[k]
+ * sets x's level to INFINITY.  The least level never falls, so a column's
+ * runs die in the order of their fractions: state[2k] counts those extinct
+ * and state[2k + 1] the sites below the lowest live fraction, and
+ * taus[col_ptr[k] + m] is set to the time of the recovery after which no
+ * level is below fracs[col_ptr[k] + m].  touch[k] is the least level
+ * written to a site of norm half_width or more.
+ *
+ * With flags, an arrow's edge is open in every column if flags[i], as
+ * cek_run reads them, and masks, ups and downs are not read.  Without,
+ * bit k of masks[e] is edge e's state in column k: a flip candidate on
+ * edge x with mark u closes it in the columns where (1 - u) q <= downs[k]
+ * and opens it in those where u q < ups[k], so a column with both rates
+ * -INFINITY keeps its edges as they are.  Returns the number of columns
+ * whose runs are all extinct; the scan stops when all are. */
 int64_t cek_scan(const double *times, const int8_t *kinds, const int32_t *idx,
                  const double *marks, int64_t lo, int64_t hi, const int32_t *src,
                  const int32_t *dst, const int32_t *dir_edge, const int32_t *norm_inf,
                  int32_t half_width, int32_t n_sites, int64_t n_cols,
                  const int64_t *col_ptr, const double *fracs, const double *r_fracs,
                  const double *ups, const double *downs, double q_rate, uint64_t *masks,
-                 double *level, int64_t *state, double *touch, double *taus)
+                 const uint8_t *flags, double *level, int64_t *state, double *touch,
+                 double *taus)
 {
     double f_top[64], f_low[64];
     uint64_t live = 0;
@@ -279,7 +208,7 @@ int64_t cek_scan(const double *times, const int8_t *kinds, const int32_t *idx,
             int32_t s = src[j];
             if (norm_inf[s] >= half_width)
                 continue;
-            uint64_t m = masks[dir_edge[j]] & live;
+            uint64_t m = flags ? (flags[i] ? live : 0) : masks[dir_edge[j]] & live;
             const double *ls = level + (int64_t)s * n_cols;
             int32_t d = dst[j];
             double *ld = level + (int64_t)d * n_cols;
@@ -329,7 +258,7 @@ int64_t cek_scan(const double *times, const int8_t *kinds, const int32_t *idx,
                     n_low += level[(int64_t)y * n_cols + k] < f_low[k];
                 state[2 * k + 1] = n_low;
             }
-        } else if (kind == KIND_FLIP) {
+        } else if (kind == KIND_FLIP && !flags) {
             double cq = (1.0 - marks[i]) * q_rate, oq = marks[i] * q_rate;
             uint64_t close = 0, open = 0;
             for (int64_t k = 0; k < n_cols; k++) {

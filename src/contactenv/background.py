@@ -13,12 +13,12 @@ For all three the flip rate at an edge depends on its own state and on the
 number of open edges among its line-graph neighbours; boundary edges of a
 truncated box use the same rule with the missing neighbours treated as
 closed.  Attractiveness (more open neighbours never slow an opening, never
-speed a closing) is validated exhaustively over local patterns when a spec
-is built.
+speed a closing) is validated at every open-neighbour count when a spec is
+built.
 
 Dynamics are realized by uniformization: each edge carries one candidate
-clock of rate Q = max over local patterns of (up rate + down rate), and the
-event's uniform mark decides the flip.  Up-flips read the mark from the
+clock of rate Q = max over open-neighbour counts of (up rate + down rate),
+and the event's uniform mark decides the flip.  Up-flips read the mark from the
 bottom of [0,1), down-flips from the top, so two copies started from nested
 states can never cross; this is what makes the two-sided sandwich from the
 empty and full edge sets an exact computation of the permanently decided
@@ -38,9 +38,6 @@ from .lattice import GraphView
 DYNAMICAL_PERCOLATION = "dynamical-percolation"
 NOISY_VOTER = "noisy-voter"
 ISING = "ising"
-
-PATTERN_LIMIT = 1 << 20
-
 
 class UnsupportedOperationError(RuntimeError):
     """The requested quantity has no closed form for this background."""
@@ -143,58 +140,41 @@ def make_spec(kind: str, *, alpha: float | None = None, beta: float | None = Non
 
 
 def _check_attractive(up, down, n):
-    # exhaustive over local patterns: adding one open neighbour may never
-    # lower an up rate or raise a down rate
-    if (1 << n) > PATTERN_LIMIT:
-        raise UnsupportedOperationError(f"2^{n} local patterns exceed the enumeration limit")
-    for pattern in range(1 << n):
-        k = bin(pattern).count("1")
-        for a in range(n):
-            if pattern & (1 << a):
-                continue
-            if up[k] > up[k + 1] + 1e-12:
-                raise ValueError(
-                    f"attractiveness violated: opening rate drops from {up[k]} to {up[k + 1]} "
-                    f"when neighbour pattern {pattern:b} gains edge {a}")
-            if down[k] < down[k + 1] - 1e-12:
-                raise ValueError(
-                    f"attractiveness violated: closing rate rises from {down[k]} to {down[k + 1]} "
-                    f"when neighbour pattern {pattern:b} gains edge {a}")
+    # adding one open neighbour to an edge with k < n of them may never
+    # lower its up rate or raise its down rate
+    for k in range(n):
+        if up[k] > up[k + 1] + 1e-12:
+            raise ValueError(
+                f"attractiveness violated: opening rate drops from {up[k]} to {up[k + 1]} "
+                f"when the open neighbours rise from {k} to {k + 1}")
+        if down[k] < down[k + 1] - 1e-12:
+            raise ValueError(
+                f"attractiveness violated: closing rate rises from {down[k]} to {down[k + 1]} "
+                f"when the open neighbours rise from {k} to {k + 1}")
 
 
 def min_max_rates(spec: BackgroundSpec) -> RateBounds:
-    """Extremes of the up and down rates over all local patterns."""
-    if (1 << spec.nbr_count) > PATTERN_LIMIT:
-        raise UnsupportedOperationError("local pattern count exceeds the enumeration limit")
-    ups = [spec.up_table[bin(p).count('1')] for p in range(1 << spec.nbr_count)]
-    downs = [spec.down_table[bin(p).count('1')] for p in range(1 << spec.nbr_count)]
-    return RateBounds(alpha_min=min(ups), alpha_max=max(ups),
-                      beta_min=min(downs), beta_max=max(downs))
+    """Extremes of the up and down rates over all open-neighbour counts."""
+    return RateBounds(alpha_min=min(spec.up_table), alpha_max=max(spec.up_table),
+                      beta_min=min(spec.down_table), beta_max=max(spec.down_table))
 
 
 def ergodicity_margin(spec: BackgroundSpec) -> ErgodicityMargin:
-    """Influence sum M, flip-rate floor, and their gap, by exact enumeration.
+    """Influence sum M, flip-rate floor, and their gap.
 
     M sums, over the nbr_count neighbouring edges, the largest change a
     single neighbour flip can make to this edge's rate; the floor is the
-    least value of up + down over patterns.  A positive margin certifies
-    exponentially fast loss of memory of the initial state.
+    least value of up + down over open-neighbour counts.  The rates read
+    only the count, which one flip moves by one, so every neighbour's
+    largest change is the same.  A positive margin certifies exponentially
+    fast loss of memory of the initial state.
     """
-    n = spec.nbr_count
-    if (1 << n) > PATTERN_LIMIT:
-        raise UnsupportedOperationError("local pattern count exceeds the enumeration limit")
+    up, down, n = spec.up_table, spec.down_table, spec.nbr_count
+    worst = max([0.0] + [abs(t[k] - t[k + 1]) for t in (up, down) for k in range(n)])
     m_total = 0.0
-    for a in range(n):
-        worst = 0.0
-        for pattern in range(1 << n):
-            k = bin(pattern).count("1")
-            k2 = k - 1 if pattern & (1 << a) else k + 1
-            worst = max(worst,
-                        abs(spec.up_table[k] - spec.up_table[k2]),
-                        abs(spec.down_table[k] - spec.down_table[k2]))
+    for _ in range(n):
         m_total += worst
-    floor = min(spec.up_table[bin(p).count('1')] + spec.down_table[bin(p).count('1')]
-                for p in range(1 << n))
+    floor = min(u + d for u, d in zip(up, down))
     kappa = (spec.alpha + spec.beta) if spec.is_dp else None
     return ErgodicityMargin(influence_sum=m_total, rate_floor=floor,
                             margin=floor - m_total, kappa_exact=kappa)

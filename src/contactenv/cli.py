@@ -34,6 +34,8 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
+_MANIFEST_SEEDS = 10_000      # replica seeds a manifest keeps
+
 SUBCOMMANDS = ("survival", "critical", "phase-scan", "duality", "bounds",
                "blocks", "percolation", "c1")
 
@@ -378,8 +380,10 @@ def _est_row(est):
 
 
 def _seeds(cfg: RunConfig) -> list:
-    """The seeds of the run's replicas, from the replica map that runs them."""
-    return list(analysis.replicas(cfg.seed, cfg.params["reps"], lambda i, seed: seed))
+    """The seeds of the run's first _MANIFEST_SEEDS replicas, the ones its
+    manifest keeps, from the replica map that runs them."""
+    reps = min(cfg.params["reps"], _MANIFEST_SEEDS)
+    return list(analysis.replicas(cfg.seed, reps, lambda i, seed: seed))
 
 
 def _run_survival(cfg: RunConfig):
@@ -575,7 +579,7 @@ def run(cfg: RunConfig) -> int:
                 "params": _jsonable(cfg.params)},
         code_version=__version__,
         root_seed=cfg.seed,
-        derived_seeds=seeds[:10000],
+        derived_seeds=seeds,
         started_utc=started,
         finished_utc=time.time(),
         outputs={csv_name: hashlib.sha256(csv_bytes).hexdigest()} if csv_text else {},

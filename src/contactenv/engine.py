@@ -9,29 +9,29 @@ comparison helpers at the bottom of this module check exactly that.
 
 _run is the one infection loop: every entry point, the dual included, is a
 call to it with its own windows, emanation and entry limits and
-environment.  evolve_levels runs the loop of evolve at many arrow rates in
-one sweep over the same chunks (the kernel's levels), and evolve_scan runs
-many such sweeps, each in its own independent-edge environment, in one
-sweep with the environments swept inline (the kernel's scan).  The
-environment is autonomous, so its path depends only on (feed, spec,
-initial edges).  BackgroundPath holds it and applies the flip rule,
-sweeping on through each chunk of the feed before a run reads the chunk;
-only the scan applies the rule too, inline, to its columns' edge masks.
-Paths on forward, un-anchored feeds are stored on the base Timeline, so
-every run with that spec and those initial edges reads and extends one: a
-run that dies early sweeps a prefix, and the next reuses it.  A frozen
-environment (spec None) reads no path.
+environment.  evolve_scan runs the loop of evolve at many arrow rates in
+each of up to 64 columns in one sweep over the same chunks (the kernel's
+scan), with each column's independent-edge environment swept inline;
+evolve_levels is a scan of one column whose arrows read a stored path,
+so it runs in any environment.  The environment is autonomous, so its
+path depends only on (feed, spec, initial edges).  BackgroundPath holds
+it and applies the flip rule, sweeping on through each chunk of the feed
+before a run reads the chunk; only the scan applies the rule too, inline,
+to its columns' edge masks.  Paths on forward, un-anchored feeds are
+stored on the base Timeline, so every run with that spec and those
+initial edges reads and extends one: a run that dies early sweeps a
+prefix, and the next reuses it.  A frozen environment (spec None) reads
+no path.
 
-The four loops, the run, its levels sweep, the scan and the path's
-sweep, are the event kernel's: _lib is the
-compiled kernel (_kernel.c, loaded by kernel.load() when this module is
-imported), or, when no C compiler is found, the plain-Python one
-(reference.py), which takes the same arguments and gives bit-identical
-outputs.  Either reads the base Timeline's four buffers a stretch at a
-time and keeps its state between calls in buffers owned here: the
-infection bytearray or the sites' levels, a path's edge states,
-open-neighbour counts and arrow flags (a bytearray by feed offset), and a
-scan's edge masks.
+The three loops, the run, the scan and the path's sweep, are the event
+kernel's: _lib is the compiled kernel (_kernel.c, loaded by kernel.load()
+when this module is imported), or, when no C compiler is found, the
+plain-Python one (reference.py), which takes the same arguments and gives
+bit-identical outputs.  Either reads the base Timeline's four buffers a
+stretch at a time and keeps its state between calls in buffers owned
+here: the infection bytearray, a scan's levels and edge masks, and a
+path's edge states, open-neighbour counts and arrow flags (a bytearray by
+feed offset).
 
 The table is itself drawn and sorted on demand, slab by slab.  A run that
 stops at extinction reads fixed-size chunks of _CHUNK events and never asks
@@ -571,6 +571,32 @@ def evolve(params: RunParams, c0, b0, tl, *, stop_on_extinct=False,
                    stop_on_extinct=stop_on_extinct, want_deltas=want_deltas)
 
 
+def _check_sweep(name, columns, tl) -> list:
+    """The flip rules (see _bg_tables) of columns [(cells, b0), ...] that
+    one sweep of tl, a Timeline, runs: every cell shares graph and horizon,
+    and a column's cells differ in lam only.  Rejects what evolve would not
+    run: a box of another size, a horizon past tl's, a rate above its."""
+    if not isinstance(tl, Timeline):
+        raise TypeError(f"{name} runs on a Timeline, got {type(tl).__name__}")
+    if not columns or not all(cells for cells, _ in columns):
+        raise ValueError(f"{name} needs columns of one cell or more")
+    p0 = columns[0][0][0]
+    _check_box(p0.graph, tl)
+    if not p0.horizon <= tl.t_max + 1e-9:
+        raise ValueError(f"t_end={p0.horizon} beyond the feed horizon {tl.t_max}")
+    rules = []
+    for cells, _ in columns:
+        c = cells[0]
+        if any(p.graph is not p0.graph or p.horizon != p0.horizon
+               or (p.r, p.spec) != (c.r, c.spec) for p in cells):
+            raise ValueError("the cells of a sweep share graph and horizon, and those of "
+                             "a column differ in lam only")
+        for p in cells:
+            _at_rates(p, tl)        # rejects a rate above the table's
+        rules.append(_bg_tables(c.spec, tl))    # rejects a table this spec cannot run on
+    return rules
+
+
 def evolve_levels(cells, c0, b0, tl) -> list:
     """(tau_ex, boundary_touched) of evolve(p, c0, b0, tl,
     stop_on_extinct=True) for each RunParams p of cells, bit for bit, from
@@ -580,54 +606,14 @@ def evolve_levels(cells, c0, b0, tl) -> list:
     The sweep keeps a level per site: the least, over the infection paths
     into the site, of the largest arrow mark on the path.  A site is
     infected in the run at fraction f = lam / lam_max exactly when its level
-    is below f (the kernel's levels).  The sweep reads the table in _run's
-    chunks, sweeping the path of (spec, b0) stored on tl through each, and
-    stops when the run at the largest lam dies."""
-    if not cells:
-        raise ValueError("evolve_levels needs at least one cell")
-    p0 = cells[0]
-    if any(p.graph is not p0.graph or (p.r, p.spec, p.horizon) != (p0.r, p0.spec, p0.horizon)
-           for p in cells):
-        raise ValueError("the cells of one sweep differ in lam only")
-    if not isinstance(tl, Timeline):
-        raise TypeError(f"evolve_levels runs on a Timeline, got {type(tl).__name__}")
-    g = p0.graph
-    _check_box(g, tl)
-    for p in cells:
-        _at_rates(p, tl)        # rejects a rate above the table's
-    if not p0.horizon <= tl.t_max + 1e-9:
-        raise ValueError(f"t_end={p0.horizon} beyond the feed horizon {tl.t_max}")
+    is below f.  It is a scan of one column (see evolve_scan) whose arrows
+    read the path of (spec, b0) stored on tl, swept through each of _run's
+    chunks as the scan reaches it; a frozen column (spec None) reads b0.
+    The sweep stops when the run at the largest lam dies."""
+    _check_sweep("evolve_levels", [(cells, b0)], tl)
     b0 = frozenset(map(int, b0))
-    flags = edges = path = None
-    if p0.spec is None:     # b0 throughout; _bg_tables rejects a table with flips
-        _bg_tables(None, tl)
-        edges = bytearray(g.n_edges)
-        for e in b0:
-            edges[e] = 1
-    else:
-        path = _path(p0.spec, b0, tl)
-        flags = path._open
-    c0 = [int(s) for s in c0]
-    if not c0:      # every run is extinct from time 0
-        return [(0.0, False)] * len(cells)
-    order = sorted(range(len(cells)), key=lambda k: cells[k].lam)
-    fracs = array("d", [_frac(cells[k].lam, tl.lam_max) for k in order])
-    level = array("d", [math.inf]) * g.n_sites
-    for s in c0:
-        level[s] = -1.0
-    state = array("q", [0, len(set(c0))])      # runs extinct, sites below the lowest
-    touch = array("d", [math.inf])              # least level written to the boundary
-    taus = array("d", [math.inf]) * len(cells)
-    r_frac = _frac(p0.r, tl.r_max)
-    for start, stop in _stretches(tl, None, p0.horizon, path):
-        if _lib.levels(tl._buf, tl.n_generated, start, stop, g, fracs, r_frac, flags, edges,
-                       level, state, touch, taus) == len(cells):
-            break
-    c0_touch = any(g.norm_inf[s] >= g.half_width for s in c0)
-    out = [None] * len(cells)
-    for k, f, tau in zip(order, fracs, taus):
-        out[k] = (tau, c0_touch or touch[0] < f)
-    return out
+    spec = cells[0].spec
+    return _scan([(cells, b0)], c0, tl, None if spec is None else _path(spec, b0, tl))[0]
 
 
 def evolve_scan(columns, c0, tl) -> list:
@@ -642,38 +628,24 @@ def evolve_scan(columns, c0, tl) -> list:
     state of the levels sweep, so the environments are swept along with
     the levels and no path is stored.  The sweep reads the table in _run's
     chunks and stops when every column's run at its largest lam dies."""
-    if not isinstance(tl, Timeline):
-        raise TypeError(f"evolve_scan runs on a Timeline, got {type(tl).__name__}")
-    if not columns or not all(cells for cells, _ in columns):
-        raise ValueError("evolve_scan needs columns of one cell or more")
-    p0 = columns[0][0][0]
-    g = p0.graph
-    _check_box(g, tl)
-    if not p0.horizon <= tl.t_max + 1e-9:
-        raise ValueError(f"t_end={p0.horizon} beyond the feed horizon {tl.t_max}")
-    for cells, _ in columns:
-        c = cells[0]
-        if any(p.graph is not g or p.horizon != p0.horizon or (p.r, p.spec) != (c.r, c.spec)
-               for p in cells):
-            raise ValueError("the cells of a scan share graph and horizon, and those of "
-                             "a column differ in lam only")
-        for p in cells:
-            _at_rates(p, tl)        # rejects a rate above the table's
-        rule = _bg_tables(c.spec, tl)   # rejects a table this spec cannot run on
+    for rule in _check_sweep("evolve_scan", columns, tl):
         if rule is not None and (len(set(rule[0])) > 1 or len(set(rule[1])) > 1):
             raise ValueError("a scan's environments must have independent edges")
-    c0 = [int(s) for s in c0]
-    if not c0:      # every run is extinct from time 0
-        return [[(0.0, False)] * len(cells) for cells, _ in columns]
-    c0_touch = any(g.norm_inf[s] >= g.half_width for s in c0)
     out = []
     for at in range(0, len(columns), 64):
-        out += _scan(g, columns[at:at + 64], c0, c0_touch, tl)
+        out += _scan(columns[at:at + 64], c0, tl)
     return out
 
 
-def _scan(g, columns, c0, c0_touch, tl):
-    """evolve_scan's sweep of up to 64 columns."""
+def _scan(columns, c0, tl, path=None):
+    """The kernel's scan of up to 64 columns [(cells, b0), ...] on tl.  With
+    path, the arrows read their edges from its flags, swept through each
+    stretch before the scan reads it; without, each column's edges start
+    from its b0 and flip by its spec's rates, or never (spec None)."""
+    c0 = [int(s) for s in c0]
+    if not c0:      # every run is extinct from time 0
+        return [[(0.0, False)] * len(cells) for cells, _ in columns]
+    g = columns[0][0][0].graph
     n_cols = len(columns)
     orders = [sorted(range(len(cells)), key=lambda k: cells[k].lam) for cells, _ in columns]
     col_ptr = array("q", [0])
@@ -691,6 +663,7 @@ def _scan(g, columns, c0, c0_touch, tl):
             ups[k], downs[k] = cells[0].spec.up_table[0], cells[0].spec.down_table[0]
         on[np.fromiter(map(int, b0), np.int64)] |= np.uint64(1 << k)
     masks = array("Q", on.tobytes())
+    flags = None if path is None else path._open
     level = array("d", [math.inf]) * (g.n_sites * n_cols)
     for s in c0:
         level[s * n_cols:(s + 1) * n_cols] = array("d", [-1.0]) * n_cols
@@ -699,10 +672,11 @@ def _scan(g, columns, c0, c0_touch, tl):
     touch = array("d", [math.inf]) * n_cols
     taus = array("d", [math.inf]) * len(fracs)
     rule = (ups, downs, tl.flip_rate)
-    for start, stop in _stretches(tl, None, columns[0][0][0].horizon, None):
+    for start, stop in _stretches(tl, None, columns[0][0][0].horizon, path):
         if _lib.scan(tl._buf, tl.n_generated, start, stop, g, col_ptr, fracs, r_fracs, rule,
-                     masks, level, state, touch, taus) == n_cols:
+                     masks, flags, level, state, touch, taus) == n_cols:
             break
+    c0_touch = any(g.norm_inf[s] >= g.half_width for s in c0)
     out = []
     for k, ((cells, _), order) in enumerate(zip(columns, orders)):
         col = [None] * len(cells)

@@ -11,10 +11,10 @@ temporary file there and moved into place, so a process never loads a
 half-written library, and it ends with the checksum of its own bytes, so a
 damaged or truncated file is rebuilt, not loaded.  Without a compiler on
 PATH, or when the build fails, load() returns None and the engine runs the
-Python kernel, whose grow, run, levels and scan take the same arguments as
+Python kernel, whose grow, run and scan take the same arguments as
 Kernel's.
 
-Kernel.grow, Kernel.run, Kernel.levels and Kernel.scan check every buffer's
+Kernel.grow, Kernel.run and Kernel.scan check every buffer's
 type, dtype and length and every offset before the call, and raise
 ValueError where C would read or write out of bounds.
 """
@@ -144,6 +144,13 @@ def _check_bytes(name, buf, n):
     return _address(buf)
 
 
+def _check_flags(flags, hi):
+    """The address of arrow flags that cover table indices below hi."""
+    if not isinstance(flags, bytearray) or len(flags) < hi:
+        raise ValueError(f"flags must be a bytearray of at least {hi} entries")
+    return _address(flags)
+
+
 def _check_array(name, buf, typecode, n):
     if not isinstance(buf, array) or buf.typecode != typecode or len(buf) != n:
         raise ValueError(f"{name} must be array({typecode!r}) of {n} entries")
@@ -192,8 +199,8 @@ class _Out:
 
 
 class Kernel:
-    """The loaded library: grow, run, levels and scan, each with its
-    buffers checked."""
+    """The loaded library: grow, run and scan, each with its buffers
+    checked."""
 
     def __init__(self, lib, path, cc_name):
         self.path = path
@@ -209,14 +216,10 @@ class Kernel:
         self._run.argtypes = ([_P] * 4 + [_I64, _I64, _INT, _D, _D] + [_P] * 4
                               + [ctypes.c_int32] + [_D] * 7 + [_P, _I64] + [_P] * 4
                               + [_INT] + [_P] * 3)
-        self._levels = lib.cek_levels
-        self._levels.restype = _I64
-        self._levels.argtypes = ([_P] * 4 + [_I64, _I64] + [_P] * 4
-                                 + [ctypes.c_int32] * 2 + [_P, _I64, _D] + [_P] * 6)
         self._scan = lib.cek_scan
         self._scan.restype = _I64
         self._scan.argtypes = ([_P] * 4 + [_I64, _I64] + [_P] * 4 + [ctypes.c_int32] * 2
-                               + [_I64] + [_P] * 5 + [_D] + [_P] * 5)
+                               + [_I64] + [_P] * 5 + [_D] + [_P] * 6)
         self._local = threading.local()
 
     def _scratch(self, n) -> _Out:
@@ -256,12 +259,10 @@ class Kernel:
             up, down = _address(up), _address(down)
         e = g.n_edges
         b, nb = _check_bytes("edges", edges, e), _check_bytes("open_nbrs", open_nbrs, e)
-        if not isinstance(flags, bytearray) or len(flags) < hi:
-            raise ValueError(f"flags must be a bytearray of at least {hi} entries")
+        fl = _check_flags(flags, hi)
         out = self._scratch(hi - lo)
         n = self._grow(*ptrs, lo, hi, rev_top, anchor, gt.dir_edge, gt.lptr, gt.lnbr,
-                       up, down, q_rate, rule is not None, b, nb, _address(flags),
-                       *out.addresses)
+                       up, down, q_rate, rule is not None, b, nb, fl, *out.addresses)
         return (*out.deltas(n), out.arrays[3][:n].copy())
 
     def run(self, table, n_valid, lo, hi, rev, anchor, t_cut, g, fracs, limits, windows,
@@ -296,51 +297,22 @@ class Kernel:
                       *out.addresses[:3])
         return out.deltas(n)
 
-    def levels(self, table, n_valid, lo, hi, g, fracs, r_frac, flags, edges, level, state,
-               touch, taus):
-        """One stretch of a levels sweep over table indices lo..hi-1 (see
-        cek_levels): the runs of evolve at the arrow fractions fracs, an
-        array('d') in nondecreasing order, and at r_frac.  flags is a
-        bytearray by table index or None, then edges is read.  level
-        (array('d'), one per site), state (array('q') of runs extinct and
-        sites below the lowest live fraction), touch (array('d') of one) and
-        taus (array('d'), one per fraction) carry the sweep; returns the
-        number of runs extinct."""
-        ptrs = _check_table(table, n_valid, lo, hi)
-        if not (isinstance(fracs, array) and fracs.typecode == "d" and fracs) or \
-                any(b < a for a, b in zip(fracs, fracs[1:])):
-            raise ValueError("fracs must be a nonempty nondecreasing array('d')")
-        k, fr = len(fracs), fracs.buffer_info()[0]
-        if flags is None:
-            fl, ed = None, _check_bytes("edges", edges, g.n_edges)
-        elif not isinstance(flags, bytearray) or len(flags) < hi:
-            raise ValueError(f"flags must be a bytearray of at least {hi} entries")
-        else:
-            fl, ed = _address(flags), None
-        lv = _check_array("level", level, "d", g.n_sites)
-        st = _check_array("state", state, "q", 2)
-        if not 0 <= state[0] <= k:
-            raise ValueError(f"{state[0]} runs extinct of {k}")
-        tc = _check_array("touch", touch, "d", 1)
-        ta = _check_array("taus", taus, "d", k)
-        gt = graph_tables(g)
-        return self._levels(*ptrs, lo, hi, gt.dir_src, gt.dir_dst, gt.dir_edge, gt.norm_inf,
-                            g.half_width, g.n_sites, fr, k, r_frac, fl, ed, lv, st, tc, ta)
-
-    def scan(self, table, n_valid, lo, hi, g, col_ptr, fracs, r_fracs, rule, masks, level,
-             state, touch, taus):
+    def scan(self, table, n_valid, lo, hi, g, col_ptr, fracs, r_fracs, rule, masks, flags,
+             level, state, touch, taus):
         """One stretch of a scan over table indices lo..hi-1 (see cek_scan):
-        the levels sweeps of K = len(col_ptr) - 1 columns, 1 <= K <= 64, at
-        once.  Column k's arrow fractions are fracs[col_ptr[k]:col_ptr[k + 1]]
-        (array('q') col_ptr, array('d') fracs, each column's nonempty and
-        nondecreasing) and its recovery fraction r_fracs[k]; rule is (ups,
-        downs, candidate rate), array('d') of K each and a float.  masks
-        (array('Q'), one per edge: bit k is the edge's state in column k),
-        level (array('d') of sites * K, site-major), state (array('q') of 2K:
-        runs extinct and sites below the lowest live fraction, per column),
-        touch (array('d') of K) and taus (array('d'), one per fraction) carry
-        the scan; returns the number of columns all of whose runs are
-        extinct."""
+        the runs at K = len(col_ptr) - 1 columns of arrow fractions, 1 <= K
+        <= 64, at once.  Column k's arrow fractions are
+        fracs[col_ptr[k]:col_ptr[k + 1]] (array('q') col_ptr, array('d')
+        fracs, each column's nonempty and nondecreasing) and its recovery
+        fraction r_fracs[k]; rule is (ups, downs, candidate rate), array('d')
+        of K each and a float, and masks array('Q'), one per edge: bit k is
+        the edge's state in column k.  flags is a bytearray by table index,
+        read by every column as run reads it, or None, then the masks and the
+        rule are.  level (array('d') of sites * K, site-major), state
+        (array('q') of 2K: runs extinct and sites below the lowest live
+        fraction, per column), touch (array('d') of K) and taus (array('d'),
+        one per fraction) carry the scan; returns the number of columns all
+        of whose runs are extinct."""
         ptrs = _check_table(table, n_valid, lo, hi)
         k = _check_columns(col_ptr, fracs)
         fr = _check_array("r_fracs", r_fracs, "d", k)
@@ -349,6 +321,7 @@ class Kernel:
         ups, downs, q_rate = rule
         up, down = _check_array("ups", ups, "d", k), _check_array("downs", downs, "d", k)
         mk = _check_array("masks", masks, "Q", g.n_edges)
+        fl = None if flags is None else _check_flags(flags, hi)
         lv = _check_array("level", level, "d", g.n_sites * k)
         st = _check_array("state", state, "q", 2 * k)
         if min(state[::2]) < 0 or \
@@ -359,7 +332,8 @@ class Kernel:
         gt = graph_tables(g)
         return self._scan(*ptrs, lo, hi, gt.dir_src, gt.dir_dst, gt.dir_edge, gt.norm_inf,
                           g.half_width, g.n_sites, k, col_ptr.buffer_info()[0],
-                          fracs.buffer_info()[0], fr, up, down, float(q_rate), mk, lv, st, tc, ta)
+                          fracs.buffer_info()[0], fr, up, down, float(q_rate), mk, fl, lv, st,
+                          tc, ta)
 
 
 class _GraphTables:

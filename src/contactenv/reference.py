@@ -1,10 +1,9 @@
 """The event kernel in plain Python: the flip rule (grow), the infection
-loop (run), its sweep over many arrow rates at once (levels) and that
-sweep over many independent-edge environments at once (scan), with the
-arguments and return values of kernel.Kernel's.  The engine runs it when
-the compiled kernel does not load (no C compiler), and tests/test_oracle.py
-runs it once over a whole table to check the engine's runs, under either
-kernel, against it.
+loop (run) and its sweep over many arrow rates in many environments at
+once (scan), with the arguments and return values of kernel.Kernel's.  The
+engine runs it when the compiled kernel does not load (no C compiler), and
+tests/test_oracle.py runs it once over a whole table to check the engine's
+runs, under either kernel, against it.
 
 It is written from the definitions, not for speed.  Each stretch of the
 table is read one event at a time, as (time, kind, target, mark), from
@@ -14,9 +13,9 @@ directed pair id flipped to the other orientation (j ^ 1).  A flip is
 decided by the edge's count of open line-graph neighbours in open_nbrs,
 kept up to date as the compiled kernel keeps it; tests/test_oracle.py
 steps its own copies with flip's recount, which checks the kept counts.
-A scan keeps each edge's state in every column as one bit of a Python
-int.  The double comparisons are the compiled kernel's, so the two give
-bit-identical outputs.
+A scan without arrow flags keeps each edge's state in every column as one
+bit of a Python int.  The double comparisons are the compiled kernel's,
+so the two give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -166,85 +165,31 @@ def run(table, n_valid, lo, hi, rev, anchor, t_cut, g, fracs, limits, windows, f
     return _arrays(deltas)
 
 
-def levels(table, n_valid, lo, hi, g, fracs, r_frac, flags, edges, level, state, touch, taus):
-    """One stretch of a levels sweep over table indices lo..hi-1, forward:
-    the runs of run that emanate below g.half_width, at each arrow fraction
-    of fracs (array('d'), nondecreasing) and at r_frac, all at once.  Site x
-    is infected in the run at f exactly when level[x] < f (inf: healthy): an
-    arrow x -> y with mark u whose edge is open sets level[y] to
-    min(level[y], max(level[x], u)), and a recovery kept at r_frac sets
-    level[x] to inf.  The least level never falls, so the runs die in the
-    order of their fractions: state (array('q')) is (runs extinct, sites
-    below the lowest live fraction), and taus[k] is set to the time of the
-    recovery after which no level is below fracs[k].  touch[0] is the least
-    level written to a site of norm g.half_width or more.  An arrow at table
-    index i reads its edge as flags[i] or, when flags is None, edges.
-    Returns the number of runs extinct; the sweep stops when all are."""
-    if not 0 <= lo <= hi <= n_valid:
-        raise ValueError(f"offsets {lo}..{hi} outside the {n_valid} drawn events")
-    k = len(fracs)
-    if not k or any(b < a for a, b in zip(fracs, fracs[1:])):
-        raise ValueError("fracs must be a nonempty nondecreasing array('d')")
-    dead, n_low = state
-    if dead >= k:
-        return dead
-    src, dst, dir_edge, norm, width = g.dir_src, g.dir_dst, g.dir_edge, g.norm_inf, g.half_width
-    f_top, f_low, t_low = fracs[-1], fracs[dead], touch[0]
-    for i, t, kind, j, u in _events(table, lo, hi, False, 0.0):
-        if kind == KIND_ARROW:
-            s, d = src[j], dst[j]
-            ls = level[s]
-            if ls >= f_top or (f_top < 1.0 and u >= f_top) or norm[s] >= width:
-                continue
-            v = ls if ls > u else u
-            if v >= level[d]:
-                continue
-            if not (edges[dir_edge[j]] if flags is None else flags[i]):
-                continue
-            if v < f_low <= level[d]:
-                n_low += 1
-            level[d] = v
-            if norm[d] >= width and v < t_low:
-                t_low = v
-        elif kind == KIND_RECOVERY:
-            if r_frac < 1.0 and u >= r_frac:
-                continue
-            lx = level[j]
-            if lx == math.inf:
-                continue
-            level[j] = math.inf
-            if lx < f_low:
-                n_low -= 1
-                if not n_low:
-                    least = min(level)
-                    while dead < k and fracs[dead] <= least:
-                        taus[dead] = t
-                        dead += 1
-                    if dead == k:
-                        break
-                    f_low = fracs[dead]
-                    n_low = sum(x < f_low for x in level)
-    state[0], state[1] = dead, n_low
-    touch[0] = t_low
-    return dead
+def scan(table, n_valid, lo, hi, g, col_ptr, fracs, r_fracs, rule, masks, flags, level,
+         state, touch, taus):
+    """One stretch of a scan over table indices lo..hi-1, forward: the runs
+    of run that emanate below g.half_width, at many arrow fractions in each
+    of K = len(col_ptr) - 1 environments, all at once.  Column k holds the
+    arrow fractions fracs[col_ptr[k]:col_ptr[k + 1]] (nondecreasing) and
+    the recovery fraction r_fracs[k].  Site x is infected in column k's run
+    at f exactly when level[x * K + k] < f (inf: healthy): an arrow x -> y
+    with mark u whose edge is open sets y's level to min(y's level,
+    max(x's level, u)), and a recovery kept at r_fracs[k] sets x's level to
+    inf.  The least level never falls, so a column's runs die in the order
+    of their fractions: state[2k:2k + 2] is (runs extinct, sites below the
+    lowest live fraction), and taus[col_ptr[k] + m] is set to the time of
+    the recovery after which no level is below fracs[col_ptr[k] + m].
+    touch[k] is the least level written to a site of norm g.half_width or
+    more.
 
-
-def scan(table, n_valid, lo, hi, g, col_ptr, fracs, r_fracs, rule, masks, level, state,
-         touch, taus):
-    """One stretch of a scan over table indices lo..hi-1, forward: the levels
-    sweeps of K = len(col_ptr) - 1 columns at once, each in its own
-    independent-edge environment.  Column k holds the arrow fractions
-    fracs[col_ptr[k]:col_ptr[k + 1]] (nondecreasing), the recovery fraction
-    r_fracs[k] and, in rule = (ups, downs, q), the rates ups[k] and downs[k]
-    at which its edges open and close.  Bit k of masks[e] is edge e's state
-    in column k: a flip candidate on edge x with mark u closes it in the
-    columns where (1 - u) q <= downs[k] and opens it in those where
-    u q < ups[k], the rule of flip at every open-neighbour count.  In each
-    column the sweep is that of levels, with level[x * K + k] as site x's
-    level and the edge state read from the column's bit, state[2k:2k + 2]
-    as its state, touch[k] as its touch and taus[col_ptr[k]:col_ptr[k + 1]]
-    as its taus.  Returns the number of columns whose runs are all extinct;
-    the scan stops when all are."""
+    An arrow at table index i reads its edge as flags[i] in every column
+    when flags is given, and masks and rule are not read.  Without flags,
+    bit k of masks[e] is edge e's state in column k, and rule = (ups, downs,
+    q) holds the rates at which each column's edges open and close: a flip
+    candidate on edge x with mark u closes it in the columns where
+    (1 - u) q <= downs[k] and opens it in those where u q < ups[k], the
+    rule of flip at every open-neighbour count.  Returns the number of
+    columns whose runs are all extinct; the scan stops when all are."""
     if not 0 <= lo <= hi <= n_valid:
         raise ValueError(f"offsets {lo}..{hi} outside the {n_valid} drawn events")
     n_cols = len(col_ptr) - 1
@@ -258,7 +203,7 @@ def scan(table, n_valid, lo, hi, g, col_ptr, fracs, r_fracs, rule, masks, level,
     for i, t, kind, j, u in _events(table, lo, hi, False, 0.0):
         if not live:
             break
-        if kind == KIND_FLIP:
+        if kind == KIND_FLIP and flags is None:
             close = sum(1 << k for k in range(n_cols) if (1.0 - u) * q <= downs[k])
             opening = sum(1 << k for k in range(n_cols) if u * q < ups[k])
             m = masks[j]
@@ -271,8 +216,8 @@ def scan(table, n_valid, lo, hi, g, col_ptr, fracs, r_fracs, rule, masks, level,
                 col = cols[k]
                 f_top, f_low = col[-1], col[state[2 * k]]
                 ls, ld = level[s * n_cols + k], level[d * n_cols + k]
-                if not masks[dir_edge[j]] >> k & 1 or ls >= f_top or \
-                        (f_top < 1.0 and u >= f_top):
+                is_open = masks[dir_edge[j]] >> k & 1 if flags is None else flags[i]
+                if not is_open or ls >= f_top or (f_top < 1.0 and u >= f_top):
                     continue
                 v = ls if ls > u else u
                 if v >= ld:

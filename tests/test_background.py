@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -81,6 +82,76 @@ def test_margins():
                 abs(down[1] - down[0]), abs(down[2] - down[1]))
     assert em2.influence_sum == pytest.approx(m)
     assert em2.rate_floor == pytest.approx(min(u + v for u, v in zip(up, down)))
+
+
+def _by_patterns(up, down, n):
+    """The rate bounds, the ergodicity margin's (influence sum, floor) and
+    the first attractiveness violation (kind, count) or None, by
+    enumerating the 2^n patterns of open neighbours, as the library first
+    computed them."""
+    rates = [(up[bin(p).count("1")], down[bin(p).count("1")]) for p in range(1 << n)]
+    bounds = (min(u for u, _ in rates), max(u for u, _ in rates),
+              min(d for _, d in rates), max(d for _, d in rates))
+    m_total, violation = 0.0, None
+    for a in range(n):
+        worst = 0.0
+        for p in range(1 << n):
+            k = bin(p).count("1")
+            k2 = k - 1 if p & (1 << a) else k + 1
+            worst = max(worst, abs(up[k] - up[k2]), abs(down[k] - down[k2]))
+        m_total += worst
+    for p in range(1 << n):
+        k = bin(p).count("1")
+        for a in range(n):
+            if violation is None and not p & (1 << a):
+                if up[k] > up[k + 1] + 1e-12:
+                    violation = ("opening", k)
+                elif down[k] < down[k + 1] - 1e-12:
+                    violation = ("closing", k)
+    return bounds, (m_total, min(u + d for u, d in rates)), violation
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_count_loops_match_the_pattern_enumeration(d):
+    # the rates read only the open-neighbour count, so the loops over counts
+    # give the enumeration's bounds and margin to the bit
+    n = 4 * d - 2
+    cap = 0.25 * math.log((n + 2) / (n - 2)) if n > 2 else 1.0
+    specs = [make_spec("dynamical-percolation", alpha=0.3, beta=2.5, d=d)]
+    specs += [make_spec("ising", beta_inv=cap * f, d=d) for f in (0.1, 0.5, 0.9)]
+    if d == 1:
+        specs.append(make_spec("noisy-voter", alpha=1.25, beta=1.0))
+    for spec in specs:
+        bounds, margin, violation = _by_patterns(spec.up_table, spec.down_table, n)
+        rb, em = min_max_rates(spec), ergodicity_margin(spec)
+        assert (rb.alpha_min, rb.alpha_max, rb.beta_min, rb.beta_max) == bounds
+        assert (em.influence_sum, em.rate_floor) == margin
+        assert em.margin == margin[1] - margin[0] and violation is None
+    # tables that are not attractive fail at the enumeration's first count
+    from contactenv.background import _check_attractive
+    rng = random.Random(d)
+    for _ in range(50):
+        up = [rng.choice([0.25, 0.5, 1.0]) for _ in range(n + 1)]
+        down = [rng.choice([0.25, 0.5, 1.0]) for _ in range(n + 1)]
+        violation = _by_patterns(up, down, n)[2]
+        if violation is None:
+            _check_attractive(up, down, n)
+            continue
+        kind, k = violation
+        with pytest.raises(ValueError, match=f"^attractiveness violated: {kind} rate .* "
+                                             f"from {k} to {k + 1}$"):
+            _check_attractive(up, down, n)
+
+
+def test_a_spec_builds_where_the_patterns_were_too_many_to_enumerate():
+    # d = 6 gives 2^22 patterns of open neighbours, too many to enumerate at
+    # build; the loops over counts need 23 steps
+    for spec in (make_spec("dynamical-percolation", alpha=1.0, beta=2.0, d=6),
+                 make_spec("ising", beta_inv=0.02, d=6)):
+        assert spec.nbr_count == 22
+        rb = min_max_rates(spec)
+        assert rb.alpha_min <= rb.alpha_max and rb.beta_min <= rb.beta_max
+        assert ergodicity_margin(spec).rate_floor > 0
 
 
 def test_stationary_sampler_fraction():

@@ -127,6 +127,24 @@ class TestRun:
         assert m1["outputs"] == m2["outputs"]
         assert m1["derived_seeds"] == m2["derived_seeds"]
 
+    def test_the_manifest_seeds_derive_no_more_than_it_keeps(self, monkeypatch):
+        # at the default cap of 10^6 replicas, deriving every seed for a
+        # manifest that keeps 10,000 took 1.3 s
+        calls = []
+        real = analysis.derive_seed
+
+        def counted(root, i):
+            calls.append(i)
+            return real(root, i)
+
+        monkeypatch.setattr(analysis, "derive_seed", counted)
+        cfg = cli.parse_config(json.dumps(dict(MINIMAL_SURVIVAL, reps=25_000)))
+        seeds = cli._seeds(cfg)
+        assert calls == list(range(10_000))
+        assert seeds == [real(5, i) for i in range(10_000)]
+        assert cli._seeds(cli.parse_config(json.dumps(MINIMAL_SURVIVAL))) == \
+            [real(5, i) for i in range(20)]
+
     def test_budget_exit_code_and_flag(self, tmp_path):
         doc = dict(MINIMAL_SURVIVAL)
         doc["out_dir"] = str(tmp_path)

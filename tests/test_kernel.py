@@ -7,6 +7,7 @@ tests/test_oracle.py and tests/test_fingerprint.py."""
 
 import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -101,12 +102,6 @@ def _call_args():
     grow = dict(table=tl._buf, n_valid=tl.n_generated, lo=0, hi=n, rev_top=-1, anchor=0.0,
                 g=g, rule=None, edges=bytearray(g.n_edges), open_nbrs=bytearray(g.n_edges),
                 flags=bytearray(n))
-    level = array("d", [np.inf]) * g.n_sites
-    level[g.origin()] = -1.0
-    levels = dict(table=tl._buf, n_valid=tl.n_generated, lo=0, hi=n, g=g,
-                  fracs=array("d", [0.5, 1.0]), r_frac=1.0, flags=None,
-                  edges=bytearray(b"\x01" * g.n_edges), level=level, state=array("q", [0, 1]),
-                  touch=array("d", [np.inf]), taus=array("d", [np.inf, np.inf]))
     # two columns: one frozen open, one flipping; three fractions
     masks = array("Q", [1]) * g.n_edges
     level = array("d", [np.inf]) * (2 * g.n_sites)
@@ -115,9 +110,9 @@ def _call_args():
                 col_ptr=array("q", [0, 2, 3]), fracs=array("d", [0.5, 1.0, 1.0]),
                 r_fracs=array("d", [1.0, 0.5]),
                 rule=(array("d", [-np.inf, 1.0]), array("d", [-np.inf, 1.0]), 2.0),
-                masks=masks, level=level, state=array("q", [0, 1, 0, 1]),
+                masks=masks, flags=None, level=level, state=array("q", [0, 1, 0, 1]),
                 touch=array("d", [np.inf, np.inf]), taus=array("d", [np.inf] * 3))
-    return run, grow, levels, scan
+    return run, grow, scan
 
 
 def _bad_runs(run):
@@ -161,29 +156,6 @@ def _bad_grows(grow):
     yield dict(rule=(np.zeros(3), np.zeros(6)[::2], 1.0))
 
 
-def _bad_levels(levels):
-    t, k, i, m = levels["table"]
-    n_sites, n_edges = levels["g"].n_sites, levels["g"].n_edges
-    yield dict(table=(t, k, i, np.repeat(m, 2)[::2]))
-    yield dict(table=(t.astype(np.float32), k, i, m))
-    yield dict(hi=levels["n_valid"] + 1)
-    yield dict(fracs=array("d"), taus=array("d"))
-    yield dict(fracs=array("f", [0.5, 1.0]))
-    yield dict(fracs=np.array([0.5, 1.0]))
-    yield dict(fracs=array("d", [1.0, 0.5]))
-    yield dict(level=array("d", [np.inf]) * (n_sites - 1))
-    yield dict(level=array("f", [np.inf]) * n_sites)
-    yield dict(level=np.full(n_sites, np.inf))
-    yield dict(state=array("q", [0, 1, 0]))
-    yield dict(state=array("i", [0, 1]))
-    yield dict(state=array("q", [3, 1]))
-    yield dict(touch=array("d"))
-    yield dict(taus=array("d", [np.inf]))
-    yield dict(edges=bytearray(n_edges - 1))
-    yield dict(flags=bytearray(levels["hi"] - 1))
-    yield dict(flags=[True] * levels["hi"])
-
-
 def _bad_scans(scan):
     t, k, i, m = scan["table"]
     n_sites, n_edges = scan["g"].n_sites, scan["g"].n_edges
@@ -216,6 +188,9 @@ def _bad_scans(scan):
     yield dict(masks=array("Q", [1]) * (n_edges - 1))
     yield dict(masks=array("q", [1]) * n_edges)
     yield dict(masks=np.ones(n_edges, np.uint64))
+    yield dict(flags=bytearray(scan["hi"] - 1))
+    yield dict(flags=bytes(scan["hi"]))
+    yield dict(flags=[True] * scan["hi"])
     yield dict(level=array("d", [np.inf]) * n_sites)
     yield dict(level=array("d", [np.inf]) * (2 * n_sites + 1))
     yield dict(state=array("q", [0, 1]))
@@ -229,20 +204,19 @@ def _bad_scans(scan):
 @needs_kernel
 def test_the_wrapper_rejects_bad_buffers_before_calling_c(monkeypatch):
     lib = engine._lib
-    run, grow, levels, scan = _call_args()
+    run, grow, scan = _call_args()
     # the unaltered calls go through
     assert len(lib.run(**run)[0])
     assert len(lib.grow(**grow)[0]) == 0      # a frozen table has no flips
-    assert lib.levels(**levels) in (0, 1, 2)
     assert lib.scan(**scan) in (0, 1, 2)
-    assert lib.scan(**{**_call_args()[3], "fracs": array("d", [0.5, 1.0, 0.25])}) in (0, 1, 2)
+    assert lib.scan(**{**_call_args()[2], "fracs": array("d", [0.5, 1.0, 0.25])}) in (0, 1, 2)
+    assert lib.scan(**{**_call_args()[2], "flags": bytearray(b"\x01" * scan["hi"])}) in (0, 1, 2)
 
     def never(*args):
         raise AssertionError("C was called")
 
     monkeypatch.setattr(lib, "_run", never)
     monkeypatch.setattr(lib, "_grow", never)
-    monkeypatch.setattr(lib, "_levels", never)
     monkeypatch.setattr(lib, "_scan", never)
     for bad in _bad_runs(_call_args()[0]):
         with pytest.raises(ValueError):
@@ -250,12 +224,9 @@ def test_the_wrapper_rejects_bad_buffers_before_calling_c(monkeypatch):
     for bad in _bad_grows(_call_args()[1]):
         with pytest.raises(ValueError):
             lib.grow(**{**_call_args()[1], **bad})
-    for bad in _bad_levels(_call_args()[2]):
+    for bad in _bad_scans(_call_args()[2]):
         with pytest.raises(ValueError):
-            lib.levels(**{**_call_args()[2], **bad})
-    for bad in _bad_scans(_call_args()[3]):
-        with pytest.raises(ValueError):
-            lib.scan(**{**_call_args()[3], **bad})
+            lib.scan(**{**_call_args()[2], **bad})
 
 
 def _loops(namespace):
@@ -273,8 +244,16 @@ def _loops(namespace):
 def test_both_kernels_have_the_same_loops():
     # the engine calls either kernel with the same arguments, so a loop
     # written in one only would fail on hosts that run the other
-    assert set(_loops(reference)) == {"grow", "run", "levels", "scan"}
+    assert set(_loops(reference)) == {"grow", "run", "scan"}
     assert _loops(kernel.Kernel) == _loops(reference)
+
+
+def test_every_c_loop_has_a_wrapper():
+    # a loop left in _kernel.c without a Kernel method is dead code that
+    # still builds, and a wrapper without its loop fails only when loaded
+    with open(kernel.SOURCE) as fh:
+        defined = set(re.findall(r"^\w[\w *]*\bcek_(\w+)\(", fh.read(), re.M))
+    assert defined - {"compiler"} == set(_loops(kernel.Kernel))
 
 
 # ---------------------------------------------------------------------------

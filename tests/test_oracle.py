@@ -4,14 +4,15 @@ event kernel, run once over a whole table.
 Each reference below is a thin driver: it sweeps contactenv.reference.grow
 over the whole feed of a fully sorted twin of the table (same seed, built
 fresh), then runs contactenv.reference.run over it in one stretch, with
-no chunks, stored paths or early stops.  The levels sweep, which runs many
-arrow rates at once, is checked against reference.run at each rate, and
-the scan, which runs many levels sweeps in their own environments at
-once, against reference.run at each cell of each column and against
-reference.grow and reference.levels per column.  The engine reads a table whose
-slabs and stored paths are filled in whatever order the drawn calls leave
-them, in chunks, so the comparison checks everything the engine adds
-around the kernel, and that the order of reads changes nothing.  The
+no chunks, stored paths or early stops.  The scan, which runs many arrow
+rates in each of many environments at once, is checked against
+reference.run at each cell of each column, and its edge masks against
+reference.grow per column; the levels sweep, a scan of one column whose
+arrows read a stored path, against reference.run at each rate.  The
+engine reads a table whose slabs and stored paths are filled in whatever
+order the drawn calls leave them, in chunks, so the comparison checks
+everything the engine adds around the kernel, and that the order of reads
+changes nothing.  The
 decided region is checked against two copies of the environment stepped
 through the feed with reference.flip.
 
@@ -439,26 +440,44 @@ def test_decided_times_match_the_reference(table, view, grown, t_star):
 
 
 # ---------------------------------------------------------------------------
-# levels: the runs at many arrow rates in one sweep
+# levels: the runs at many arrow rates in one sweep, a scan of one column
 
-def reference_levels(tl, c0, lams, lam_max, r_frac, hi, flags, edges):
-    """(tau_ex, boundary touched) at each lam of lams, in their order, from
-    one reference.levels sweep over table indices 0..hi-1; c0 is nonempty."""
-    g = tl.graph
-    order = sorted(range(len(lams)), key=lams.__getitem__)
-    fracs = array("d", [lams[k] / lam_max for k in order])
+def runs_at(g, table, n, c0, fracs, r_frac, flags, edges):
+    """(tau_ex, boundary touched) of one reference.run over table indices
+    0..n-1 at each arrow fraction of fracs, arrows emanating below
+    g.half_width and reading flags, or edges when flags is None."""
+    out = []
+    for f in fracs:
+        infected = bytearray(g.n_sites)
+        for s in c0:
+            infected[s] = 1
+        state = array("q", [infected.count(1), any(g.norm_inf[s] >= g.half_width for s in c0),
+                            0])
+        tau = array("d", [math.inf if c0 else 0.0])
+        reference.run(table, n, 0, n, False, 0.0, math.inf, g, (f, r_frac),
+                      (g.half_width, math.inf), (-1.0, -1.0, -1.0), flags, -1, edges, infected,
+                      state, tau, False)
+        out.append((tau[0], bool(state[1])))
+    return out
+
+
+def scan_one_column(lib, g, table, n, cuts, c0, fracs, r_frac, flags, edges):
+    """(tau_ex, boundary touched) at each of fracs (nondecreasing) from lib's
+    scan of one column over table indices cuts[0]..cuts[-1], called once per
+    stretch between cuts; its arrows read flags or, when flags is None, the
+    frozen edges.  c0 is nonempty."""
+    masks = array("Q", list(edges))
     level = array("d", [math.inf]) * g.n_sites
     for s in c0:
         level[s] = -1.0
     state, touch = array("q", [0, len(c0)]), array("d", [math.inf])
-    taus = array("d", [math.inf]) * len(lams)
-    reference.levels(_table(tl), tl.n_events, 0, hi, g, fracs, r_frac, flags, edges, level,
-                     state, touch, taus)
+    taus = array("d", [math.inf]) * len(fracs)
+    frozen = (array("d", [-math.inf]), array("d", [-math.inf]), 1.0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        lib.scan(table, n, lo, hi, g, array("q", [0, len(fracs)]), array("d", fracs),
+                 array("d", [r_frac]), frozen, masks, flags, level, state, touch, taus)
     at_edge = any(g.norm_inf[s] >= g.half_width for s in c0)
-    out = [None] * len(lams)
-    for k, f, tau in zip(order, fracs, taus):
-        out[k] = (tau, at_edge or touch[0] < f)
-    return out
+    return [(tau, at_edge or touch[0] < f) for tau, f in zip(taus, fracs)]
 
 
 @st.composite
@@ -488,9 +507,11 @@ def test_levels_match_the_reference_run_at_each_rate(case):
         want = [_infection(twin, c0, hi, False, 0.0, t_end, (lam / lam_max, r / r_max),
                            (g.half_width, math.inf), (-1.0, -1.0, -1.0), flags, -1, edges,
                            False)[2:4] for lam in lams]
-        if c0:
-            assert reference_levels(twin, c0, lams, lam_max, r / r_max, hi, flags,
-                                    edges) == want
+        if c0:      # the Python scan over the whole table, in one stretch
+            order = sorted(range(len(lams)), key=lams.__getitem__)
+            assert scan_one_column(reference, g, _table(twin), twin.n_events, (0, hi), c0,
+                                   [lams[k] / lam_max for k in order], r / r_max, flags,
+                                   edges) == [want[k] for k in order]
         for lib in KERNELS:
             with mock.patch.object(engine, "_lib", lib):
                 tl = build_timeline(g, lam_max, r_max, q, T, seed)
@@ -522,28 +543,10 @@ def tied_tables(draw):
 def test_levels_at_rates_equal_to_marks_match_the_reference_run(case):
     g, table, fracs, r_frac, edges, c0, cut = case
     n = len(table[0])
-    want = []
-    for f in fracs:
-        infected = bytearray(g.n_sites)
-        for s in c0:
-            infected[s] = 1
-        state = array("q", [len(c0), any(g.norm_inf[s] >= g.half_width for s in c0), 0])
-        tau = array("d", [math.inf])
-        reference.run(table, n, 0, n, False, 0.0, math.inf, g, (f, r_frac),
-                      (g.half_width, math.inf), (-1.0, -1.0, -1.0), None, -1, edges, infected,
-                      state, tau, False)
-        want.append((tau[0], bool(state[1])))
+    want = runs_at(g, table, n, c0, fracs, r_frac, None, edges)
     for lib in KERNELS:
-        level = array("d", [math.inf]) * g.n_sites
-        for s in c0:
-            level[s] = -1.0
-        state, touch = array("q", [0, len(c0)]), array("d", [math.inf])
-        taus = array("d", [math.inf]) * len(fracs)
-        for lo, hi in ((0, cut), (cut, n)):
-            lib.levels(table, n, lo, hi, g, array("d", fracs), r_frac, None, edges, level,
-                       state, touch, taus)
-        at_edge = any(g.norm_inf[s] >= g.half_width for s in c0)
-        assert [(tau, at_edge or touch[0] < f) for tau, f in zip(taus, fracs)] == want, lib
+        assert scan_one_column(lib, g, table, n, (0, cut, n), c0, fracs, r_frac, None,
+                               edges) == want, lib
 
 
 def per_cell_phase_scan(axis1, axis2, fixed, T, reps, seed):
@@ -722,7 +725,8 @@ def tied_scans(draw):
     # hand-made tables of arrows, recoveries and flip candidates whose marks
     # often put (1 - u) q on a column's closing rate and u q on its opening
     # rate exactly, read in two stretches; the columns' edges start from
-    # their own sets, and one column may be frozen
+    # their own sets, and one column may be frozen.  Or every column reads
+    # one set of arrow flags, swept by a rule that reads the open neighbours
     g = build_box(1, draw(st.integers(1, 4)))
     n = draw(st.integers(0, 60))
     kinds = draw(st.lists(st.sampled_from([KIND_ARROW, KIND_RECOVERY, KIND_FLIP]),
@@ -741,31 +745,45 @@ def tied_scans(draw):
         b0 = draw(st.sets(st.integers(0, g.n_edges - 1)))
         columns.append((fracs, draw(st.sampled_from([0.5, 1.0])), rule, b0))
     c0 = draw(st.sets(st.integers(0, g.n_sites - 1), min_size=1))
-    return g, table, columns, c0, draw(st.integers(0, n))
+    # rates per open-neighbour count 0, 1, 2: a 1-d edge has two neighbours
+    tables = st.lists(rates, min_size=3, max_size=3)
+    shared = draw(st.none() | st.tuples(tables, tables, st.sets(st.integers(0, g.n_edges - 1))))
+    return g, table, columns, c0, draw(st.integers(0, n)), shared
+
+
+def _swept(g, table, n, b0, rule):
+    """The edges from b0 and the arrow flags of reference.grow over the
+    whole table under rule = (up, down, q)."""
+    edges = bytearray(g.n_edges)
+    for e in b0:
+        edges[e] = 1
+    open_nbrs = bytearray(sum(edges[a] for a in g.line_nbrs[e]) for e in range(g.n_edges))
+    flags = bytearray(n)
+    reference.grow(table, n, 0, n, -1, 0.0, g, rule, edges, open_nbrs, flags)
+    return edges, flags
 
 
 @SETTINGS
 @given(tied_scans())
-def test_a_scan_at_rates_equal_to_marks_matches_grow_and_levels_per_column(case):
+def test_a_scan_at_rates_equal_to_marks_matches_grow_and_run_per_column(case):
     # q = 1, so a mark u closes an open edge at rate beta iff 1 - u <= beta
-    # and opens a closed one at rate alpha iff u < alpha, as reference.flip
-    g, table, columns, c0, cut = case
+    # and opens a closed one at rate alpha iff u < alpha, as reference.flip;
+    # with shared flags every column reads them and no mask is read or written
+    g, table, columns, c0, cut, shared = case
     n = len(table[0])
     n_cols = len(columns)
-    want_levels, want_edges = [], []
+    flags = None if shared is None else _swept(g, table, n, shared[2],
+                                               (shared[0], shared[1], 1.0))[1]
+    want_runs, want_edges = [], []
     for fracs, r_frac, rule, b0 in columns:
-        edges = bytearray(g.n_edges)
-        for e in b0:
-            edges[e] = 1
-        flags = None
-        if rule is not None:
-            flags = bytearray(n)
-            open_nbrs = bytearray(sum(edges[a] for a in g.line_nbrs[e])
-                                  for e in range(g.n_edges))
-            reference.grow(table, n, 0, n, -1, 0.0, g,
-                           ((rule[0],) * 8, (rule[1],) * 8, 1.0), edges, open_nbrs, flags)
+        if flags is None and rule is not None:
+            edges, col_flags = _swept(g, table, n, b0, ((rule[0],) * 3, (rule[1],) * 3, 1.0))
+        else:
+            edges, col_flags = bytearray(g.n_edges), flags
+            for e in b0:
+                edges[e] = 1
         want_edges.append(bytes(edges))
-        want_levels.append(reference_levels_of(g, table, n, c0, fracs, r_frac, flags, edges))
+        want_runs.append(runs_at(g, table, n, c0, fracs, r_frac, col_flags, edges))
     for lib in KERNELS:
         col_ptr = array("q", [0])
         fracs = array("d")
@@ -789,29 +807,15 @@ def test_a_scan_at_rates_equal_to_marks_matches_grow_and_levels_per_column(case)
         for lo, hi in ((0, cut), (cut, n)):
             lib.scan(table, n, lo, hi, g, col_ptr, fracs,
                      array("d", [col[1] for col in columns]), (ups, downs, 1.0), masks,
-                     level, state, touch, taus)
+                     flags, level, state, touch, taus)
         at_edge = any(g.norm_inf[s] >= g.half_width for s in c0)
         got = [[(taus[i], at_edge or touch[k] < fracs[i]) for i in range(a, b)]
                for k, (a, b) in enumerate(zip(col_ptr, col_ptr[1:]))]
-        assert got == want_levels, lib
-        if state.tolist()[::2] == [len(col[0]) for col in columns]:
+        assert got == want_runs, lib
+        if flags is None and state.tolist()[::2] == [len(col[0]) for col in columns]:
             continue    # a scan whose columns all died stopped reading the flips
         assert [bytes(masks[e] >> k & 1 for e in range(g.n_edges))
                 for k in range(n_cols)] == want_edges, lib
-
-
-def reference_levels_of(g, table, n, c0, fracs, r_frac, flags, edges):
-    """(tau_ex, boundary touched) at each of fracs from one reference.levels
-    sweep of the whole table."""
-    level = array("d", [math.inf]) * g.n_sites
-    for s in c0:
-        level[s] = -1.0
-    state, touch = array("q", [0, len(c0)]), array("d", [math.inf])
-    taus = array("d", [math.inf]) * len(fracs)
-    reference.levels(table, n, 0, n, g, array("d", fracs), r_frac, flags, edges, level,
-                     state, touch, taus)
-    at_edge = any(g.norm_inf[s] >= g.half_width for s in c0)
-    return [(tau, at_edge or touch[0] < f) for tau, f in zip(taus, fracs)]
 
 
 @st.composite
