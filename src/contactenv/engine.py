@@ -575,7 +575,7 @@ def _check_sweep(name, columns, tl) -> list:
     """The flip rules (see _bg_tables) of columns [(cells, b0), ...] that
     one sweep of tl, a Timeline, runs: every cell shares graph and horizon,
     and a column's cells differ in lam only.  Rejects what evolve would not
-    run: a box of another size, a horizon past tl's, a rate above its."""
+    run: a box of another size, a horizon past tl's, a rate above tl's."""
     if not isinstance(tl, Timeline):
         raise TypeError(f"{name} runs on a Timeline, got {type(tl).__name__}")
     if not columns or not all(cells for cells, _ in columns):

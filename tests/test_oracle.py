@@ -12,9 +12,8 @@ arrows read a stored path, against reference.run at each rate.  The
 engine reads a table whose slabs and stored paths are filled in whatever
 order the drawn calls leave them, in chunks, so the comparison checks
 everything the engine adds around the kernel, and that the order of reads
-changes nothing.  The
-decided region is checked against two copies of the environment stepped
-through the feed with reference.flip.
+changes nothing.  The decided region is checked against two copies of the
+environment stepped through the feed with reference.flip.
 
 Every case runs under the compiled kernel, when it is loaded, and under
 the Python kernel, selected by patching engine._lib: on a host with a
